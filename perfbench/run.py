@@ -3,7 +3,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload dual-ladder --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload dual-ladder --seed 1 --seconds 35 --trace 0
     python3 perfbench/run.py --workload all --seed 1
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
@@ -36,7 +36,7 @@ RESULTS = HERE / "results"
 BLAS_THREADS = max(1, min(2, len(os.sched_getaffinity(0))))
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
-SETUP_REPEATS = 5
+SETUP_REPEATS = 3
 #: counts and their ratios are exact, so they are taken from one pass
 EXACT_UNITS = ("count", "ratio")
 
@@ -61,7 +61,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     return parser.parse_args(argv)
@@ -122,46 +122,39 @@ def run_passes(wl, first, seconds, tracer=None):
         p += 1
 
 
-def _by_kind(typical, passes, stage=None, kinds=None):
-    """Sum over kinds of the typical value over passes of a kind's (stage) time."""
-    values = {}
-    for rec in passes:
-        for kind, stages in rec.times.items():
-            if kinds is None or kind in kinds:
-                value = stages.get(stage, 0.0) if stage else sum(stages.values())
-                values.setdefault(kind, []).append(value)
-    return sum(typical(v) for v in values.values())
-
-
 def summarize(wl, passes, setup_s):
     attempted = sum(r.attempted for r in passes)
     failed = sum(r.failed for r in passes)
-    per_row = list(passes[0].latencies)
-    # per query type: the typical pass's median latency
-    medians = [
-        wl.typical([statistics.median(r.latencies[k]) for r in passes]) for k in per_row
-    ]
+    typical = wl.typical_times(passes)
+    bulk = passes[0].rows
+    per_row = [k for k in passes[0].latencies if k not in bulk]
+    # per query type: one call's typical latency, and the 99th percentile
+    # over all of the run's calls
+    per_call = [typical[k] / len(passes[0].latencies[k]) for k in per_row]
     p99 = [
         statistics.quantiles([x for r in passes for x in r.latencies[k]], n=100)[98]
         for k in per_row
     ]
-    bulk_rows = sum(passes[0].rows.values())
-    bulk_s = _by_kind(wl.typical, passes, kinds=passes[0].rows)
+    bulk_rows = sum(bulk.values())
+
+    def stage(name):
+        return sum(wl.typical_times(passes, name).values())
+
     s = {
         "setup_s": setup_s,
-        "pipeline_s": _by_kind(wl.typical, passes),
-        "maximize_s": _by_kind(wl.typical, passes, "maximize"),
-        "solve_s": _by_kind(wl.typical, passes, "solve"),
-        "rigidity_s": _by_kind(wl.typical, passes, "rigidity"),
-        "cell_query_us": 1e6 * statistics.fmean(medians) if medians else 0.0,
+        "pipeline_s": sum(typical.values()),
+        "maximize_s": stage("maximize"),
+        "solve_s": stage("solve"),
+        "rigidity_s": stage("rigidity"),
+        "cell_query_us": 1e6 * statistics.fmean(per_call) if per_call else 0.0,
         "cell_query_p99_us": 1e6 * statistics.fmean(p99) if p99 else 0.0,
-        "bulk_ns_per_row": 1e9 * bulk_s / bulk_rows if bulk_rows else 0.0,
+        "bulk_ns_per_row": 1e9 * sum(typical[k] for k in bulk) / bulk_rows if bulk_rows else 0.0,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "failed_frac": failed / attempted,
         "ok_frac": 1.0 - failed / attempted,
     }
     s["call_ms"] = 1e3 * (
-        sum(medians) if wl.headline == "per-row" else s[f"{wl.headline}_s"]
+        sum(per_call) if wl.headline == "per-row" else s[f"{wl.headline}_s"]
     )
     return s
 

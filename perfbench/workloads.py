@@ -8,7 +8,7 @@ run one after another from one thread (a closed loop with one client).
 Every pass is split into *kinds*: the instance families of ``dual-ladder``
 and ``primal-scale``, the query types of ``cell-queries``.  ``Pass.times``
 holds the seconds each kind spent in each stage; the runner reports, per
-kind, the workload's ``typical`` value over passes.
+kind, the seconds of a typical pass (``typical_times``).
 """
 
 import importlib
@@ -50,7 +50,7 @@ class Pass:
     def __init__(self, index):
         self.index = index
         self.times = {}  # kind -> {stage: seconds}
-        self.latencies = {}  # kind -> per-call seconds (per-row queries)
+        self.latencies = {}  # kind -> per-call seconds (cell queries)
         self.rows = {}  # kind -> rows handled (bulk queries)
         self.attempted = 0
         self.failed = 0
@@ -105,11 +105,22 @@ def _check_maximizer(rec, T, k, report, where, tracer):
 class _Instances:
     """A workload whose pass is one instance of each kind, run in turn."""
 
-    # a solver's work depends on its target, so passes differ in cost
-    typical = staticmethod(statistics.median)
-
     def __init__(self, seed):
         self.seed = seed
+
+    @staticmethod
+    def typical_times(passes, stage=None):
+        """Per kind, the median over passes of the kind's (stage) seconds.
+
+        A solver's work depends on its target, so passes differ in cost and
+        the median pass is the typical one.
+        """
+        values = {}
+        for rec in passes:
+            for kind, stages in rec.times.items():
+                value = stages.get(stage, 0.0) if stage else sum(stages.values())
+                values.setdefault(kind, []).append(value)
+        return {kind: statistics.median(v) for kind, v in values.items()}
 
     def run_pass(self, inputs, tracer=None):
         p, instances = inputs
@@ -244,18 +255,15 @@ class PrimalScale(_Instances):
 
 
 class CellQueries:
-    """Single-cell calls one row at a time, then bulk kernel calls."""
+    """Single-cell calls one row at a time, then bulk kernel calls in chunks."""
 
     name = "cell-queries"
     headline = "per-row"
-    # a row's cost does not depend on the row, so passes do the same work
-    # and differ only by interference from the rest of the machine, which
-    # only ever slows a pass down: the fastest pass is the estimate
-    typical = staticmethod(min)
     ROWS = 100  # rows per pass for each per-row query
     BULK_THETA = 1_000_000  # Lobachevsky arguments per pass
+    BULK_CHUNK = 50_000  # Lobachevsky arguments per call
     BULK_COVER = 256  # fold of the cover whose metrics ``curvature`` maps
-    BULK_METRICS = 300  # metrics per pass
+    BULK_METRICS = 300  # metrics per pass, one per call
 
     def __init__(self, seed, rows=ROWS, bulk_theta=BULK_THETA,
                  bulk_metrics=BULK_METRICS, cover=None):
@@ -264,6 +272,26 @@ class CellQueries:
         self.bulk_theta = bulk_theta
         self.bulk_metrics = bulk_metrics
         self.cover = cover or triangulation.validate(cover_document(self.BULK_COVER))
+
+    @staticmethod
+    def typical_times(passes, stage=None):
+        """Per kind, a pass's calls, each at the 2nd percentile of the run's calls.
+
+        Every call of a kind does the same work, since a row's cost does not
+        depend on the row.  Calls differ only by interference from the rest
+        of the machine, which only ever slows a call down and comes in
+        bursts: a shared host slows whole minutes of a run by up to a factor
+        of two, yet leaves a few percent of the 10-ms windows of even a slow
+        minute undisturbed.  A low percentile of thousands of short calls
+        therefore reads nearly the same in every run, where the median or
+        the fastest whole pass does not.
+        """
+        if stage not in (None, "call"):
+            return {}
+        return {
+            kind: len(calls) * low_percentile([x for rec in passes for x in rec.latencies[kind]])
+            for kind, calls in passes[0].latencies.items()
+        }
 
     def make_pass(self, p):
         rng = np.random.default_rng([self.seed, p])
@@ -294,9 +322,13 @@ class CellQueries:
         with redirect_stdout(stdout):
             for kind, fn, rows in per_row:
                 out[kind], rec.latencies[kind] = _one_row_at_a_time(rec, kind, fn, rows)
-        lob = rec.call("lobachevsky_bulk", "call", lobachevsky.lobachevsky, theta)
+        chunks = [theta[i:i + self.BULK_CHUNK] for i in range(0, theta.size, self.BULK_CHUNK)]
+        lobs, rec.latencies["lobachevsky_bulk"] = _one_row_at_a_time(
+            rec, "lobachevsky_bulk", lobachevsky.lobachevsky, chunks
+        )
+        lob = None if any(y is None for y in lobs) else np.concatenate(lobs)
         rec.rows["lobachevsky_bulk"] = theta.size
-        kappas, _ = _one_row_at_a_time(
+        kappas, rec.latencies["curvature_bulk"] = _one_row_at_a_time(
             rec, "curvature_bulk", lambda x: triangulation.curvature(self.cover, x), metrics
         )
         rec.rows["curvature_bulk"] = len(metrics) * self.cover.n_tetrahedra
@@ -353,6 +385,11 @@ class CellQueries:
     def warm_up(self):
         small = CellQueries(self.seed, rows=4, bulk_theta=1000, bulk_metrics=2, cover=self.cover)
         small.run_pass(small.make_pass(2**31))
+
+
+def low_percentile(values):
+    """The 2nd percentile of ``values``."""
+    return statistics.quantiles(values, n=50)[0]
 
 
 def _one_row_at_a_time(rec, kind, fn, rows):
