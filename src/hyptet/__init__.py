@@ -76,6 +76,7 @@ from .structures import (
 )
 from .optimize import (
     DualReport,
+    GapReport,
     PrimalReport,
     RigidityReport,
     duality_gap,

@@ -129,17 +129,7 @@ def _cmd_solve(args):
 
 def _cmd_gap(args):
     T, k = _load_problem(args)
-    primal = optimize.maximize_volume(T, k, tol=args.tol)
-    dual = optimize.solve_cone_angles(T, k, tol=args.tol)
-    gap = dual.objective - 2.0 * primal.volume
-    _emit(
-        {
-            "gap": gap,
-            "volume": primal.volume,
-            "dual_objective": dual.objective,
-            "relative_gap": gap / (1.0 + abs(2.0 * primal.volume)),
-        }
-    )
+    _emit(optimize.duality_gap(T, k, tol=args.tol).to_json())
     return 0
 
 

@@ -2,21 +2,25 @@
 
 Primal: maximize the total hyperbolic volume over the assignment polytope
 for a cone target ``k`` (a strictly concave problem on the free-variable
-chart) by a log-barrier interior-point method with analytic gradients and
-finite-difference Hessians.
+chart) by a log-barrier interior-point method.  The volume Hessian in the
+free chart is closed form, because the Lobachevsky function has second
+derivative ``-cot``.
 
 Dual: minimize the convex C^1 energy ``sum_tet covolume - <k, l>`` over
-metrics; its gradient is ``cone_angles(extended angles) - k``, so a
-first-order method with gauge projection prescribes the cone angles.
+metrics in the orthogonal complement of the gauge; its gradient is
+``cone_angles(extended angles) - k`` and its Hessian is the sum of the
+per-tetrahedron co-volume Hessians, PSD with the gauge as kernel.
 
-The two meet through a Legendre-type identity: the dual minimum equals
-twice the maximal volume, so ``min_dual_objective - 2 * max_volume``
-vanishes at the solutions.  The dual minimizer is unique up to decoration
-gauge, which ``rigidity_check`` probes with multiple random starts.
+Both problems run the same damped Newton iteration, ``_newton``.  They
+meet through a Legendre-type identity: the dual minimum equals twice the
+maximal volume, so ``min_dual_objective - 2 * max_volume`` vanishes at the
+solutions.  The dual minimizer is unique up to decoration gauge, which
+``rigidity_check`` probes with multiple random starts.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import null_space
@@ -35,7 +39,7 @@ from .structures import (
     assemble,
     find_interior,
 )
-from .tetra import FLAT_PATTERNS
+from .tetra import FLAT_PATTERNS, _covolume_hessian_batch
 from .triangulation import (
     AngleAssignment,
     ConeTarget,
@@ -45,6 +49,15 @@ from .triangulation import (
 )
 
 PI = math.pi
+_EPS = float(np.finfo(np.float64).eps)
+#: step halvings before a line search counts as failed
+_BACKTRACKS = 40
+#: a run beyond this max-norm whose residual has not shrunk by 10 % over
+#: the last ``_WINDOW`` steps has escaped to infinity
+_ESCAPE = 1e3
+_WINDOW = 100
+#: outer products c_j c_j^T of the slot coefficient rows, flattened to (6, 9)
+_SLOT_OUTER = np.einsum("jp,jq->jpq", SLOT_COEF, SLOT_COEF).reshape(6, 9)
 
 
 @dataclass
@@ -85,6 +98,25 @@ class DualReport:
 
 
 @dataclass
+class GapReport:
+    gap: float
+    volume: float
+    dual_objective: float
+
+    @property
+    def relative_gap(self):
+        return self.gap / (1.0 + abs(2.0 * self.volume))
+
+    def to_json(self):
+        return {
+            "gap": self.gap,
+            "volume": self.volume,
+            "dual_objective": self.dual_objective,
+            "relative_gap": self.relative_gap,
+        }
+
+
+@dataclass
 class RigidityReport:
     n_starts: int
     pairwise_distance: float
@@ -102,6 +134,103 @@ class RigidityReport:
         }
 
 
+class _Run(NamedTuple):
+    x: np.ndarray
+    f: float
+    res: float
+    iterations: int
+    trace: list
+
+
+def _newton(x, oracle, Z, tol, max_iter, max_step=None):
+    """Damped Newton descent on a smooth convex objective over ``x + span(Z)``.
+
+    ``oracle(x)`` returns ``(f, g, res, hess)``: the objective, its full
+    gradient, the residual the run drives to ``tol`` or below, and a
+    callable giving the reduced Hessian ``Z^T H Z``, called only at
+    accepted points.  Each step solves ``(Z^T H Z + min(res, 1) I) dy =
+    -Z^T g`` (steepest descent when that fails to descend), is cut to
+    ``max_step(x, dx)`` when given, and is halved until the Armijo test
+    holds or the residual halves with ``f`` flat to float noise -- near the
+    optimum the decrease of ``f`` is below float resolution while the
+    analytic gradient still is not.  A failed line search, an accepted step
+    that moves ``x`` by float noise only, or an escape (see ``_ESCAPE``)
+    stalls the run.
+    """
+    f, g, res, hess = oracle(x)
+    trace = [f]
+    history = [res]
+    it = 0
+    while res > tol and it < max_iter:
+        it += 1
+        gy = Z.T @ g
+        Hy = hess()
+        Hy[np.diag_indices_from(Hy)] += min(res, 1.0)
+        try:
+            dy = np.linalg.solve(Hy, -gy)
+        except np.linalg.LinAlgError:
+            dy = None
+        if dy is None or not np.all(np.isfinite(dy)) or float(gy @ dy) >= 0.0:
+            dy = -gy
+        dx = Z @ dy
+        slope = float(gy @ dy)
+        a = 1.0 if max_step is None else max_step(x, dx)
+        for _ in range(_BACKTRACKS):
+            x_try = x + a * dx
+            f_try, g_try, res_try, hess_try = oracle(x_try)
+            if f_try <= f + 1e-4 * a * slope or (
+                res_try <= 0.5 * res and f_try <= f + 1e-12 * (1.0 + abs(f))
+            ):
+                break
+            a *= 0.5
+        else:
+            return _Run(x, f, res, it, trace)
+        noise = 4.0 * _EPS * (1.0 + float(np.max(np.abs(x))))
+        moved = float(np.max(np.abs(x_try - x))) > noise
+        x, f, g, res, hess = x_try, f_try, g_try, res_try, hess_try
+        trace.append(f)
+        history.append(res)
+        escaped = (
+            float(np.max(np.abs(x))) > _ESCAPE
+            and len(history) > _WINDOW
+            and res > 0.9 * history[-1 - _WINDOW]
+        )
+        if (escaped or not moved) and res > tol:
+            return _Run(x, f, res, it, trace)
+    return _Run(x, f, res, it, trace)
+
+
+def _volume_hessian(angles):
+    """Hessian of the volume in the free chart (a12, a13, a14), (n, 3, 3).
+
+    The volume is half the sum of the Lobachevsky function over the six
+    slot angles ``c_j . u + const`` and over ``(pi - h) / 2`` with
+    ``h = a12 + a13 + a14``; since its second derivative is ``-cot``,
+    ``H = -1/2 [sum_j cot(a_j) c_j c_j^T + 1/4 cot((pi - h) / 2) 11^T]``.
+    """
+    A = np.asarray(angles, dtype=np.float64)
+    half_gap = (PI - A[:, 0] - A[:, 1] - A[:, 2]) / 2.0
+    H = (1.0 / np.tan(A)) @ _SLOT_OUTER + (0.25 / np.tan(half_gap))[:, None]
+    return -0.5 * H.reshape(-1, 3, 3)
+
+
+def _dual_hessian(T, L):
+    """Hessian of the dual energy over the edge classes, (E, E).
+
+    The per-tetrahedron co-volume Hessians at the slot lengths ``L`` (n, 6),
+    summed through ``slot_class``.  Each row's difference step follows its
+    cosine-extension margin, so the stencil stays on one side of the
+    degeneration walls.
+    """
+    margin = np.min(np.abs(1.0 - np.abs(phi_batch(L))), axis=1)
+    h = np.minimum(1e-6, np.maximum(0.02 * margin, 1e-9))
+    E = T.n_edge_classes
+    sc = T.slot_class
+    index = (np.repeat(sc, 6, axis=1) * E + np.tile(sc, 6)).ravel()
+    blocks = _covolume_hessian_batch(L, h).ravel()
+    return np.bincount(index, weights=blocks, minlength=E * E).reshape(E, E)
+
+
 def _near_flat_flags(angles, tol=1e-6):
     flags = []
     for row in angles:
@@ -115,9 +244,10 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
 
     Needs a strictly interior start: ``u0`` (three free angles per
     tetrahedron) when given, otherwise the max-slack feasibility LP
-    witness.  On success the KKT residual -- the max of the projected
-    stationarity norm and the final barrier weight (= complementarity) --
-    is at most ``tol``.
+    witness.  Each barrier weight runs at most ``max_inner`` Newton steps
+    on the closed-form free-chart Hessian.  On success the KKT residual --
+    the max of the projected stationarity norm and the final barrier weight
+    (= complementarity) -- is at most ``tol``.
     """
     cs = assemble(T, k)
     n = T.n_tetrahedra
@@ -140,51 +270,39 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
         ang = cs.expand(u)
         vol = 0.5 * float(volume2_batch(ang.values).sum())
         return PrimalReport(ang, vol, 0.0, _near_flat_flags(ang.values), 0, [vol])
+    Z3 = Z.reshape(n, 3, -1)
+    eye3 = np.eye(3)
 
-    ones3 = np.ones((3, 3))
+    def barrier_oracle(mu):
+        # minimize -(vol + mu * sum log c) over the equality manifold
+        def oracle(u_vec):
+            c = cs.constraint_values(u_vec)
+            slack = c[3 * n :]
+            A = cs.expand(u_vec).values
+            f = -0.5 * float(volume2_batch(A).sum()) - mu * float(np.sum(np.log(c)))
+            g = -volume_gradient_batch(A).ravel() - mu * (
+                1.0 / u_vec - np.repeat(1.0 / slack, 3)
+            )
 
-    def angles_of(U):
-        return U @ SLOT_COEF.T + SLOT_CONST
+            def hess():
+                B = -_volume_hessian(A) + mu * (
+                    eye3 / u_vec.reshape(n, 3, 1) ** 2
+                    + 1.0 / slack[:, None, None] ** 2
+                )
+                return Z.T @ (B @ Z3).reshape(3 * n, -1)
 
-    def f_and_grad(u_vec):
-        U = u_vec.reshape(n, 3)
-        A = angles_of(U)
-        val = 0.5 * float(volume2_batch(A).sum())
-        grad = volume_gradient_batch(A).ravel()
-        return val, grad
+            return f, g, float(np.max(np.abs(Z.T @ g))), hess
 
-    def cons_and_slack(u_vec):
-        U = u_vec.reshape(n, 3)
-        slack = PI - U.sum(axis=1)
-        return np.concatenate([u_vec, slack]), slack
+        return oracle
 
-    def barrier_grad(u_vec, slack):
-        return 1.0 / u_vec - np.repeat(1.0 / slack, 3)
-
-    def f_hessian(u_vec, slack):
-        # block-diagonal FD Hessian of the volume in the free chart,
-        # with a step that keeps the stencil strictly feasible
-        U = u_vec.reshape(n, 3)
-        h = np.minimum(1e-5, 0.2 * np.minimum(U.min(axis=1), slack))
-        H = np.zeros((3 * n, 3 * n))
-        for d in range(3):
-            Up = U.copy()
-            Um = U.copy()
-            Up[:, d] += h
-            Um[:, d] -= h
-            col = (
-                volume_gradient_batch(angles_of(Up))
-                - volume_gradient_batch(angles_of(Um))
-            ) / (2.0 * h)[:, None]
-            for t in range(n):
-                H[3 * t : 3 * t + 3, 3 * t + d] = col[t]
-        return 0.5 * (H + H.T)
-
-    def barrier_hessian(u_vec, slack):
-        H = np.diag(-1.0 / u_vec**2)
-        for t in range(n):
-            H[3 * t : 3 * t + 3, 3 * t : 3 * t + 3] -= ones3 / slack[t] ** 2
-        return H
+    def max_step(u_vec, du):
+        # fraction-to-boundary rule on the linear inequality constraints
+        dc = np.concatenate([du, -du.reshape(n, 3).sum(axis=1)])
+        shrink = dc < 0.0
+        if not np.any(shrink):
+            return 1.0
+        c = cs.constraint_values(u_vec)
+        return min(1.0, float(np.min(0.995 * c[shrink] / -dc[shrink])))
 
     mu_final = max(tol / 10.0, 1e-13)
     mus = []
@@ -196,59 +314,15 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
 
     iterations = 0
     trace = []
-    cvals, slack = cons_and_slack(u)
     for mu in mus:
-        inner_tol = max(0.1 * mu, 1e-13)
-        for _ in range(max_inner):
-            fval, gf = f_and_grad(u)
-            gB = barrier_grad(u, slack)
-            g_full = gf + mu * gB
-            g_y = Z.T @ g_full
-            if np.max(np.abs(g_y)) <= inner_tol:
-                break
-            H = f_hessian(u, slack) + mu * barrier_hessian(u, slack)
-            H_y = Z.T @ H @ Z
-            dy = None
-            try:
-                dy = np.linalg.solve(H_y, -g_y)
-            except np.linalg.LinAlgError:
-                dy = None
-            if dy is None or not np.all(np.isfinite(dy)) or float(g_y @ dy) <= 0.0:
-                dy = g_y  # projected steepest ascent fallback
-            du = Z @ dy
-            dcons = np.concatenate([du, -du.reshape(n, 3).sum(axis=1)])
-            shrink = dcons < 0.0
-            a_max = 1.0
-            if np.any(shrink):
-                a_max = min(
-                    1.0, float(np.min(0.995 * cvals[shrink] / -dcons[shrink]))
-                )
-            a = a_max
-            slope = float(g_y @ dy)
-            F0 = fval + mu * float(np.sum(np.log(cvals)))
-            accepted = False
-            for _ls in range(60):
-                u_try = u + a * du
-                c_try, s_try = cons_and_slack(u_try)
-                if np.all(c_try > 0.0):
-                    f_try = 0.5 * float(
-                        volume2_batch(angles_of(u_try.reshape(n, 3))).sum()
-                    )
-                    F_try = f_try + mu * float(np.sum(np.log(c_try)))
-                    if F_try >= F0 + 1e-4 * a * slope:
-                        u, cvals, slack = u_try, c_try, s_try
-                        accepted = True
-                        break
-                a *= 0.5
-            iterations += 1
-            if not accepted:
-                break
-        fval, _ = f_and_grad(u)
-        trace.append(fval)
+        run = _newton(
+            u, barrier_oracle(mu), Z, max(0.1 * mu, 1e-13), max_inner, max_step
+        )
+        u = run.x
+        iterations += run.iterations
+        trace.append(0.5 * float(volume2_batch(cs.expand(u).values).sum()))
 
-    fval, gf = f_and_grad(u)
-    g_y = Z.T @ (gf + mu_final * barrier_grad(u, slack))
-    kkt = max(float(np.max(np.abs(g_y))), mu_final)
+    kkt = max(run.res, mu_final)
     if kkt > tol:
         raise MaxIterations(
             f"barrier maximization stalled at residual {kkt:.3e}", residual=kkt
@@ -256,7 +330,7 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
     ang = cs.expand(u)
     return PrimalReport(
         ang,
-        fval,
+        trace[-1],
         kkt,
         _near_flat_flags(ang.values),
         iterations,
@@ -267,11 +341,11 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
 def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
     """Prescribe cone angles by minimizing the convex metric energy.
 
-    Barzilai-Borwein steps with Armijo backtracking and gauge projection
-    each iteration; succeeds when the cone angles of the iterate match
-    ``k`` to ``tol`` in max norm.  A run that escapes the trust region
-    without its gradient shrinking is flagged diverged, never reported as
-    a solution.
+    Damped Newton steps in the orthogonal complement of the gauge, on the
+    co-volume Hessian summed from per-tetrahedron blocks; succeeds when the
+    cone angles of the iterate match ``k`` to ``tol`` in max norm.  A run
+    that escapes the trust region without its gradient vanishing is
+    flagged diverged, never reported as a solution.
     """
     k_vals = k.values if isinstance(k, ConeTarget) else np.asarray(k, dtype=np.float64)
     resid = admissibility_residual(T, k_vals)
@@ -282,52 +356,19 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
     P = T.gauge_projector
     slot_class = T.slot_class
     n_edges = T.n_edge_classes
+    w, V = np.linalg.eigh(P)
+    Z = V[:, w > 0.5]
 
-    def evaluate(x):
+    def oracle(x):
         L = np.ascontiguousarray(x[slot_class])
         A = extended_angles_batch(L)
         obj = float(volume2_batch(A).sum() + np.sum(A * L)) - float(k_vals @ x)
         cone = np.bincount(
             slot_class.ravel(), weights=A.ravel(), minlength=n_edges
         )
-        g_raw = cone - k_vals
-        return obj, P @ g_raw, g_raw
-
-    def newton_polish(x, obj, g, g_raw, rounds=6):
-        # terminal refinement in the smooth basin: Newton on the analytic
-        # gradient map, with an FD Jacobian and gradient-norm backtracking
-        for _ in range(rounds):
-            res = float(np.max(np.abs(g_raw)))
-            if res <= tol:
-                break
-            # keep the Jacobian stencil on one side of the degeneration
-            # walls, whose distance is roughly the cosine-extension margin
-            margin = float(
-                np.min(1.0 - np.abs(phi_batch(np.ascontiguousarray(x[slot_class]))))
-            )
-            h = min(1e-6, max(0.02 * abs(margin), 1e-9))
-            J = np.empty((n_edges, n_edges))
-            for d in range(n_edges):
-                e = np.zeros(n_edges)
-                e[d] = h
-                _, gp, _ = evaluate(x + e)
-                _, gm, _ = evaluate(x - e)
-                J[:, d] = (gp - gm) / (2.0 * h)
-            dx = P @ np.linalg.lstsq(J, -g, rcond=1e-10)[0]
-            moved = False
-            for _bt in range(25):
-                obj_t, g_t, g_raw_t = evaluate(x + dx)
-                if (
-                    float(np.max(np.abs(g_raw_t))) < res
-                    and obj_t <= obj + 1e-12 * (1.0 + abs(obj))
-                ):
-                    x, obj, g, g_raw = x + dx, obj_t, g_t, g_raw_t
-                    moved = True
-                    break
-                dx *= 0.5
-            if not moved:
-                break
-        return x, obj, g, g_raw
+        g = cone - k_vals
+        res = float(np.max(np.abs(g)))
+        return obj, g, res, lambda: Z.T @ _dual_hessian(T, L) @ Z
 
     if x0 is None:
         x = np.zeros(n_edges)
@@ -336,100 +377,34 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
         if x0.shape != (n_edges,) or not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be a finite vector over the edge classes")
         x = P @ x0
-    obj, g, g_raw = evaluate(x)
-    step = 1e-2 / max(1.0, float(np.linalg.norm(g)))
-    grad_hist = []
-    trace = [obj]
-    diverged = False
-    polishes = 0
-
-    it = 0
-    while it < max_iter:
-        res = float(np.max(np.abs(g_raw)))
-        grad_hist.append(res)
-        if res <= tol:
-            break
-        if (
-            float(np.max(np.abs(x))) > 1e3
-            and len(grad_hist) > 100
-            and grad_hist[-1] > 0.9 * grad_hist[-101]
-        ):
-            diverged = True
-            break
-        plateau = (
-            res <= 1e-4
-            and len(grad_hist) > 200
-            and grad_hist[-1] > 0.5 * grad_hist[-201]
-        )
-        if plateau and polishes < 3:
-            polishes += 1
-            x, obj, g, g_raw = newton_polish(x, obj, g, g_raw)
-            trace.append(obj)
-            it += 1
-            continue
-        gnorm2 = float(g @ g)
-        a = step
-        accepted = False
-        for _ls in range(70):
-            x_try = x - a * g
-            obj_try, g_try, g_raw_try = evaluate(x_try)
-            # near the optimum the objective decrease falls below float
-            # noise while the analytic gradient is still trustworthy, so a
-            # large gradient contraction also counts as acceptance
-            if obj_try <= obj - 1e-4 * a * gnorm2 or (
-                float(np.max(np.abs(g_raw_try))) <= 0.5 * res
-            ):
-                accepted = True
-                break
-            a *= 0.5
-        if not accepted:
-            if res <= 1e-4 and polishes < 3:
-                polishes += 1
-                x, obj, g, g_raw = newton_polish(x, obj, g, g_raw)
-                trace.append(obj)
-                it += 1
-                if float(np.max(np.abs(g_raw))) < res:
-                    continue
-            raise MaxIterations(
-                f"dual line search stalled at residual "
-                f"{float(np.max(np.abs(g_raw))):.3e}",
-                residual=float(np.max(np.abs(g_raw))),
-            )
-        dx = x_try - x
-        dg = g_try - g
-        denom = float(dx @ dg)
-        step = float(dx @ dx) / denom if denom > 1e-300 else 1.0
-        step = min(max(step, 1e-10), 1e4)
-        x, obj, g, g_raw = x_try, obj_try, g_try, g_raw_try
-        trace.append(obj)
-        it += 1
-    else:
+    run = _newton(x, oracle, Z, tol, max_iter)
+    diverged = run.res > tol and float(np.max(np.abs(run.x))) > _ESCAPE
+    if run.res > tol and not diverged:
+        what = "stalled" if run.iterations < max_iter else "hit the iteration cap"
         raise MaxIterations(
-            f"dual solve hit the iteration cap at residual "
-            f"{float(np.max(np.abs(g_raw))):.3e}",
-            residual=float(np.max(np.abs(g_raw))),
+            f"dual solve {what} at residual {run.res:.3e}", residual=run.res
         )
-
-    metric = gauge_project(T, x)
     return DualReport(
-        metric,
-        float(np.max(np.abs(g_raw))),
+        gauge_project(T, run.x),
+        run.res,
         diverged,
-        obj,
-        it,
-        trace,
+        run.f,
+        run.iterations,
+        run.trace,
     )
 
 
 def duality_gap(T, k, tol=1e-8):
-    """Difference (min dual objective) - 2 * (max volume).
+    """Difference (min dual objective) - 2 * (max volume), as a GapReport.
 
     At the optimum the dual energy equals twice the maximal volume, so the
-    raw signed difference certifies the conjugacy of the two problems.
+    raw signed difference certifies the conjugacy of the two problems;
+    ``relative_gap`` scales it by ``1 + |2 * volume|``.
     """
     primal = maximize_volume(T, k, tol=tol)
     dual = solve_cone_angles(T, k, tol=tol)
-    return dual.objective - 2.0 * primal.volume
+    gap = dual.objective - 2.0 * primal.volume
+    return GapReport(gap, primal.volume, dual.objective)
 
 
 def rigidity_check(T, k, n_starts=5, tol=1e-6, seed=0):

@@ -335,14 +335,23 @@ def covolume_hessian(lengths, h=1e-4):
     arr = _as6(lengths, "lengths")
     if classify(arr) is not RegionLabel.INTERIOR:
         raise NotInterior("Hessian requested at a non-interior length vector")
-    pts = np.repeat(arr.reshape(1, 6), 12, axis=0)
-    for q in range(6):
-        pts[2 * q, q] += h
-        pts[2 * q + 1, q] -= h
-    grads = _kernels.extended_angles_batch(pts)
-    cols = (grads[0::2] - grads[1::2]) / (2.0 * h)
-    hess = cols.T
-    return 0.5 * (hess + hess.T)
+    return _covolume_hessian_batch(arr.reshape(1, 6), h)[0]
+
+
+def _covolume_hessian_batch(lengths, h):
+    """Co-volume Hessians of the rows of ``lengths``, (n, 6, 6).
+
+    Symmetrized central differences of the extended angles with step ``h``
+    (a scalar or one step per row), all 12n stencil points in one kernel
+    call.  No domain checks.
+    """
+    L = np.asarray(lengths, dtype=np.float64)
+    steps = np.broadcast_to(np.asarray(h, dtype=np.float64), L.shape[:1])
+    shift = steps[:, None, None] * np.eye(6)
+    pts = np.concatenate([L[:, None, :] + shift, L[:, None, :] - shift], axis=1)
+    grads = _kernels.extended_angles_batch(pts.reshape(-1, 6)).reshape(-1, 12, 6)
+    hess = (grads[:, :6] - grads[:, 6:]) / (2.0 * steps)[:, None, None]
+    return 0.5 * (hess + hess.transpose(0, 2, 1))
 
 
 def boundary_face_hessian(a13, a14):

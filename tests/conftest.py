@@ -22,3 +22,33 @@ def snake_document():
              "vertex_map": [1, 2, 3, 4]},
         ],
     }
+
+
+def cover_document(m, shifts=(0, 1, 0, 0)):
+    """m-fold cyclic cover of the doubled tetrahedron, 2m tetrahedra.
+
+    Face f of tet i is glued by the identity map to face f of tet
+    m + (i + s_f) mod m.
+    """
+    return {
+        "format": "hyptet-tri-v1",
+        "tetrahedra": 2 * m,
+        "gluings": [
+            {"tet": i, "face": f, "to_tet": m + (i + shifts[f - 1]) % m,
+             "to_face": f, "vertex_map": [1, 2, 3, 4]}
+            for i in range(m)
+            for f in (1, 2, 3, 4)
+        ],
+    }
+
+
+def disjoint_double_document():
+    """Disjoint union of two doubled tetrahedra: four cells, two components."""
+    from hyptet.triangulation import double_document
+
+    doc = double_document()
+    doc["tetrahedra"] = 4
+    doc["gluings"] += [
+        dict(g, tet=g["tet"] + 2, to_tet=g["to_tet"] + 2) for g in doc["gluings"]
+    ]
+    return doc

@@ -176,7 +176,7 @@ def test_duality_gap_small_on_fixtures():
         l0 = _interior_lengths(rng)
         T, k, _ = doubled_fixture(l0)
         primal = maximize_volume(T, k)
-        g = duality_gap(T, k)
+        g = duality_gap(T, k).gap
         assert abs(g) <= 1e-6 * (1.0 + abs(2.0 * primal.volume))
 
 
