@@ -1,14 +1,13 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""Hot numeric kernels, vectorized in numpy.
 
 Everything downstream (single-tetrahedron geometry, the optimizers, the
-property suites) funnels its inner-loop arithmetic through the batch
-functions defined here.  Two interchangeable backends are provided:
-
-* numba ``@njit`` loops (the default when numba imports cleanly), and
-* a vectorized pure-numpy path.
-
-Set ``HYPTET_NO_NUMBA=1`` in the environment before import to force the
-numpy path.  ``benchmarks/bench_kernels.py`` times one against the other.
+property suites) funnels its inner-loop arithmetic through the seven batch
+functions defined here, each written once.  Kernels that build on one
+another call the ``np_*`` definitions, not the public names, so a tracer
+that wraps the public names sees one span per entry-point call.  Every
+run record of ``perfbench/run.py`` holds the ns/row of each kernel
+(``kernel_ns_per_row``), and ``--trace 1`` adds the ``kernels.*`` calls,
+rows and busy time of the workload itself.
 
 Conventions: float64 throughout; length/angle batches are ``(n, 6)`` arrays
 in slot order (12, 13, 14, 23, 24, 34), vertex 1 being the truncated
@@ -20,7 +19,6 @@ only the sign can matter.
 """
 
 import math
-import os
 
 import numpy as np
 from scipy.special import zeta
@@ -39,22 +37,6 @@ _SERIES_COEF = np.array(
     [zeta(2.0 * m) / (m * (2 * m + 1)) for m in range(1, _N_TERMS + 1)]
 )
 
-_env = os.environ.get("HYPTET_NO_NUMBA", "").strip().lower()
-_numpy_forced = _env in ("1", "true", "yes")
-
-HAVE_NUMBA = False
-if not _numpy_forced:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy backend
-# ---------------------------------------------------------------------------
 
 def _np_softplus(x):
     return np.logaddexp(0.0, x)
@@ -162,10 +144,7 @@ def np_volume2_batch(angles):
     """Twice the hyperbolic volume as a function of the six slot angles."""
     A = np.asarray(angles, dtype=np.float64)
     h = A[:, 0] + A[:, 1] + A[:, 2]
-    v = np_lobachevsky_batch((PI - h) / 2.0)
-    for j in range(6):
-        v = v + np_lobachevsky_batch(A[:, j])
-    return v
+    return np_lobachevsky_batch(np.column_stack(((PI - h) / 2.0, A))).sum(axis=1)
 
 
 def np_volume_gradient_batch(angles):
@@ -188,238 +167,24 @@ def np_covolume_batch(lengths):
     return np_volume2_batch(A) + np.sum(A * L, axis=1)
 
 
-_NUMPY_BACKEND = {
-    "lobachevsky_batch": np_lobachevsky_batch,
-    "phi_batch": np_phi_batch,
-    "theta_batch": np_theta_batch,
-    "extended_angles_batch": np_extended_angles_batch,
-    "volume2_batch": np_volume2_batch,
-    "volume_gradient_batch": np_volume_gradient_batch,
-    "covolume_batch": np_covolume_batch,
-}
+lobachevsky_batch = np_lobachevsky_batch
+phi_batch = np_phi_batch
+theta_batch = np_theta_batch
+extended_angles_batch = np_extended_angles_batch
+volume2_batch = np_volume2_batch
+volume_gradient_batch = np_volume_gradient_batch
+covolume_batch = np_covolume_batch
 
-BACKENDS = {"numpy": _NUMPY_BACKEND}
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_softplus(x):
-        if x > 0.0:
-            return x + math.log1p(math.exp(-x))
-        return math.log1p(math.exp(x))
-
-    @njit(cache=True)
-    def _nb_lob(theta):
-        r = theta - PI * np.round(theta / PI)
-        sgn = 1.0
-        if r < 0.0:
-            sgn = -1.0
-            r = -r
-        if r == 0.0:
-            return 0.0
-        acc = r * (1.0 - math.log(2.0 * r))
-        q = (r / PI) ** 2
-        p = 1.0
-        for m in range(_N_TERMS):
-            p *= q
-            acc += _SERIES_COEF[m] * r * p
-        return sgn * acc
-
-    @njit(cache=True)
-    def _nb_log_abs_2sin(x):
-        s = abs(2.0 * math.sin(x))
-        if s == 0.0:
-            return -np.inf
-        return math.log(s)
-
-    @njit(cache=True)
-    def nb_lobachevsky_batch(theta):
-        out = np.empty(theta.shape[0], dtype=np.float64)
-        for i in range(theta.shape[0]):
-            out[i] = _nb_lob(theta[i])
-        return out
-
-    @njit(cache=True)
-    def _nb_phi_row(l12, l13, l14, l23, l24, l34, out):
-        a23 = l23 - l12 - l13
-        a24 = l24 - l12 - l14
-        a34 = l34 - l13 - l14
-        for idx in range(3):
-            if idx == 0:
-                au, av, aw = a23, a24, a34
-            elif idx == 1:
-                au, av, aw = a23, a34, a24
-            else:
-                au, av, aw = a24, a34, a23
-            m = max(max(au + av, aw), max(au, av))
-            num = (
-                2.0 * math.exp(au + av - m)
-                + math.exp(au - m)
-                + math.exp(av - m)
-                - math.exp(aw - m)
-            )
-            ln_den = _LN2 + 0.5 * (au + av) + 0.5 * (_nb_softplus(au) + _nb_softplus(av))
-            e = m - ln_den
-            if e > _EXP_CLAMP:
-                e = _EXP_CLAMP
-            out[idx] = num * math.exp(e)
-        X = l14 + l23
-        Y = l13 + l24
-        Z = l12 + l34
-        for idx in range(3, 6):
-            if idx == 3:
-                p_, q_, s_ = Y - X, Z - X, l24 + l34 - l23 - 2.0 * l14
-            elif idx == 4:
-                p_, q_, s_ = X - Y, Z - Y, l23 + l34 - l24 - 2.0 * l13
-            else:
-                p_, q_, s_ = X - Z, Y - Z, l23 + l24 - l34 - 2.0 * l12
-            m = max(max(p_, q_), 0.0)
-            num = math.exp(p_ - m) + math.exp(q_ - m) - math.exp(-m)
-            hi = p_ + q_
-            lo = s_
-            if lo > hi:
-                hi, lo = lo, hi
-            ln_den = _LN2 + 0.5 * (hi + math.log1p(math.exp(lo - hi)))
-            e = m - ln_den
-            if e > _EXP_CLAMP:
-                e = _EXP_CLAMP
-            out[idx] = num * math.exp(e)
-
-    @njit(cache=True)
-    def nb_phi_batch(L):
-        n = L.shape[0]
-        out = np.empty((n, 6), dtype=np.float64)
-        for i in range(n):
-            _nb_phi_row(L[i, 0], L[i, 1], L[i, 2], L[i, 3], L[i, 4], L[i, 5], out[i])
-        return out
-
-    @njit(cache=True)
-    def _nb_acosh_shift(a):
-        # arccosh(2*e^a + 1), stable over the whole real line
-        if a > 35.0:
-            return a + _LN4
-        ex = math.exp(a)
-        return math.log1p(2.0 * ex + 2.0 * math.sqrt(ex * (1.0 + ex)))
-
-    @njit(cache=True)
-    def _nb_half_lse(a, b):
-        if b > a:
-            a, b = b, a
-        return 0.5 * (a + math.log1p(math.exp(b - a)))
-
-    @njit(cache=True)
-    def nb_theta_batch(L):
-        n = L.shape[0]
-        out = np.empty((n, 12), dtype=np.float64)
-        for i in range(n):
-            l12, l13, l14 = L[i, 0], L[i, 1], L[i, 2]
-            l23, l24, l34 = L[i, 3], L[i, 4], L[i, 5]
-            out[i, 0] = _nb_acosh_shift(l23 - l12 - l13)
-            out[i, 1] = _nb_acosh_shift(l24 - l12 - l14)
-            out[i, 2] = _nb_acosh_shift(l34 - l13 - l14)
-            out[i, 3] = 2.0 * math.exp(_nb_half_lse(-2.0 * l12, l13 - l23 - l12))
-            out[i, 4] = 2.0 * math.exp(_nb_half_lse(-2.0 * l12, l14 - l24 - l12))
-            out[i, 5] = 2.0 * math.exp(_nb_half_lse(-2.0 * l13, l12 - l23 - l13))
-            out[i, 6] = 2.0 * math.exp(_nb_half_lse(-2.0 * l13, l14 - l34 - l13))
-            out[i, 7] = 2.0 * math.exp(_nb_half_lse(-2.0 * l14, l12 - l24 - l14))
-            out[i, 8] = 2.0 * math.exp(_nb_half_lse(-2.0 * l14, l13 - l34 - l14))
-            out[i, 9] = 2.0 * math.exp(0.5 * (l34 - l23 - l24))
-            out[i, 10] = 2.0 * math.exp(0.5 * (l24 - l23 - l34))
-            out[i, 11] = 2.0 * math.exp(0.5 * (l23 - l24 - l34))
-        return out
-
-    @njit(cache=True)
-    def nb_extended_angles_batch(L):
-        n = L.shape[0]
-        out = np.empty((n, 6), dtype=np.float64)
-        row = np.empty(6, dtype=np.float64)
-        for i in range(n):
-            _nb_phi_row(L[i, 0], L[i, 1], L[i, 2], L[i, 3], L[i, 4], L[i, 5], row)
-            for j in range(6):
-                x = row[j]
-                if x < -1.0:
-                    x = -1.0
-                elif x > 1.0:
-                    x = 1.0
-                out[i, j] = math.acos(x)
-        return out
-
-    @njit(cache=True)
-    def nb_volume2_batch(A):
-        n = A.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            h = A[i, 0] + A[i, 1] + A[i, 2]
-            v = _nb_lob((PI - h) / 2.0)
-            for j in range(6):
-                v += _nb_lob(A[i, j])
-            out[i] = v
-        return out
-
-    @njit(cache=True)
-    def nb_volume_gradient_batch(A):
-        n = A.shape[0]
-        out = np.empty((n, 3), dtype=np.float64)
-        for i in range(n):
-            h = A[i, 0] + A[i, 1] + A[i, 2]
-            lpm = -_nb_log_abs_2sin((PI - h) / 2.0)
-            lp0 = -_nb_log_abs_2sin(A[i, 0])
-            lp1 = -_nb_log_abs_2sin(A[i, 1])
-            lp2 = -_nb_log_abs_2sin(A[i, 2])
-            lp3 = -_nb_log_abs_2sin(A[i, 3])
-            lp4 = -_nb_log_abs_2sin(A[i, 4])
-            lp5 = -_nb_log_abs_2sin(A[i, 5])
-            out[i, 0] = 0.5 * (-0.5 * lpm + lp0 - 0.5 * lp3 - 0.5 * lp4 + 0.5 * lp5)
-            out[i, 1] = 0.5 * (-0.5 * lpm + lp1 - 0.5 * lp3 + 0.5 * lp4 - 0.5 * lp5)
-            out[i, 2] = 0.5 * (-0.5 * lpm + lp2 + 0.5 * lp3 - 0.5 * lp4 - 0.5 * lp5)
-        return out
-
-    @njit(cache=True)
-    def nb_covolume_batch(L):
-        n = L.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        row = np.empty(6, dtype=np.float64)
-        for i in range(n):
-            _nb_phi_row(L[i, 0], L[i, 1], L[i, 2], L[i, 3], L[i, 4], L[i, 5], row)
-            acc = 0.0
-            h = 0.0
-            v = 0.0
-            for j in range(6):
-                x = row[j]
-                if x < -1.0:
-                    x = -1.0
-                elif x > 1.0:
-                    x = 1.0
-                a = math.acos(x)
-                if j < 3:
-                    h += a
-                v += _nb_lob(a)
-                acc += a * L[i, j]
-            out[i] = v + _nb_lob((PI - h) / 2.0) + acc
-        return out
-
-    BACKENDS["numba"] = {
-        "lobachevsky_batch": nb_lobachevsky_batch,
-        "phi_batch": nb_phi_batch,
-        "theta_batch": nb_theta_batch,
-        "extended_angles_batch": nb_extended_angles_batch,
-        "volume2_batch": nb_volume2_batch,
-        "volume_gradient_batch": nb_volume_gradient_batch,
-        "covolume_batch": nb_covolume_batch,
+#: the kernel table run records read; numpy is the only backend
+BACKENDS = {
+    "numpy": {
+        "lobachevsky_batch": lobachevsky_batch,
+        "phi_batch": phi_batch,
+        "theta_batch": theta_batch,
+        "extended_angles_batch": extended_angles_batch,
+        "volume2_batch": volume2_batch,
+        "volume_gradient_batch": volume_gradient_batch,
+        "covolume_batch": covolume_batch,
     }
-
-ACTIVE_BACKEND = "numba" if HAVE_NUMBA else "numpy"
-_active = BACKENDS[ACTIVE_BACKEND]
-
-lobachevsky_batch = _active["lobachevsky_batch"]
-phi_batch = _active["phi_batch"]
-theta_batch = _active["theta_batch"]
-extended_angles_batch = _active["extended_angles_batch"]
-volume2_batch = _active["volume2_batch"]
-volume_gradient_batch = _active["volume_gradient_batch"]
-covolume_batch = _active["covolume_batch"]
+}
+ACTIVE_BACKEND = "numpy"

@@ -1,71 +1,30 @@
-"""Backend agreement: the numba kernels against the pure-numpy path."""
+"""The numpy kernels on extreme inputs, and the fused volume sum."""
 
 import numpy as np
-import pytest
 
 from hyptet import _kernels
-
-
-def _pairs():
-    if "numba" not in _kernels.BACKENDS:
-        pytest.skip("numba backend unavailable")
-    return _kernels.BACKENDS["numpy"], _kernels.BACKENDS["numba"]
+from hyptet.selftest import sample_interior_angles
 
 
 def test_backend_flag_documented():
     assert _kernels.ACTIVE_BACKEND in _kernels.BACKENDS
 
 
-def test_lobachevsky_agreement():
-    np_b, nb_b = _pairs()
-    rng = np.random.default_rng(70)
-    th = rng.uniform(-31.5, 31.5, 50_000)
-    a = np_b["lobachevsky_batch"](th)
-    b = nb_b["lobachevsky_batch"](th)
-    assert np.max(np.abs(a - b)) <= 1e-14
-
-
-def test_phi_theta_agreement():
-    np_b, nb_b = _pairs()
-    rng = np.random.default_rng(71)
-    L = rng.uniform(-6, 6, (20_000, 6))
-    pa = np_b["phi_batch"](L)
-    pb = nb_b["phi_batch"](L)
-    assert np.max(np.abs(pa - pb) / np.maximum(1.0, np.abs(pa))) <= 1e-13
-    ta = np_b["theta_batch"](L)
-    tb = nb_b["theta_batch"](L)
-    assert np.max(np.abs(ta - tb) / np.maximum(1.0, np.abs(ta))) <= 1e-13
-
-
-def test_angles_volume_covolume_agreement():
-    np_b, nb_b = _pairs()
-    rng = np.random.default_rng(72)
-    L = rng.uniform(-4, 4, (20_000, 6))
-    aa = np_b["extended_angles_batch"](L)
-    ab = nb_b["extended_angles_batch"](L)
-    assert np.max(np.abs(aa - ab)) <= 1e-12
-    ca = np_b["covolume_batch"](L)
-    cb = nb_b["covolume_batch"](L)
-    assert np.max(np.abs(ca - cb)) <= 1e-11
-
-    A = np_b["extended_angles_batch"](L)
-    keep = np.all((A > 1e-3) & (A < np.pi - 1e-3), axis=1)
-    va = np_b["volume2_batch"](A[keep])
-    vb = nb_b["volume2_batch"](A[keep])
-    assert np.max(np.abs(va - vb)) <= 1e-12
-    ga = np_b["volume_gradient_batch"](A[keep])
-    gb = nb_b["volume_gradient_batch"](A[keep])
-    assert np.max(np.abs(ga - gb)) <= 1e-11
-
-
-def test_extreme_inputs_stay_finite_both_backends():
-    np_b, nb_b = _pairs()
+def test_extreme_inputs_stay_finite():
     rng = np.random.default_rng(73)
     L = rng.uniform(-300, 300, (2_000, 6))
-    for backend in (np_b, nb_b):
-        p = backend["phi_batch"](L)
-        assert np.all(np.isfinite(p))
-        a = backend["extended_angles_batch"](L)
-        assert np.all((a >= 0.0) & (a <= np.pi))
-        c = backend["covolume_batch"](L)
-        assert np.all(np.isfinite(c))
+    assert np.all(np.isfinite(_kernels.phi_batch(L)))
+    a = _kernels.extended_angles_batch(L)
+    assert np.all((a >= 0.0) & (a <= np.pi))
+    assert np.all(np.isfinite(_kernels.covolume_batch(L)))
+
+
+def test_volume2_equals_per_angle_sum():
+    rng = np.random.default_rng(74)
+    A = sample_interior_angles(rng, 10_000)
+    lob = _kernels.lobachevsky_batch
+    h = A[:, 0] + A[:, 1] + A[:, 2]
+    v = lob((np.pi - h) / 2.0)
+    for j in range(6):
+        v = v + lob(A[:, j])
+    assert np.array_equal(_kernels.volume2_batch(A), v)
