@@ -148,8 +148,9 @@ def _newton(x, oracle, Z, tol, max_iter, max_step=None):
     ``oracle(x)`` returns ``(f, g, res, hess)``: the objective, its full
     gradient, the residual the run drives to ``tol`` or below, and a
     callable giving the reduced Hessian ``Z^T H Z``, called only at
-    accepted points.  Each step solves ``(Z^T H Z + min(res, 1) I) dy =
-    -Z^T g`` (steepest descent when that fails to descend), is cut to
+    accepted points; an oracle whose Hessian is only semidefinite returns
+    it regularized.  Each step solves ``Z^T H Z dy = -Z^T g`` (steepest
+    descent when that fails to descend), is cut to
     ``max_step(x, dx)`` when given, and is halved until the Armijo test
     holds or the residual halves with ``f`` flat to float noise -- near the
     optimum the decrease of ``f`` is below float resolution while the
@@ -164,10 +165,8 @@ def _newton(x, oracle, Z, tol, max_iter, max_step=None):
     while res > tol and it < max_iter:
         it += 1
         gy = Z.T @ g
-        Hy = hess()
-        Hy[np.diag_indices_from(Hy)] += min(res, 1.0)
         try:
-            dy = np.linalg.solve(Hy, -gy)
+            dy = np.linalg.solve(hess(), -gy)
         except np.linalg.LinAlgError:
             dy = None
         if dy is None or not np.all(np.isfinite(dy)) or float(gy @ dy) >= 0.0:
@@ -368,7 +367,14 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
         )
         g = cone - k_vals
         res = float(np.max(np.abs(g)))
-        return obj, g, res, lambda: Z.T @ _dual_hessian(T, L) @ Z
+
+        def hess():
+            # PSD only: shift by the residual, which vanishes at the solution
+            H = Z.T @ _dual_hessian(T, L) @ Z
+            H[np.diag_indices_from(H)] += min(res, 1.0)
+            return H
+
+        return obj, g, res, hess
 
     if x0 is None:
         x = np.zeros(n_edges)
