@@ -31,7 +31,7 @@ from ._kernels import (
     volume2_batch,
     volume_gradient_batch,
 )
-from .errors import InadmissibleTarget, MaxIterations, NoInteriorStart
+from .errors import MaxIterations, NoInteriorStart
 from .structures import (
     FeasibilityStatus,
     SLOT_COEF,
@@ -42,9 +42,8 @@ from .structures import (
 from .tetra import FLAT_PATTERNS, _covolume_hessian_batch
 from .triangulation import (
     AngleAssignment,
-    ConeTarget,
     GeneralizedMetric,
-    admissibility_residual,
+    admissible_cone_values,
     gauge_project,
 )
 
@@ -346,12 +345,7 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
     that escapes the trust region without its gradient vanishing is
     flagged diverged, never reported as a solution.
     """
-    k_vals = k.values if isinstance(k, ConeTarget) else np.asarray(k, dtype=np.float64)
-    resid = admissibility_residual(T, k_vals)
-    if resid > 1e-9 * max(1.0, float(np.max(np.abs(k_vals)))):
-        raise InadmissibleTarget(
-            f"cone target violates the counting identity by {resid:.3e}"
-        )
+    k_vals = admissible_cone_values(T, k)
     P = T.gauge_projector
     slot_class = T.slot_class
     n_edges = T.n_edge_classes

@@ -26,7 +26,7 @@ from .errors import InadmissibleTarget, LpFailure
 from .triangulation import (
     AngleAssignment,
     ConeTarget,
-    admissibility_residual,
+    admissible_cone_values,
     cone_angles,
 )
 
@@ -106,14 +106,7 @@ def assemble(T, k, tol=1e-9):
     Raises InadmissibleTarget when the per-cusp counting identity fails,
     which makes the equality system provably inconsistent.
     """
-    k_vals = k.values if isinstance(k, ConeTarget) else np.asarray(k, dtype=np.float64)
-    if k_vals.shape != (T.n_edge_classes,):
-        raise ValueError("cone target length does not match edge classes")
-    resid = admissibility_residual(T, k_vals)
-    if resid > tol * max(1.0, float(np.max(np.abs(k_vals)))):
-        raise InadmissibleTarget(
-            f"cone target violates the counting identity by {resid:.3e}"
-        )
+    k_vals = admissible_cone_values(T, k, tol)
     n = T.n_tetrahedra
     a_eq = np.zeros((T.n_edge_classes, 3 * n))
     b_eq = np.array(k_vals, dtype=np.float64)

@@ -35,6 +35,7 @@ from . import tetra
 from ._kernels import extended_angles_batch
 from .errors import (
     BadPermutation,
+    InadmissibleTarget,
     IndexOutOfRange,
     InvalidDocument,
     NotInterior,
@@ -430,6 +431,25 @@ def admissibility_residual(T, cone_values):
     if lhs.size == 0:
         return 0.0
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def admissible_cone_values(T, k, tol=1e-9):
+    """The values of cone target ``k`` on ``T``, checked for admissibility.
+
+    Raises ValueError when there is not one value per edge class, and
+    InadmissibleTarget when the per-cusp counting identity fails by more
+    than ``tol`` relative to the largest value, which makes the edge
+    equations provably inconsistent.
+    """
+    k_vals = k.values if isinstance(k, ConeTarget) else np.asarray(k, dtype=np.float64)
+    if k_vals.shape != (T.n_edge_classes,):
+        raise ValueError("cone target length does not match edge classes")
+    resid = admissibility_residual(T, k_vals)
+    if resid > tol * max(1.0, float(np.max(np.abs(k_vals)))):
+        raise InadmissibleTarget(
+            f"cone target violates the counting identity by {resid:.3e}"
+        )
+    return k_vals
 
 
 def double_document():

@@ -52,3 +52,38 @@ def disjoint_double_document():
         dict(g, tet=g["tet"] + 2, to_tet=g["to_tet"] + 2) for g in doc["gluings"]
     ]
     return doc
+
+
+def random_gluing_document(n=16, seed=0):
+    """Seeded random closed, type-preserving gluing of ``n`` tetrahedra.
+
+    The faces opposite the truncated vertex pair up among themselves under
+    a random permutation of the cusped vertices; the other 3n faces pair up
+    at random, each map fixing vertex 1 and taking one of the two
+    bijections of the remaining cusped vertices.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    gluings = []
+    tets = rng.permutation(n)
+    for a, b in zip(tets[0::2], tets[1::2]):
+        gluings.append(
+            {"tet": int(a), "face": 1, "to_tet": int(b), "to_face": 1,
+             "vertex_map": [1] + [int(v) for v in rng.permutation([2, 3, 4])]}
+        )
+    faces = [(t, f) for t in range(n) for f in (2, 3, 4)]
+    pairs = rng.permutation(len(faces)).reshape(-1, 2)
+    for (t, f), (u, h) in ((faces[i], faces[j]) for i, j in pairs):
+        images = [v for v in (2, 3, 4) if v != h]
+        if rng.random() < 0.5:
+            images.reverse()
+        vertex_map = [1, 0, 0, 0]
+        vertex_map[f - 1] = h
+        for v, w in zip([v for v in (2, 3, 4) if v != f], images):
+            vertex_map[v - 1] = w
+        gluings.append(
+            {"tet": int(t), "face": f, "to_tet": int(u), "to_face": h,
+             "vertex_map": vertex_map}
+        )
+    return {"format": "hyptet-tri-v1", "tetrahedra": n, "gluings": gluings}

@@ -141,6 +141,12 @@ def test_dual_rejects_inadmissible():
         solve_cone_angles(T, ConeTarget(k.values * 1.5))
 
 
+def test_dual_rejects_wrong_length_target():
+    T, k, _ = doubled_fixture(np.zeros(6))
+    with pytest.raises(ValueError, match="does not match edge classes"):
+        solve_cone_angles(T, np.append(k.values, 1.0))
+
+
 def test_dual_never_false_success_on_boundary_only_target():
     # admissible, but only boundary assignments exist: the infimum is not
     # attained, so the solver must either flag divergence or fail honestly
