@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import cover_document, disjoint_double_document, snake_document
+from conftest import (
+    cover_document,
+    disjoint_double_document,
+    random_gluing_document,
+    snake_document,
+)
 
 from hyptet import (
     AngleAssignment,
@@ -56,7 +61,9 @@ def test_dual_hessian_psd_with_gauge_kernel(doc):
 
 
 @pytest.mark.parametrize(
-    "doc", [lambda: cover_document(16), snake_document], ids=["cover16", "snake"]
+    "doc",
+    [lambda: cover_document(16), snake_document, random_gluing_document],
+    ids=["cover16", "snake", "random16"],
 )
 def test_newton_iteration_counts_stay_small(doc):
     T = validate(doc())
