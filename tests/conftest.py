@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import numpy as np
+
 
 def snake_document():
     """Two tetrahedra, each self-glued across its quadrilateral faces.
@@ -62,8 +64,6 @@ def random_gluing_document(n=16, seed=0):
     at random, each map fixing vertex 1 and taking one of the two
     bijections of the remaining cusped vertices.
     """
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     gluings = []
     tets = rng.permutation(n)
