@@ -4,7 +4,11 @@ Primal: maximize the total hyperbolic volume over the assignment polytope
 for a cone target ``k`` (a strictly concave problem on the free-variable
 chart) by a log-barrier interior-point method.  The volume Hessian in the
 free chart is closed form, because the Lobachevsky function has second
-derivative ``-cot``.
+derivative ``-cot``, so the barrier Hessian is block diagonal with one
+3x3 block per tetrahedron.  Newton steps on the sparse edge equations are
+range-space (Schur-complement) steps: a sparse LU of the E x E matrix
+``A B^-1 A^T``, bordered by the gauge matrix, replaces any basis of the
+null space of ``A`` (Nocedal & Wright, *Numerical Optimization*, ch. 16).
 
 Dual: minimize the convex C^1 energy ``sum_tet covolume - <k, l>`` over
 metrics in the orthogonal complement of the gauge; its gradient is
@@ -23,7 +27,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy import sparse
+from scipy.linalg import null_space  # noqa: F401 -- perfbench/tracing.py traces it
+from scipy.sparse.linalg import splu
 
 from ._kernels import (
     extended_angles_batch,
@@ -61,6 +67,11 @@ _SLOT_OUTER = np.einsum("jp,jq->jpq", SLOT_COEF, SLOT_COEF).reshape(6, 9)
 
 @dataclass
 class PrimalReport:
+    """Maximizer of the volume; ``kkt_residual`` is the larger of the final
+    barrier weight and ``max|P g|``, the barrier gradient projected onto the
+    null space of the edge equations (0.0 when that null space is trivial).
+    """
+
     maximizer: AngleAssignment
     volume: float
     kkt_residual: float
@@ -141,15 +152,15 @@ class _Run(NamedTuple):
     trace: list
 
 
-def _newton(x, oracle, Z, tol, max_iter, max_step=None):
-    """Damped Newton descent on a smooth convex objective over ``x + span(Z)``.
+def _newton(x, oracle, tol, max_iter, max_step=None):
+    """Damped Newton descent on a smooth convex objective over an affine set.
 
-    ``oracle(x)`` returns ``(f, g, res, hess)``: the objective, its full
-    gradient, the residual the run drives to ``tol`` or below, and a
-    callable giving the reduced Hessian ``Z^T H Z``, called only at
-    accepted points; an oracle whose Hessian is only semidefinite returns
-    it regularized.  Each step solves ``Z^T H Z dy = -Z^T g`` (steepest
-    descent when that fails to descend), is cut to
+    ``oracle(x)`` returns ``(f, pg, res, step)``: the objective, its gradient
+    projected onto the feasible directions, the residual the run drives to
+    ``tol`` or below, and a callable giving the Newton direction in ``x``
+    coordinates, called only at accepted points; an oracle whose Hessian is
+    only semidefinite regularizes it.  Each step takes that direction
+    (``-pg`` when its solve fails or it does not descend), is cut to
     ``max_step(x, dx)`` when given, and is halved until the Armijo test
     holds or the residual halves with ``f`` flat to float noise -- near the
     optimum the decrease of ``f`` is below float resolution while the
@@ -157,25 +168,23 @@ def _newton(x, oracle, Z, tol, max_iter, max_step=None):
     that moves ``x`` by float noise only, or an escape (see ``_ESCAPE``)
     stalls the run.
     """
-    f, g, res, hess = oracle(x)
+    f, pg, res, step = oracle(x)
     trace = [f]
     history = [res]
     it = 0
     while res > tol and it < max_iter:
         it += 1
-        gy = Z.T @ g
         try:
-            dy = np.linalg.solve(hess(), -gy)
+            dx = step()
         except np.linalg.LinAlgError:
-            dy = None
-        if dy is None or not np.all(np.isfinite(dy)) or float(gy @ dy) >= 0.0:
-            dy = -gy
-        dx = Z @ dy
-        slope = float(gy @ dy)
+            dx = None
+        if dx is None or not np.all(np.isfinite(dx)) or float(pg @ dx) >= 0.0:
+            dx = -pg
+        slope = float(pg @ dx)
         a = 1.0 if max_step is None else max_step(x, dx)
         for _ in range(_BACKTRACKS):
             x_try = x + a * dx
-            f_try, g_try, res_try, hess_try = oracle(x_try)
+            f_try, pg_try, res_try, step_try = oracle(x_try)
             if f_try <= f + 1e-4 * a * slope or (
                 res_try <= 0.5 * res and f_try <= f + 1e-12 * (1.0 + abs(f))
             ):
@@ -185,7 +194,7 @@ def _newton(x, oracle, Z, tol, max_iter, max_step=None):
             return _Run(x, f, res, it, trace)
         noise = 4.0 * _EPS * (1.0 + float(np.max(np.abs(x))))
         moved = float(np.max(np.abs(x_try - x))) > noise
-        x, f, g, res, hess = x_try, f_try, g_try, res_try, hess_try
+        x, f, pg, res, step = x_try, f_try, pg_try, res_try, step_try
         trace.append(f)
         history.append(res)
         escaped = (
@@ -212,6 +221,17 @@ def _volume_hessian(angles):
     return -0.5 * H.reshape(-1, 3, 3)
 
 
+def _slot_pairs(T):
+    """Edge-class (row, col) pairs of per-tetrahedron (n, 6, 6) slot blocks.
+
+    Flattened in block order, so summing the blocks through them gives
+    ``sum_t P_t^T block_t P_t``, where ``P_t`` maps the six slots of
+    tetrahedron ``t`` to their edge classes.
+    """
+    sc = T.slot_class
+    return np.repeat(sc, 6, axis=1).ravel(), np.tile(sc, 6).ravel()
+
+
 def _dual_hessian(T, L):
     """Hessian of the dual energy over the edge classes, (E, E).
 
@@ -223,10 +243,73 @@ def _dual_hessian(T, L):
     margin = np.min(np.abs(1.0 - np.abs(phi_batch(L))), axis=1)
     h = np.minimum(1e-6, np.maximum(0.02 * margin, 1e-9))
     E = T.n_edge_classes
-    sc = T.slot_class
-    index = (np.repeat(sc, 6, axis=1) * E + np.tile(sc, 6)).ravel()
+    rows, cols = _slot_pairs(T)
     blocks = _covolume_hessian_batch(L, h).ravel()
-    return np.bincount(index, weights=blocks, minlength=E * E).reshape(E, E)
+    return np.bincount(rows * E + cols, weights=blocks, minlength=E * E).reshape(E, E)
+
+
+def _range_solver(T, W, inv_blocks):
+    """Solve ``S lam = r`` for ``S = A B^-1 A^T``, ``A`` the edge equations.
+
+    ``inv_blocks`` (n, 3, 3) is the block-diagonal ``B^-1`` in the free
+    chart, so ``S`` is the slot blocks ``C B_t^-1 C^T`` (``C = SLOT_COEF``)
+    summed through ``slot_class``.  ``S`` is singular exactly on the gauge:
+    ``W^T A = 0`` for ``W``, the sparse ``T.gauge_matrix`` (the per-cusp
+    counting identity), and ``rank A = E - (cusp classes)``, so the
+    bordered system ``[[S, W], [W^T, 0]] [lam; nu] = [r; 0]`` is
+    nonsingular and, for ``r`` in the range of ``A``, gives ``nu = 0`` and
+    the solution with ``W^T lam = 0``.  Returns ``r -> lam``; a singular
+    factorization raises ``LinAlgError``.
+    """
+    E = T.n_edge_classes
+    blocks = (SLOT_COEF @ inv_blocks @ SLOT_COEF.T).ravel()
+    S = sparse.csc_matrix((blocks, _slot_pairs(T)), shape=(E, E))
+    try:
+        lu = splu(sparse.bmat([[S, W], [W.T, None]], format="csc"))
+    except RuntimeError as exc:
+        raise np.linalg.LinAlgError(str(exc)) from exc
+    border = np.zeros(W.shape[1])
+    return lambda r: lu.solve(np.concatenate([r, border]))[:E]
+
+
+def _barrier_oracle(cs, mu, W, project):
+    """Oracle of ``-(vol + mu * sum log c)`` over the edge equations.
+
+    ``W`` is the sparse gauge matrix and ``project`` maps a gradient onto
+    the null space of ``a_eq``.  The Newton direction is the range-space
+    step ``-B^-1 (g + A^T lam)`` with ``A B^-1 A^T lam = -A B^-1 g``, for
+    the block-diagonal barrier Hessian ``B`` (one positive definite 3x3
+    block per tetrahedron).
+    """
+    n = cs.n_tetrahedra
+    a_eq = cs.a_eq
+    eye3 = np.eye(3)
+
+    def blockmul(M, v):
+        return np.einsum("tij,tj->ti", M, v.reshape(n, 3)).ravel()
+
+    def oracle(u_vec):
+        c = cs.constraint_values(u_vec)
+        slack = c[3 * n :]
+        A = cs.expand(u_vec).values
+        f = -0.5 * float(volume2_batch(A).sum()) - mu * float(np.sum(np.log(c)))
+        g = -volume_gradient_batch(A).ravel() - mu * (
+            1.0 / u_vec - np.repeat(1.0 / slack, 3)
+        )
+        pg = project(g)
+
+        def step():
+            B = -_volume_hessian(A) + mu * (
+                eye3 / u_vec.reshape(n, 3, 1) ** 2 + 1.0 / slack[:, None, None] ** 2
+            )
+            inv = np.linalg.inv(B)
+            solve = _range_solver(cs.triangulation, W, inv)
+            w = blockmul(inv, g)
+            return blockmul(inv, a_eq.T @ solve(a_eq @ w)) - w
+
+        return f, pg, float(np.max(np.abs(pg))), step
+
+    return oracle
 
 
 def _near_flat_flags(angles, tol=1e-6):
@@ -242,19 +325,30 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
 
     Needs a strictly interior start: ``u0`` (three free angles per
     tetrahedron) when given, otherwise the max-slack feasibility LP
-    witness.  Each barrier weight runs at most ``max_inner`` Newton steps
-    on the closed-form free-chart Hessian.  On success the KKT residual --
-    the max of the projected stationarity norm and the final barrier weight
+    witness.  Each barrier weight runs at most ``max_inner`` range-space
+    Newton steps on the closed-form free-chart Hessian (see
+    ``_range_solver``); no dense matrix over the 3n free angles is formed.
+    On success the KKT residual -- the max of the stationarity residual
+    ``max|P g|`` (``P`` the orthogonal projector onto the null space of the
+    edge equations, ``g`` the barrier gradient) and the final barrier weight
     (= complementarity) -- is at most ``tol``.
     """
     cs = assemble(T, k)
     n = T.n_tetrahedra
+    a_eq = cs.a_eq
+    W = sparse.csc_matrix(T.gauge_matrix)
+    # B = I: minimum-norm corrections onto the edge equations
+    solve_eye = _range_solver(T, W, np.broadcast_to(np.eye(3), (n, 3, 3)))
+
+    def project(g):
+        return g - a_eq.T @ solve_eye(a_eq @ g)
+
     if u0 is not None:
         u = np.asarray(u0, dtype=np.float64).reshape(3 * n).copy()
-        if float(np.max(np.abs(cs.a_eq @ u - cs.b_eq))) > 1e-8:
+        if float(np.max(np.abs(a_eq @ u - cs.b_eq))) > 1e-8:
             raise NoInteriorStart("u0 violates the edge equations")
         # land exactly on the equality manifold before the barrier runs
-        u -= np.linalg.lstsq(cs.a_eq, cs.a_eq @ u - cs.b_eq, rcond=None)[0]
+        u -= a_eq.T @ solve_eye(a_eq @ u - cs.b_eq)
         if np.any(cs.constraint_values(u) <= 0.0):
             raise NoInteriorStart("u0 is not strictly interior")
     else:
@@ -263,35 +357,11 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
             raise NoInteriorStart(f"feasibility status: {fr.status.value}")
         u = fr.witness.values[:, :3].ravel().copy()
 
-    Z = null_space(cs.a_eq)
-    if Z.shape[1] == 0:
+    # 3n - rank(a_eq) free directions; none left means u is the only point
+    if cs.n_free - T.n_edge_classes + W.shape[1] == 0:
         ang = cs.expand(u)
         vol = 0.5 * float(volume2_batch(ang.values).sum())
         return PrimalReport(ang, vol, 0.0, _near_flat_flags(ang.values), 0, [vol])
-    Z3 = Z.reshape(n, 3, -1)
-    eye3 = np.eye(3)
-
-    def barrier_oracle(mu):
-        # minimize -(vol + mu * sum log c) over the equality manifold
-        def oracle(u_vec):
-            c = cs.constraint_values(u_vec)
-            slack = c[3 * n :]
-            A = cs.expand(u_vec).values
-            f = -0.5 * float(volume2_batch(A).sum()) - mu * float(np.sum(np.log(c)))
-            g = -volume_gradient_batch(A).ravel() - mu * (
-                1.0 / u_vec - np.repeat(1.0 / slack, 3)
-            )
-
-            def hess():
-                B = -_volume_hessian(A) + mu * (
-                    eye3 / u_vec.reshape(n, 3, 1) ** 2
-                    + 1.0 / slack[:, None, None] ** 2
-                )
-                return Z.T @ (B @ Z3).reshape(3 * n, -1)
-
-            return f, g, float(np.max(np.abs(Z.T @ g))), hess
-
-        return oracle
 
     def max_step(u_vec, du):
         # fraction-to-boundary rule on the linear inequality constraints
@@ -313,9 +383,8 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
     iterations = 0
     trace = []
     for mu in mus:
-        run = _newton(
-            u, barrier_oracle(mu), Z, max(0.1 * mu, 1e-13), max_inner, max_step
-        )
+        oracle = _barrier_oracle(cs, mu, W, project)
+        run = _newton(u, oracle, max(0.1 * mu, 1e-13), max_inner, max_step)
         u = run.x
         iterations += run.iterations
         trace.append(0.5 * float(volume2_batch(cs.expand(u).values).sum()))
@@ -346,11 +415,12 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
     flagged diverged, never reported as a solution.
     """
     k_vals = admissible_cone_values(T, k)
-    P = T.gauge_projector
     slot_class = T.slot_class
     n_edges = T.n_edge_classes
-    w, V = np.linalg.eigh(P)
-    Z = V[:, w > 0.5]
+    # orthonormal basis of the gauge complement: the trailing columns of a
+    # complete QR of the gauge matrix, which has full column rank
+    W = T.gauge_matrix
+    Z = np.linalg.qr(W, mode="complete")[0][:, W.shape[1] :]
 
     def oracle(x):
         L = np.ascontiguousarray(x[slot_class])
@@ -361,14 +431,15 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
         )
         g = cone - k_vals
         res = float(np.max(np.abs(g)))
+        gy = Z.T @ g
 
-        def hess():
+        def step():
             # PSD only: shift by the residual, which vanishes at the solution
             H = Z.T @ _dual_hessian(T, L) @ Z
             H[np.diag_indices_from(H)] += min(res, 1.0)
-            return H
+            return Z @ np.linalg.solve(H, -gy)
 
-        return obj, g, res, hess
+        return obj, Z @ gy, res, step
 
     if x0 is None:
         x = np.zeros(n_edges)
@@ -376,8 +447,8 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (n_edges,) or not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be a finite vector over the edge classes")
-        x = P @ x0
-    run = _newton(x, oracle, Z, tol, max_iter)
+        x = T.gauge_projector @ x0
+    run = _newton(x, oracle, tol, max_iter)
     diverged = run.res > tol and float(np.max(np.abs(run.x))) > _ESCAPE
     if run.res > tol and not diverged:
         what = "stalled" if run.iterations < max_iter else "hit the iteration cap"

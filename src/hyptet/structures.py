@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import InadmissibleTarget, LpFailure
@@ -78,7 +79,7 @@ class ConstraintSystem:
 
     triangulation: object
     cone: np.ndarray
-    a_eq: np.ndarray
+    a_eq: sparse.csr_matrix
     b_eq: np.ndarray
 
     @property
@@ -103,19 +104,25 @@ class ConstraintSystem:
 def assemble(T, k, tol=1e-9):
     """Build the equality system for cone target ``k`` on ``T``.
 
-    Raises InadmissibleTarget when the per-cusp counting identity fails,
-    which makes the equality system provably inconsistent.
+    ``a_eq`` is sparse (E, 3n): row ``e`` sums the slot coefficient rows of
+    every slot in edge class ``e``.  Raises InadmissibleTarget when the
+    per-cusp counting identity fails, which makes the equality system
+    provably inconsistent.
     """
     k_vals = admissible_cone_values(T, k, tol)
     n = T.n_tetrahedra
-    a_eq = np.zeros((T.n_edge_classes, 3 * n))
-    b_eq = np.array(k_vals, dtype=np.float64)
-    for t in range(n):
-        for slot in range(6):
-            e = T.slot_class[t, slot]
-            a_eq[e, 3 * t : 3 * t + 3] += SLOT_COEF[slot]
-            b_eq[e] -= SLOT_CONST[slot]
-    return ConstraintSystem(T, k_vals, a_eq, b_eq)
+    E = T.n_edge_classes
+    rows = np.repeat(T.slot_class, 3, axis=1)
+    cols = np.tile(3 * np.arange(n)[:, None] + np.arange(3), (1, 6))
+    coef = np.broadcast_to(SLOT_COEF.ravel(), rows.shape)
+    a_eq = sparse.csr_matrix(
+        (coef.ravel(), (rows.ravel(), cols.ravel())), shape=(E, 3 * n)
+    )
+    a_eq.eliminate_zeros()
+    consts = np.bincount(
+        T.slot_class.ravel(), weights=np.tile(SLOT_CONST, n), minlength=E
+    )
+    return ConstraintSystem(T, k_vals, a_eq, k_vals - consts)
 
 
 def is_member(T, assignment, k, tol=1e-9):
@@ -181,26 +188,20 @@ def find_interior(T, k, tol=1e-7):
     # variables z = (u, t); maximize t
     c = np.zeros(nf + 1)
     c[-1] = -1.0
-    a_eq = np.hstack([cs.a_eq, np.zeros((cs.a_eq.shape[0], 1))])
-    rows = []
-    rhs = []
-    for i in range(nf):  # t - u_i <= 0
-        r = np.zeros(nf + 1)
-        r[i] = -1.0
-        r[-1] = 1.0
-        rows.append(r)
-        rhs.append(0.0)
-    for t in range(n):  # sum_t u + t <= pi
-        r = np.zeros(nf + 1)
-        r[3 * t : 3 * t + 3] = 1.0
-        r[-1] = 1.0
-        rows.append(r)
-        rhs.append(PI)
+    a = cs.a_eq
+    a_eq = sparse.csr_matrix((a.data, a.indices, a.indptr), shape=(a.shape[0], nf + 1))
+    # rows: t - u_i <= 0 for each free angle, then sum_tet u + t <= pi
+    i = np.arange(nf)
+    rows = np.concatenate([i, i, nf + i // 3, nf + np.arange(n)])
+    cols = np.concatenate([i, np.full(nf, nf), i, np.full(n, nf)])
+    vals = np.concatenate([-np.ones(nf), np.ones(2 * nf + n)])
+    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(nf + n, nf + 1))
+    b_ub = np.concatenate([np.zeros(nf), np.full(n, PI)])
     bounds = [(-4.0 * PI, 4.0 * PI)] * nf + [(-4.0 * PI, PI)]
     res = linprog(
         c,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
+        A_ub=a_ub,
+        b_ub=b_ub,
         A_eq=a_eq,
         b_eq=cs.b_eq,
         bounds=bounds,

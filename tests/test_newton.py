@@ -8,18 +8,43 @@ from conftest import (
     random_gluing_document,
     snake_document,
 )
+from scipy import sparse
+from scipy.linalg import block_diag, null_space
 
 from hyptet import (
     AngleAssignment,
+    Membership,
+    assemble,
     cone_angles,
+    is_member,
     maximize_volume,
     solve_cone_angles,
     validate,
 )
 from hyptet._kernels import phi_batch, volume_gradient_batch
-from hyptet.optimize import _dual_hessian, _volume_hessian
+from hyptet.optimize import (
+    _barrier_oracle,
+    _dual_hessian,
+    _range_solver,
+    _volume_hessian,
+)
 from hyptet.selftest import sample_interior_angles
 from hyptet.structures import SLOT_COEF, SLOT_CONST
+from hyptet.triangulation import double_document
+
+FIXTURES = {
+    "cover4": lambda: cover_document(4),
+    "cover16": lambda: cover_document(16),
+    "random16": random_gluing_document,
+    "snake": snake_document,
+    "double": double_document,
+    "double2": disjoint_double_document,
+}
+
+
+def _interior_target(T, rng):
+    angles = sample_interior_angles(rng, T.n_tetrahedra)
+    return angles, cone_angles(T, AngleAssignment(angles))
 
 
 def test_volume_hessian_matches_fd_of_gradient():
@@ -81,8 +106,6 @@ def test_newton_iteration_counts_stay_small(doc):
 def test_dual_flags_escape_on_infeasible_target():
     # admissible but infeasible (apex sum above pi): the energy is unbounded
     # below, so the run must stop as diverged instead of walking to max_iter
-    from hyptet.triangulation import double_document
-
     T = validate(double_document())
     a12, a13, a14 = 1.5, 1.2, 1.0
     row = [a12, a13, a14, (np.pi - a12 - a13 + a14) / 2,
@@ -91,3 +114,62 @@ def test_dual_flags_escape_on_infeasible_target():
     rep = solve_cone_angles(T, k, tol=1e-8)
     assert rep.diverged and rep.residual > 1e-8
     assert rep.iterations <= 2000
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_gauge_borders_the_edge_equations(name):
+    # the range-space step relies on W^T a_eq = 0 and rank a_eq = E - cusps
+    T = validate(FIXTURES[name]())
+    _, k = _interior_target(T, np.random.default_rng(74))
+    a_eq = assemble(T, k).a_eq.toarray()
+    W = T.gauge_matrix
+    assert np.max(np.abs(W.T @ a_eq)) == 0.0
+    assert np.linalg.matrix_rank(W) == W.shape[1]
+    assert np.linalg.matrix_rank(a_eq) == T.n_edge_classes - W.shape[1]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_sparse_primal_step_matches_dense_null_space_step(name):
+    T = validate(FIXTURES[name]())
+    n = T.n_tetrahedra
+    rng = np.random.default_rng(75)
+    W = sparse.csc_matrix(T.gauge_matrix)
+    for mu in (1e-1, 1e-3, 1e-6):
+        angles, k = _interior_target(T, rng)
+        cs = assemble(T, k)
+        a_eq = cs.a_eq
+        solve_eye = _range_solver(T, W, np.broadcast_to(np.eye(3), (n, 3, 3)))
+
+        def project(g):
+            return g - a_eq.T @ solve_eye(a_eq @ g)
+
+        u = angles[:, :3].ravel()
+        _, pg, res, step = _barrier_oracle(cs, mu, W, project)(u)
+        dx = step()
+
+        # dense oracle: Newton step in an orthonormal null-space basis
+        slack = np.pi - u.reshape(n, 3).sum(axis=1)
+        g = -volume_gradient_batch(angles).ravel() - mu * (
+            1.0 / u - np.repeat(1.0 / slack, 3)
+        )
+        B = block_diag(
+            *(-_volume_hessian(angles) + mu * (
+                np.eye(3) / u.reshape(n, 3, 1) ** 2
+                + 1.0 / slack[:, None, None] ** 2
+            ))
+        )
+        Z = null_space(a_eq.toarray())
+        dense = -Z @ np.linalg.solve(Z.T @ B @ Z, Z.T @ g)
+        assert np.max(np.abs(dx - dense)) <= 1e-10 * np.max(np.abs(dense))
+        assert np.max(np.abs(pg - Z @ (Z.T @ g))) <= 1e-10 * np.max(np.abs(g))
+        assert res == np.max(np.abs(pg))
+
+
+def test_maximize_cover512_solves():
+    # the dense null-space chart failed here with "SVD did not converge"
+    T = validate(cover_document(512))
+    _, k = _interior_target(T, np.random.default_rng(76))
+    rep = maximize_volume(T, k, tol=1e-6)
+    assert rep.kkt_residual <= 1e-6
+    verdict, _ = is_member(T, rep.maximizer, k)
+    assert verdict is not Membership.OUTSIDE

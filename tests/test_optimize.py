@@ -70,7 +70,7 @@ def test_maximize_multistart_uniqueness():
     T, k, _ = doubled_fixture(l0)
     cs = assemble(T, k)
     witness = find_interior(T, k).witness.values[:, :3].ravel()
-    Z = null_space(cs.a_eq)
+    Z = null_space(cs.a_eq.toarray())
     reps = []
     while len(reps) < 5:
         u0 = witness + Z @ rng.uniform(-0.5, 0.5, Z.shape[1])

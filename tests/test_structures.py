@@ -44,7 +44,7 @@ def test_assemble_shapes_and_rank():
     cs = assemble(T, k)
     assert cs.a_eq.shape == (6, 6)
     assert cs.n_free == 6
-    assert np.linalg.matrix_rank(cs.a_eq) == 3
+    assert np.linalg.matrix_rank(cs.a_eq.toarray()) == 3
 
 
 def test_assemble_feasible_point_reproduces_target():
