@@ -9,6 +9,10 @@ derivative ``-cot``, so the barrier Hessian is block diagonal with one
 range-space (Schur-complement) steps: a sparse LU of the E x E matrix
 ``A B^-1 A^T``, bordered by the gauge matrix, replaces any basis of the
 null space of ``A`` (Nocedal & Wright, *Numerical Optimization*, ch. 16).
+The same step, with the edge-equation residual on its right-hand side,
+carries a start that is only inside the inequalities onto the edge
+equations (an infeasible-start phase one), so the feasibility LP runs only
+when that phase fails.
 
 Dual: minimize the convex C^1 energy ``sum_tet covolume - <k, l>`` over
 metrics in the orthogonal complement of the gauge; its gradient is
@@ -40,10 +44,12 @@ from ._kernels import (
 from .errors import MaxIterations, NoInteriorStart
 from .structures import (
     FeasibilityStatus,
+    Membership,
     SLOT_COEF,
     SLOT_CONST,
     assemble,
     find_interior,
+    is_member,
 )
 from .tetra import FLAT_PATTERNS, _covolume_hessian_batch
 from .triangulation import (
@@ -61,6 +67,9 @@ _BACKTRACKS = 40
 #: the last ``_WINDOW`` steps has escaped to infinity
 _ESCAPE = 1e3
 _WINDOW = 100
+#: infeasible-start Newton steps before ``maximize_volume`` falls back to
+#: the feasibility LP
+_PHASE_ONE = 20
 #: outer products c_j c_j^T of the slot coefficient rows, flattened to (6, 9)
 _SLOT_OUTER = np.einsum("jp,jq->jpq", SLOT_COEF, SLOT_COEF).reshape(6, 9)
 
@@ -70,6 +79,8 @@ class PrimalReport:
     """Maximizer of the volume; ``kkt_residual`` is the larger of the final
     barrier weight and ``max|P g|``, the barrier gradient projected onto the
     null space of the edge equations (0.0 when that null space is trivial).
+    ``iterations`` counts every Newton step taken, the phase-one steps that
+    reach the start included.
     """
 
     maximizer: AngleAssignment
@@ -277,9 +288,11 @@ def _barrier_oracle(cs, mu, W, project):
 
     ``W`` is the sparse gauge matrix and ``project`` maps a gradient onto
     the null space of ``a_eq``.  The Newton direction is the range-space
-    step ``-B^-1 (g + A^T lam)`` with ``A B^-1 A^T lam = -A B^-1 g``, for
-    the block-diagonal barrier Hessian ``B`` (one positive definite 3x3
-    block per tetrahedron).
+    step ``dx = -B^-1 (g + A^T lam)`` with ``A B^-1 A^T lam = r - A B^-1 g``,
+    for the block-diagonal barrier Hessian ``B`` (one positive definite 3x3
+    block per tetrahedron) and the edge-equation residual
+    ``r = A u - b_eq``, so that ``A dx = -r``: on the equations it is the
+    feasible Newton step, off them the infeasible-start one.
     """
     n = cs.n_tetrahedra
     a_eq = cs.a_eq
@@ -305,7 +318,8 @@ def _barrier_oracle(cs, mu, W, project):
             inv = np.linalg.inv(B)
             solve = _range_solver(cs.triangulation, W, inv)
             w = blockmul(inv, g)
-            return blockmul(inv, a_eq.T @ solve(a_eq @ w)) - w
+            r = a_eq @ u_vec - cs.b_eq
+            return blockmul(inv, a_eq.T @ solve(a_eq @ w - r)) - w
 
         return f, pg, float(np.max(np.abs(pg))), step
 
@@ -313,31 +327,65 @@ def _barrier_oracle(cs, mu, W, project):
 
 
 def _near_flat_flags(angles, tol=1e-6):
-    flags = []
-    for row in angles:
-        d = min(float(np.max(np.abs(row - p))) for p in FLAT_PATTERNS)
-        flags.append(d <= tol)
-    return flags
+    """Per tetrahedron, whether its slot angles lie within ``tol`` of a flat
+    pattern in max norm."""
+    A = np.asarray(angles, dtype=np.float64)
+    return (np.abs(A[:, None] - FLAT_PATTERNS).max(axis=2).min(axis=1) <= tol).tolist()
+
+
+def _phase_one(cs, oracle, max_step, u):
+    """Infeasible-start Newton steps from ``u`` onto the edge equations.
+
+    ``u`` is strictly inside the inequalities.  Each step is the barrier
+    oracle's Newton direction, which also cancels the edge-equation
+    residual, cut by the fraction-to-boundary rule ``max_step``; the first
+    full step lands on the equations (Boyd & Vandenberghe, *Convex
+    Optimization*, sec. 10.3).  The landed point must pass the substitution
+    certificate of ``find_interior``'s witness.  Returns ``(u, steps)``,
+    with ``u`` None when no full step came within ``_PHASE_ONE`` steps, a
+    solve failed or the certificate did.
+    """
+    for steps in range(1, _PHASE_ONE + 1):
+        try:
+            dx = oracle(u)[3]()
+        except np.linalg.LinAlgError:
+            return None, steps
+        if not np.all(np.isfinite(dx)):
+            return None, steps
+        a = max_step(u, dx)
+        u = u + a * dx
+        # on the boundary to rounding: the next oracle call would divide by 0
+        if min(np.min(cs.constraint_values(u)), np.min(cs.expand(u).values)) <= 0.0:
+            return None, steps
+        if a == 1.0:
+            verdict, _ = is_member(cs.triangulation, cs.expand(u), cs.cone, tol=1e-8)
+            return (u if verdict is Membership.INTERIOR else None), steps
+    return None, _PHASE_ONE
 
 
 def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
     """Log-barrier maximization of total volume over the polytope for ``k``.
 
-    Needs a strictly interior start: ``u0`` (three free angles per
-    tetrahedron) when given, otherwise the max-slack feasibility LP
-    witness.  Each barrier weight runs at most ``max_inner`` range-space
-    Newton steps on the closed-form free-chart Hessian (see
-    ``_range_solver``); no dense matrix over the 3n free angles is formed.
-    On success the KKT residual -- the max of the stationarity residual
-    ``max|P g|`` (``P`` the orthogonal projector onto the null space of the
-    edge equations, ``g`` the barrier gradient) and the final barrier weight
-    (= complementarity) -- is at most ``tol``.
+    The barrier starts from ``u0`` (three free angles per tetrahedron,
+    strictly inside the inequalities and on the edge equations to 1e-8)
+    when given, otherwise from every free angle at pi/4.  A phase one of
+    infeasible-start Newton steps at the first barrier weight carries that
+    point onto the edge equations and certifies it interior by
+    substitution; only when it fails does the max-slack feasibility LP
+    (``find_interior``) supply the start or the verdict.  Each barrier
+    weight then runs at most ``max_inner`` range-space Newton steps on the
+    closed-form free-chart Hessian (see ``_range_solver``); no dense matrix
+    over the 3n free angles is formed.  On success the KKT residual -- the
+    max of the stationarity residual ``max|P g|`` (``P`` the orthogonal
+    projector onto the null space of the edge equations, ``g`` the barrier
+    gradient) and the final barrier weight (= complementarity) -- is at
+    most ``tol``.
     """
     cs = assemble(T, k)
     n = T.n_tetrahedra
     a_eq = cs.a_eq
     W = sparse.csc_matrix(T.gauge_matrix)
-    # B = I: minimum-norm corrections onto the edge equations
+    # B = I: the orthogonal projector onto the null space of the edge equations
     solve_eye = _range_solver(T, W, np.broadcast_to(np.eye(3), (n, 3, 3)))
 
     def project(g):
@@ -347,21 +395,10 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
         u = np.asarray(u0, dtype=np.float64).reshape(3 * n).copy()
         if float(np.max(np.abs(a_eq @ u - cs.b_eq))) > 1e-8:
             raise NoInteriorStart("u0 violates the edge equations")
-        # land exactly on the equality manifold before the barrier runs
-        u -= a_eq.T @ solve_eye(a_eq @ u - cs.b_eq)
         if np.any(cs.constraint_values(u) <= 0.0):
             raise NoInteriorStart("u0 is not strictly interior")
     else:
-        fr = find_interior(T, k)
-        if fr.status is not FeasibilityStatus.INTERIOR_FOUND:
-            raise NoInteriorStart(f"feasibility status: {fr.status.value}")
-        u = fr.witness.values[:, :3].ravel().copy()
-
-    # 3n - rank(a_eq) free directions; none left means u is the only point
-    if cs.n_free - T.n_edge_classes + W.shape[1] == 0:
-        ang = cs.expand(u)
-        vol = 0.5 * float(volume2_batch(ang.values).sum())
-        return PrimalReport(ang, vol, 0.0, _near_flat_flags(ang.values), 0, [vol])
+        u = np.full(3 * n, PI / 4.0)
 
     def max_step(u_vec, du):
         # fraction-to-boundary rule on the linear inequality constraints
@@ -380,7 +417,23 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
         m *= 0.1
     mus.append(mu_final)
 
-    iterations = 0
+    u, iterations = _phase_one(
+        cs, _barrier_oracle(cs, mus[0], W, project), max_step, u
+    )
+    if u is None:
+        fr = find_interior(T, k)
+        if fr.status is not FeasibilityStatus.INTERIOR_FOUND:
+            raise NoInteriorStart(f"feasibility status: {fr.status.value}")
+        u = fr.witness.values[:, :3].ravel().copy()
+
+    # 3n - rank(a_eq) free directions; none left means u is the only point
+    if cs.n_free - T.n_edge_classes + W.shape[1] == 0:
+        ang = cs.expand(u)
+        vol = 0.5 * float(volume2_batch(ang.values).sum())
+        return PrimalReport(
+            ang, vol, 0.0, _near_flat_flags(ang.values), iterations, [vol]
+        )
+
     trace = []
     for mu in mus:
         oracle = _barrier_oracle(cs, mu, W, project)

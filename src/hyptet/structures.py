@@ -130,20 +130,20 @@ def is_member(T, assignment, k, tol=1e-9):
 
     Returns ``(Membership, violations)`` where violations lists every
     failed check.  Interior requires strict slack beyond ``tol`` in all
-    inequality constraints.
+    inequality constraints.  Raises ValueError when ``k`` does not have one
+    value per edge class.
     """
     A = assignment.values if isinstance(assignment, AngleAssignment) else None
     if A is None:
         A = np.asarray(assignment, dtype=np.float64)
     k_vals = k.values if isinstance(k, ConeTarget) else np.asarray(k, dtype=np.float64)
-    violations = []
-
     cone = cone_angles(T, A).values
-    for e, (have, want) in enumerate(zip(cone, k_vals)):
-        if abs(have - want) > tol:
-            violations.append(
-                f"edge {T.edge_keys[e]}: cone angle {have:.12g} != {want:.12g}"
-            )
+    if k_vals.shape != cone.shape:
+        raise ValueError("cone target length does not match edge classes")
+    violations = [
+        f"edge {T.edge_keys[e]}: cone angle {cone[e]:.12g} != {k_vals[e]:.12g}"
+        for e in np.flatnonzero(np.abs(cone - k_vals) > tol)
+    ]
     sums = np.stack(
         [
             A[:, 0] + A[:, 3] + A[:, 4],
@@ -152,19 +152,23 @@ def is_member(T, assignment, k, tol=1e-9):
         ],
         axis=1,
     )
-    for t in range(A.shape[0]):
-        for v, s in zip((2, 3, 4), sums[t]):
-            if abs(s - PI) > tol:
-                violations.append(f"tet {t}: cusp {v} angle sum {s:.12g} != pi")
-        apex = A[t, 0] + A[t, 1] + A[t, 2]
-        if apex > PI + tol:
-            violations.append(f"tet {t}: apex angle sum {apex:.12g} > pi")
+    apex = A[:, 0] + A[:, 1] + A[:, 2]
+    bad_sum = np.abs(sums - PI) > tol
+    bad_apex = apex > PI + tol
+    # messages only for failing tetrahedra, in tetrahedron order
+    for t in np.flatnonzero(bad_sum.any(axis=1) | bad_apex):
+        for j in np.flatnonzero(bad_sum[t]):
+            violations.append(
+                f"tet {t}: cusp {j + 2} angle sum {sums[t, j]:.12g} != pi"
+            )
+        if bad_apex[t]:
+            violations.append(f"tet {t}: apex angle sum {apex[t]:.12g} > pi")
     if np.any(A < -tol) or np.any(A > PI + tol):
         violations.append("slot angles leave [0, pi]")
     if violations:
         return Membership.OUTSIDE, violations
 
-    apex_slack = PI - (A[:, 0] + A[:, 1] + A[:, 2])
+    apex_slack = PI - apex
     if np.all(A > tol) and np.all(apex_slack > tol):
         return Membership.INTERIOR, []
     return Membership.BOUNDARY, []

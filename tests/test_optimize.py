@@ -4,15 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from conftest import (
+    cover_document,
+    disjoint_double_document,
+    random_gluing_document,
+    snake_document,
+)
 
+import hyptet.optimize
+import hyptet.structures
 from hyptet import (
+    AngleAssignment,
     ConeTarget,
     GeneralizedMetric,
     RegionLabel,
     assignment_from_metric,
     classify,
+    cone_angles,
     doubled_fixture,
     duality_gap,
+    find_interior,
     gauge_project,
     maximize_volume,
     rigidity_check,
@@ -20,6 +31,9 @@ from hyptet import (
     volume_from_angles,
 )
 from hyptet.errors import InadmissibleTarget, NoInteriorStart
+from hyptet.optimize import _near_flat_flags
+from hyptet.selftest import sample_interior_angles
+from hyptet.tetra import FLAT_PATTERNS
 from hyptet.triangulation import PAIR_INDEX, double_document, validate
 
 PI = math.pi
@@ -91,22 +105,93 @@ def test_maximize_monotone_outer_trace():
     assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
 
+def _apex_row(a12, a13, a14):
+    return [a12, a13, a14, (PI - a12 - a13 + a14) / 2,
+            (PI - a12 - a14 + a13) / 2, (PI - a13 - a14 + a12) / 2]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_maximize_rejects_inadmissible_and_infeasible():
     rng = np.random.default_rng(53)
     l0 = _interior_lengths(rng)
     T, k, _ = doubled_fixture(l0)
     with pytest.raises(InadmissibleTarget):
         maximize_volume(T, ConeTarget(k.values * 1.2))
-    with pytest.raises(NoInteriorStart):
-        # admissible but boundary-only: one apex-slot class pinned at zero
-        boundary = np.array(
-            [0.0, 0.7, 0.9, (PI - 0.7 + 0.9) / 2, (PI - 0.9 + 0.7) / 2,
-             (PI - 1.6) / 2]
-        )
-        from hyptet import AngleAssignment, cone_angles
+    # admissible but boundary-only: one apex-slot class pinned at zero
+    boundary = AngleAssignment(np.array([_apex_row(0.0, 0.7, 0.9)] * 2))
+    # near-flat cells: phase one reaches the boundary to rounding
+    near_flat = AngleAssignment(np.array([_apex_row(1e-6, PI - 2e-6, 1e-6)] * 2))
+    for a in (boundary, near_flat):
+        with pytest.raises(NoInteriorStart, match="feasibility status: BoundaryOnly"):
+            maximize_volume(T, cone_angles(T, a))
+    # admissible but infeasible: apex sums above pi.  Phase one must fail
+    # without a warning and hand the verdict to the feasibility LP
+    for row in (_apex_row(1.5, 1.2, 1.0), _apex_row(0.2, 0.2, 2.8)):
+        a = AngleAssignment(np.array([row, row]))
+        with pytest.raises(NoInteriorStart, match="feasibility status: Infeasible"):
+            maximize_volume(T, cone_angles(T, a))
 
-        a = AngleAssignment(np.stack([boundary, boundary]))
-        maximize_volume(T, cone_angles(T, a))
+
+START_FIXTURES = {
+    "cover4": lambda: cover_document(4),
+    "cover64": lambda: cover_document(64),
+    "random16": random_gluing_document,
+    "snake": snake_document,
+    "double2": disjoint_double_document,
+}
+
+
+@pytest.mark.parametrize("name", sorted(START_FIXTURES))
+def test_maximize_starts_without_lp(name, monkeypatch):
+    T = validate(START_FIXTURES[name]())
+    angles = sample_interior_angles(np.random.default_rng(62), T.n_tetrahedra)
+    k = cone_angles(T, AngleAssignment(angles))
+    witness = find_interior(T, k).witness.values[:, :3].ravel()
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the feasibility LP ran on the success path")
+
+    monkeypatch.setattr(hyptet.optimize, "find_interior", no_lp)
+    monkeypatch.setattr(hyptet.structures, "linprog", no_lp)
+    rep = maximize_volume(T, k, tol=1e-8)
+    from_lp = maximize_volume(T, k, tol=1e-8, u0=witness)
+    assert rep.kkt_residual <= 1e-8
+    assert abs(rep.volume - from_lp.volume) <= 1e-10 * abs(from_lp.volume)
+    assert np.max(np.abs(rep.maximizer.values - from_lp.maximizer.values)) <= 1e-6
+
+
+def test_maximize_falls_back_to_lp_start(monkeypatch):
+    T = validate(cover_document(4))
+    angles = sample_interior_angles(np.random.default_rng(63), T.n_tetrahedra)
+    k = cone_angles(T, AngleAssignment(angles))
+    rep = maximize_volume(T, k, tol=1e-8)
+    # no phase-one step allowed: the start is the LP witness
+    monkeypatch.setattr(hyptet.optimize, "_PHASE_ONE", 0)
+    from_lp = maximize_volume(T, k, tol=1e-8)
+    assert from_lp.kkt_residual <= 1e-8
+    assert abs(rep.volume - from_lp.volume) <= 1e-10 * abs(from_lp.volume)
+    assert np.max(np.abs(rep.maximizer.values - from_lp.maximizer.values)) <= 1e-6
+
+
+def _near_flat_flags_by_loop(angles, tol=1e-6):
+    flags = []
+    for row in angles:
+        d = min(float(np.max(np.abs(row - p))) for p in FLAT_PATTERNS)
+        flags.append(d <= tol)
+    return flags
+
+
+def test_near_flat_flags_match_row_loop():
+    rng = np.random.default_rng(64)
+    rows = [sample_interior_angles(rng, 20)]
+    for p in FLAT_PATTERNS:
+        for d in (0.0, 5e-7, 1e-6, 2e-6):
+            rows.append(p + rng.choice([-d, d], size=(4, 6)))
+    A = np.concatenate(rows)
+    flags = _near_flat_flags(A)
+    assert flags == _near_flat_flags_by_loop(A)
+    assert type(flags) is list and all(type(f) is bool for f in flags)
+    assert any(flags) and not all(flags)
 
 
 def test_dual_recovers_fixture_metric():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import cover_document
 
 from hyptet import (
     AngleAssignment,
@@ -17,6 +18,7 @@ from hyptet import (
     is_member,
 )
 from hyptet.errors import InadmissibleTarget
+from hyptet.selftest import sample_interior_angles
 from hyptet.structures import SLOT_COEF, SLOT_CONST
 from hyptet.triangulation import double_document, validate
 
@@ -99,6 +101,48 @@ def test_is_member_verdicts():
     verdict, violations = is_member(T, off, k)
     assert verdict is Membership.OUTSIDE
     assert any("cone angle" in v or "cusp" in v for v in violations)
+
+
+def _violations_by_loop(T, A, k_vals, tol):
+    cone = cone_angles(T, A).values
+    out = []
+    for e, (have, want) in enumerate(zip(cone, k_vals)):
+        if abs(have - want) > tol:
+            out.append(f"edge {T.edge_keys[e]}: cone angle {have:.12g} != {want:.12g}")
+    for t in range(A.shape[0]):
+        sums = (
+            A[t, 0] + A[t, 3] + A[t, 4],
+            A[t, 1] + A[t, 3] + A[t, 5],
+            A[t, 2] + A[t, 4] + A[t, 5],
+        )
+        for v, s in zip((2, 3, 4), sums):
+            if abs(s - PI) > tol:
+                out.append(f"tet {t}: cusp {v} angle sum {s:.12g} != pi")
+        apex = A[t, 0] + A[t, 1] + A[t, 2]
+        if apex > PI + tol:
+            out.append(f"tet {t}: apex angle sum {apex:.12g} > pi")
+    if np.any(A < -tol) or np.any(A > PI + tol):
+        out.append("slot angles leave [0, pi]")
+    return out
+
+
+def test_is_member_violations_match_row_loop():
+    T = validate(cover_document(4))
+    A = sample_interior_angles(np.random.default_rng(33), T.n_tetrahedra)
+    k = cone_angles(T, AngleAssignment(A)).values.copy()
+    k[2] += 0.01  # one cone equation off
+    A[1, 0] += 0.2  # cusp sums 2 and apex-slot cone equations off
+    A[3, :3] = [1.4, 1.3, 1.2]  # apex sum above pi
+    A[5, 5] = 3.5  # a slot angle beyond pi
+    A[6, 3] -= 1e-10  # within tol: no message
+    verdict, violations = is_member(T, AngleAssignment(A), k)
+    assert verdict is Membership.OUTSIDE
+    assert violations == _violations_by_loop(T, A, k, 1e-9)
+    for kind in ("cone angle", "cusp 2", "apex angle sum", "leave [0, pi]"):
+        assert any(kind in v for v in violations)
+    assert not any(v.startswith("tet 6") for v in violations)
+    with pytest.raises(ValueError):
+        is_member(T, AngleAssignment(A), k[:-1])
 
 
 def test_find_interior_on_fixture():
