@@ -117,18 +117,16 @@ def test_maximize_rejects_inadmissible_and_infeasible():
     T, k, _ = doubled_fixture(l0)
     with pytest.raises(InadmissibleTarget):
         maximize_volume(T, ConeTarget(k.values * 1.2))
-    # admissible but boundary-only: one apex-slot class pinned at zero
-    boundary = AngleAssignment(np.array([_apex_row(0.0, 0.7, 0.9)] * 2))
-    # near-flat cells: phase one reaches the boundary to rounding
-    near_flat = AngleAssignment(np.array([_apex_row(1e-6, PI - 2e-6, 1e-6)] * 2))
-    for a in (boundary, near_flat):
-        with pytest.raises(NoInteriorStart, match="feasibility status: BoundaryOnly"):
-            maximize_volume(T, cone_angles(T, a))
-    # admissible but infeasible: apex sums above pi.  Phase one must fail
-    # without a warning and hand the verdict to the feasibility LP
-    for row in (_apex_row(1.5, 1.2, 1.0), _apex_row(0.2, 0.2, 2.8)):
+    # admissible targets without interior: phase one must fail without a
+    # warning and hand the verdict to the feasibility LP
+    for row, status in (
+        (_apex_row(0.0, 0.7, 0.9), "BoundaryOnly"),  # a class pinned at zero
+        (_apex_row(1e-6, PI - 2e-6, 1e-6), "BoundaryOnly"),  # boundary to rounding
+        (_apex_row(1.5, 1.2, 1.0), "Infeasible"),  # apex sums above pi
+        (_apex_row(0.2, 0.2, 2.8), "Infeasible"),
+    ):
         a = AngleAssignment(np.array([row, row]))
-        with pytest.raises(NoInteriorStart, match="feasibility status: Infeasible"):
+        with pytest.raises(NoInteriorStart, match=f"feasibility status: {status}"):
             maximize_volume(T, cone_angles(T, a))
 
 
