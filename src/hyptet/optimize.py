@@ -17,7 +17,9 @@ when that phase fails.
 Dual: minimize the convex C^1 energy ``sum_tet covolume - <k, l>`` over
 metrics in the orthogonal complement of the gauge; its gradient is
 ``cone_angles(extended angles) - k`` and its Hessian is the sum of the
-per-tetrahedron co-volume Hessians, PSD with the gauge as kernel.
+per-tetrahedron co-volume Hessians ``C (-2 H)^-1 C^T`` (Schlaefli, ``H`` the
+volume Hessian), PSD with the gauge as kernel, factored by the primal's
+bordered sparse LU.
 
 Both problems run the same damped Newton iteration, ``_newton``.  They
 meet through a Legendre-type identity: the dual minimum equals twice the
@@ -35,28 +37,22 @@ from scipy import sparse
 from scipy.linalg import null_space  # noqa: F401 -- perfbench/tracing.py traces it
 from scipy.sparse.linalg import splu
 
-from ._kernels import (
-    extended_angles_batch,
-    phi_batch,
-    volume2_batch,
-    volume_gradient_batch,
-)
+from ._kernels import extended_angles_batch, volume2_batch, volume_gradient_batch
 from .errors import MaxIterations, NoInteriorStart
 from .structures import (
     FeasibilityStatus,
     Membership,
     SLOT_COEF,
-    SLOT_CONST,
     assemble,
     find_interior,
     is_member,
 )
-from .tetra import FLAT_PATTERNS, _covolume_hessian_batch
+from .tetra import FLAT_PATTERNS
 from .triangulation import (
     AngleAssignment,
     GeneralizedMetric,
+    _gauge_complement,
     admissible_cone_values,
-    gauge_project,
 )
 
 PI = math.pi
@@ -102,6 +98,11 @@ class PrimalReport:
 
 @dataclass
 class DualReport:
+    """``residual`` is the max-norm error of the cone angles of ``metric``;
+    ``diverged`` marks a run that escaped (see ``_ESCAPE``) with the residual
+    above ``tol``, so ``metric`` solves nothing; ``iterations`` counts the
+    Newton steps taken."""
+
     metric: GeneralizedMetric
     residual: float
     diverged: bool
@@ -232,61 +233,63 @@ def _volume_hessian(angles):
     return -0.5 * H.reshape(-1, 3, 3)
 
 
-def _slot_pairs(T):
-    """Edge-class (row, col) pairs of per-tetrahedron (n, 6, 6) slot blocks.
+def _covolume_hessian(angles):
+    """Co-volume Hessians ``C (-2 H)^-1 C^T`` at extended angles, (n, 6, 6).
 
-    Flattened in block order, so summing the blocks through them gives
-    ``sum_t P_t^T block_t P_t``, where ``P_t`` maps the six slots of
-    tetrahedron ``t`` to their edge classes.
+    Schlaefli gives ``d(2 vol)/du = -C^T l`` (``C = SLOT_COEF``,
+    ``H = _volume_hessian``).  ``(-2 H)^-1`` is the top-left 3x3 of
+    ``[[M, 1], [1^T, -4 tan((pi - h) / 2)]]^-1``, ``M = sum_j cot(a_j) c_j
+    c_j^T``, finite when the apex sum ``h`` rounds to pi.  A cell with an
+    angle clamped to 0 or pi is locally constant, so its block is 0.
     """
-    sc = T.slot_class
-    return np.repeat(sc, 6, axis=1).ravel(), np.tile(sc, 6).ravel()
+    clamped = np.any((angles == 0.0) | (angles == PI), axis=1)
+    A = np.where(clamped[:, None], PI / 4.0, angles)
+    K = np.ones((A.shape[0], 4, 4))
+    K[:, :3, :3] = ((1.0 / np.tan(A)) @ _SLOT_OUTER).reshape(-1, 3, 3)
+    K[:, 3, 3] = -4.0 * np.tan((PI - A[:, 0] - A[:, 1] - A[:, 2]) / 2.0)
+    inv = np.linalg.inv(K)[:, :3, :3]
+    inv[clamped] = 0.0
+    return SLOT_COEF @ inv @ SLOT_COEF.T
 
 
-def _dual_hessian(T, L):
-    """Hessian of the dual energy over the edge classes, (E, E).
+def _range_solver(T):
+    """Sparse LUs of ``[[S + s I, W], [W^T, 0]]``, ``W = T.gauge_matrix``.
 
-    The per-tetrahedron co-volume Hessians at the slot lengths ``L`` (n, 6),
-    summed through ``slot_class``.  Each row's difference step follows its
-    cosine-extension margin, so the stencil stays on one side of the
-    degeneration walls.
+    ``S`` sums per-tetrahedron (n, 6, 6) slot blocks through ``slot_class``:
+    ``C B^-1 C^T`` (``C = SLOT_COEF``) give the primal's ``A B^-1 A^T``, the
+    co-volume blocks the dual Hessian.  Both have ``S W = 0`` (``W^T A = 0``),
+    so for ``W^T r = 0`` the solution of ``[r; 0]`` is the ``x`` with
+    ``W^T x = 0`` and ``(S + s I) x = r``; it is unique for ``s > 0`` and,
+    as ``rank A = E - cusps``, for the primal.  ``factor(blocks, s=0.0)``
+    refills the CSC pattern built once here and returns ``r -> x``; a
+    singular LU raises ``LinAlgError``.
     """
-    margin = np.min(np.abs(1.0 - np.abs(phi_batch(L))), axis=1)
-    h = np.minimum(1e-6, np.maximum(0.02 * margin, 1e-9))
-    E = T.n_edge_classes
-    rows, cols = _slot_pairs(T)
-    blocks = _covolume_hessian_batch(L, h).ravel()
-    return np.bincount(rows * E + cols, weights=blocks, minlength=E * E).reshape(E, E)
+    E, m = T.gauge_matrix.shape
+    we, wc = np.nonzero(T.gauge_matrix)
+    sc, diag = T.slot_class, np.arange(E)
+    # block entry (t, i, j) sits at (slot_class[t, i], slot_class[t, j])
+    rows = np.concatenate([np.repeat(sc, 6, axis=1).ravel(), diag, we, E + wc])
+    cols = np.concatenate([np.tile(sc, 6).ravel(), diag, E + wc, we])
+    keys, slot = np.unique(cols * (E + m) + rows, return_inverse=True)
+    pattern = keys % (E + m), np.searchsorted(keys, np.arange(E + m + 1) * (E + m))
+    border = np.tile(T.gauge_matrix[we, wc], 2)
+
+    def factor(blocks, s=0.0):
+        weights = np.concatenate([np.ravel(blocks), np.full(E, s), border])
+        data = np.bincount(slot, weights=weights, minlength=keys.size)
+        try:
+            lu = splu(sparse.csc_matrix((data, *pattern), shape=(E + m, E + m)))
+        except RuntimeError as exc:
+            raise np.linalg.LinAlgError(str(exc)) from exc
+        return lambda r: lu.solve(np.concatenate([r, np.zeros(m)]))[:E]
+
+    return factor
 
 
-def _range_solver(T, W, inv_blocks):
-    """Solve ``S lam = r`` for ``S = A B^-1 A^T``, ``A`` the edge equations.
-
-    ``inv_blocks`` (n, 3, 3) is the block-diagonal ``B^-1`` in the free
-    chart, so ``S`` is the slot blocks ``C B_t^-1 C^T`` (``C = SLOT_COEF``)
-    summed through ``slot_class``.  ``S`` is singular exactly on the gauge:
-    ``W^T A = 0`` for ``W``, the sparse ``T.gauge_matrix`` (the per-cusp
-    counting identity), and ``rank A = E - (cusp classes)``, so the
-    bordered system ``[[S, W], [W^T, 0]] [lam; nu] = [r; 0]`` is
-    nonsingular and, for ``r`` in the range of ``A``, gives ``nu = 0`` and
-    the solution with ``W^T lam = 0``.  Returns ``r -> lam``; a singular
-    factorization raises ``LinAlgError``.
-    """
-    E = T.n_edge_classes
-    blocks = (SLOT_COEF @ inv_blocks @ SLOT_COEF.T).ravel()
-    S = sparse.csc_matrix((blocks, _slot_pairs(T)), shape=(E, E))
-    try:
-        lu = splu(sparse.bmat([[S, W], [W.T, None]], format="csc"))
-    except RuntimeError as exc:
-        raise np.linalg.LinAlgError(str(exc)) from exc
-    border = np.zeros(W.shape[1])
-    return lambda r: lu.solve(np.concatenate([r, border]))[:E]
-
-
-def _barrier_oracle(cs, mu, W, project):
+def _barrier_oracle(cs, mu, factor, project):
     """Oracle of ``-(vol + mu * sum log c)`` over the edge equations.
 
-    ``W`` is the sparse gauge matrix and ``project`` maps a gradient onto
+    ``factor`` is ``_range_solver(T)`` and ``project`` maps a gradient onto
     the null space of ``a_eq``.  The Newton direction is the range-space
     step ``dx = -B^-1 (g + A^T lam)`` with ``A B^-1 A^T lam = r - A B^-1 g``,
     for the block-diagonal barrier Hessian ``B`` (one positive definite 3x3
@@ -316,7 +319,7 @@ def _barrier_oracle(cs, mu, W, project):
                 eye3 / u_vec.reshape(n, 3, 1) ** 2 + 1.0 / slack[:, None, None] ** 2
             )
             inv = np.linalg.inv(B)
-            solve = _range_solver(cs.triangulation, W, inv)
+            solve = factor(SLOT_COEF @ inv @ SLOT_COEF.T)
             w = blockmul(inv, g)
             r = a_eq @ u_vec - cs.b_eq
             return blockmul(inv, a_eq.T @ solve(a_eq @ w - r)) - w
@@ -384,9 +387,9 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
     cs = assemble(T, k)
     n = T.n_tetrahedra
     a_eq = cs.a_eq
-    W = sparse.csc_matrix(T.gauge_matrix)
+    factor = _range_solver(T)
     # B = I: the orthogonal projector onto the null space of the edge equations
-    solve_eye = _range_solver(T, W, np.broadcast_to(np.eye(3), (n, 3, 3)))
+    solve_eye = factor(np.broadcast_to(SLOT_COEF @ SLOT_COEF.T, (n, 6, 6)))
 
     def project(g):
         return g - a_eq.T @ solve_eye(a_eq @ g)
@@ -418,7 +421,7 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
     mus.append(mu_final)
 
     u, iterations = _phase_one(
-        cs, _barrier_oracle(cs, mus[0], W, project), max_step, u
+        cs, _barrier_oracle(cs, mus[0], factor, project), max_step, u
     )
     if u is None:
         fr = find_interior(T, k)
@@ -427,7 +430,7 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
         u = fr.witness.values[:, :3].ravel().copy()
 
     # 3n - rank(a_eq) free directions; none left means u is the only point
-    if cs.n_free - T.n_edge_classes + W.shape[1] == 0:
+    if cs.n_free - T.n_edge_classes + T.gauge_matrix.shape[1] == 0:
         ang = cs.expand(u)
         vol = 0.5 * float(volume2_batch(ang.values).sum())
         return PrimalReport(
@@ -436,7 +439,7 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
 
     trace = []
     for mu in mus:
-        oracle = _barrier_oracle(cs, mu, W, project)
+        oracle = _barrier_oracle(cs, mu, factor, project)
         run = _newton(u, oracle, max(0.1 * mu, 1e-13), max_inner, max_step)
         u = run.x
         iterations += run.iterations
@@ -461,19 +464,18 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
 def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
     """Prescribe cone angles by minimizing the convex metric energy.
 
-    Damped Newton steps in the orthogonal complement of the gauge, on the
-    co-volume Hessian summed from per-tetrahedron blocks; succeeds when the
-    cone angles of the iterate match ``k`` to ``tol`` in max norm.  A run
+    Damped Newton steps in the orthogonal complement of the gauge, from
+    ``x0`` projected there; each solves ``(H + s I) dx = -P g`` there by
+    ``_range_solver``, ``H`` the summed co-volume blocks, ``s = min(res, 1)``.
+    Succeeds when the cone angles match ``k`` to ``tol`` in max norm.  A run
     that escapes the trust region without its gradient vanishing is
     flagged diverged, never reported as a solution.
     """
     k_vals = admissible_cone_values(T, k)
     slot_class = T.slot_class
     n_edges = T.n_edge_classes
-    # orthonormal basis of the gauge complement: the trailing columns of a
-    # complete QR of the gauge matrix, which has full column rank
-    W = T.gauge_matrix
-    Z = np.linalg.qr(W, mode="complete")[0][:, W.shape[1] :]
+    factor = _range_solver(T)
+    project = _gauge_complement(T)
 
     def oracle(x):
         L = np.ascontiguousarray(x[slot_class])
@@ -484,15 +486,12 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
         )
         g = cone - k_vals
         res = float(np.max(np.abs(g)))
-        gy = Z.T @ g
+        pg = project(g)
 
         def step():
-            # PSD only: shift by the residual, which vanishes at the solution
-            H = Z.T @ _dual_hessian(T, L) @ Z
-            H[np.diag_indices_from(H)] += min(res, 1.0)
-            return Z @ np.linalg.solve(H, -gy)
+            return factor(_covolume_hessian(A), min(res, 1.0))(-pg)
 
-        return obj, Z @ gy, res, step
+        return obj, pg, res, step
 
     if x0 is None:
         x = np.zeros(n_edges)
@@ -500,7 +499,7 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (n_edges,) or not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be a finite vector over the edge classes")
-        x = T.gauge_projector @ x0
+        x = project(x0)
     run = _newton(x, oracle, tol, max_iter)
     diverged = run.res > tol and float(np.max(np.abs(run.x))) > _ESCAPE
     if run.res > tol and not diverged:
@@ -509,7 +508,7 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
             f"dual solve {what} at residual {run.res:.3e}", residual=run.res
         )
     return DualReport(
-        gauge_project(T, run.x),
+        GeneralizedMetric(project(run.x)),
         run.res,
         diverged,
         run.f,
@@ -545,7 +544,7 @@ def rigidity_check(T, k, n_starts=5, tol=1e-6, seed=0):
     failed = []
     last_error = None
     for s in range(n_starts):
-        x0 = T.gauge_projector @ rng.uniform(-1.0, 1.0, T.n_edge_classes)
+        x0 = rng.uniform(-1.0, 1.0, T.n_edge_classes)
         try:
             rep = solve_cone_angles(T, k, tol=tol * 1e-2, x0=x0)
         except MaxIterations as exc:

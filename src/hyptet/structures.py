@@ -28,7 +28,6 @@ from .triangulation import (
     AngleAssignment,
     ConeTarget,
     admissible_cone_values,
-    cone_angles,
 )
 
 PI = math.pi
@@ -137,7 +136,8 @@ def is_member(T, assignment, k, tol=1e-9):
     if A is None:
         A = np.asarray(assignment, dtype=np.float64)
     k_vals = k.values if isinstance(k, ConeTarget) else np.asarray(k, dtype=np.float64)
-    cone = cone_angles(T, A).values
+    # summed directly: a negative slot angle is a violation, not a bad target
+    cone = np.bincount(T.slot_class.ravel(), A.ravel(), T.n_edge_classes)
     if k_vals.shape != cone.shape:
         raise ValueError("cone target length does not match edge classes")
     violations = [

@@ -341,16 +341,14 @@ def covolume_hessian(lengths, h=1e-4):
 def _covolume_hessian_batch(lengths, h):
     """Co-volume Hessians of the rows of ``lengths``, (n, 6, 6).
 
-    Symmetrized central differences of the extended angles with step ``h``
-    (a scalar or one step per row), all 12n stencil points in one kernel
-    call.  No domain checks.
+    Symmetrized central differences of the extended angles with step ``h``,
+    all 12n stencil points in one kernel call.  No domain checks.
     """
     L = np.asarray(lengths, dtype=np.float64)
-    steps = np.broadcast_to(np.asarray(h, dtype=np.float64), L.shape[:1])
-    shift = steps[:, None, None] * np.eye(6)
+    shift = h * np.eye(6)
     pts = np.concatenate([L[:, None, :] + shift, L[:, None, :] - shift], axis=1)
     grads = _kernels.extended_angles_batch(pts.reshape(-1, 6)).reshape(-1, 12, 6)
-    hess = (grads[:, :6] - grads[:, 6:]) / (2.0 * steps)[:, None, None]
+    hess = (grads[:, :6] - grads[:, 6:]) / (2.0 * h)
     return 0.5 * (hess + hess.transpose(0, 2, 1))
 
 

@@ -30,6 +30,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from . import tetra
 from ._kernels import extended_angles_batch
@@ -141,17 +143,11 @@ class Triangulation:
             if vb in col:
                 W[e, col[vb]] += 1.0
         self.gauge_matrix = W
-        self._projector = None
 
     @property
     def gauge_projector(self):
         """Orthogonal projector onto the complement of the gauge subspace."""
-        if self._projector is None:
-            W = self.gauge_matrix
-            self._projector = np.eye(self.n_edge_classes) - W @ np.linalg.pinv(
-                W, rcond=1e-10
-            )
-        return self._projector
+        return _gauge_complement(self)(np.eye(self.n_edge_classes))
 
     def n_edge_slots(self):
         return 6 * self.n_tetrahedra
@@ -412,11 +408,18 @@ def curvature(T, metric):
     return TWO_PI - k.values
 
 
+def _gauge_complement(T):
+    """``v -> v - W (W^T W)^-1 W^T v`` for the gauge matrix ``W``, whose
+    columns are independent, by a sparse LU of ``W^T W``."""
+    W = sparse.csc_matrix(T.gauge_matrix)
+    lu = splu(sparse.csc_matrix(W.T @ W))
+    return lambda v: v - W @ lu.solve(W.T @ v)
+
+
 def gauge_project(T, metric):
     """Project a metric onto the orthogonal complement of the gauge span."""
     vals = metric.values if isinstance(metric, GeneralizedMetric) else metric
-    vals = np.asarray(vals, dtype=np.float64)
-    return GeneralizedMetric(T.gauge_projector @ vals)
+    return GeneralizedMetric(_gauge_complement(T)(np.asarray(vals, dtype=np.float64)))
 
 
 def admissibility_residual(T, cone_values):

@@ -8,29 +8,34 @@ from conftest import (
     random_gluing_document,
     snake_document,
 )
-from scipy import sparse
 from scipy.linalg import block_diag, null_space
 
 from hyptet import (
     AngleAssignment,
     Membership,
+    RegionLabel,
+    angles_to_lengths,
     assemble,
+    classify,
     cone_angles,
+    covolume_hessian,
+    curvature,
     is_member,
     maximize_volume,
     solve_cone_angles,
     validate,
 )
-from hyptet._kernels import phi_batch, volume_gradient_batch
+from hyptet._kernels import extended_angles_batch, phi_batch, volume_gradient_batch
 from hyptet.optimize import (
     _barrier_oracle,
-    _dual_hessian,
+    _covolume_hessian,
     _range_solver,
     _volume_hessian,
 )
 from hyptet.selftest import sample_interior_angles
 from hyptet.structures import SLOT_COEF, SLOT_CONST
-from hyptet.triangulation import double_document
+from hyptet.tetra import _covolume_hessian_batch
+from hyptet.triangulation import _gauge_complement, double_document
 
 FIXTURES = {
     "cover4": lambda: cover_document(4),
@@ -45,6 +50,15 @@ FIXTURES = {
 def _interior_target(T, rng):
     angles = sample_interior_angles(rng, T.n_tetrahedra)
     return angles, cone_angles(T, AngleAssignment(angles))
+
+
+def _dense_dual_hessian(T, L):
+    """The dual Hessian over the edge classes, (E, E), summed densely."""
+    H = np.zeros((T.n_edge_classes, T.n_edge_classes))
+    sc = T.slot_class
+    blocks = _covolume_hessian(extended_angles_batch(L))
+    np.add.at(H, (sc[:, :, None], sc[:, None, :]), blocks)
+    return H
 
 
 def test_volume_hessian_matches_fd_of_gradient():
@@ -77,12 +91,71 @@ def test_dual_hessian_psd_with_gauge_kernel(doc):
         if np.max(np.abs(phi_batch(L))) >= 1.0 - 1e-3:
             continue  # keep every cell strictly inside the realizable region
         done += 1
-        H = _dual_hessian(T, L)
+        H = _dense_dual_hessian(T, L)
         norm = float(np.max(np.abs(H)))
         assert np.max(np.abs(H - H.T)) <= 1e-12 * norm
         assert np.linalg.eigvalsh(H)[0] >= -1e-8 * norm
         for v in T.gauge_matrix.T:
             assert np.linalg.norm(H @ v) <= 1e-6 * norm
+
+
+def test_covolume_hessian_closed_form_matches_fd():
+    # C (-2 H_v)^-1 C^T against the central-difference oracle; h = 1e-5 puts
+    # the O(h^2) difference error near 1e-8 on cells with small margins
+    rng = np.random.default_rng(77)
+    angles = sample_interior_angles(rng, 2000)
+    # interior cells within 1e-15..1e-9 of the apex wall: some sums round to pi
+    a12, a13 = rng.uniform(0.3, 1.3, (2, 400))
+    a14 = np.pi - a12 - a13 - 10.0 ** rng.uniform(-15.0, -9.0, 400)
+    wall = np.column_stack([
+        a12, a13, a14, (np.pi - a12 - a13 + a14) / 2,
+        (np.pi - a12 - a14 + a13) / 2, (np.pi - a13 - a14 + a12) / 2,
+    ])
+    L = np.array([angles_to_lengths(a) for a in np.vstack([angles, wall])])
+    A = extended_angles_batch(L)
+    assert np.count_nonzero(A[:, :3].sum(axis=1) >= np.pi) >= 10
+    closed = _covolume_hessian(A)
+    for l, H in zip(L, closed):
+        fd = covolume_hessian(l, h=1e-5)
+        assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_covolume_hessian_vanishes_on_clamped_cells():
+    # in the degenerate regions the extended angles are locally constant, so
+    # the difference oracle is exactly 0 and the closed form must be too
+    rng = np.random.default_rng(78)
+    L = rng.uniform(-3.0, 3.0, (4000, 6))
+    A = extended_angles_batch(L)
+    clamped = np.any((A == 0.0) | (A == np.pi), axis=1)
+    fd_zero = ~np.any(_covolume_hessian_batch(L, 1e-4), axis=(1, 2))
+    assert np.count_nonzero(fd_zero) >= 1000
+    assert np.all(clamped[fd_zero])
+    assert not any(classify(l) is RegionLabel.INTERIOR for l in L[clamped])
+    H = _covolume_hessian(A)
+    assert not np.any(H[clamped])
+    assert np.all(np.any(H[~clamped], axis=(1, 2)))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_bordered_dual_step_matches_dense_gauge_complement_step(name):
+    T = validate(FIXTURES[name]())
+    rng = np.random.default_rng(79)
+    factor = _range_solver(T)
+    Z = null_space(T.gauge_matrix.T)
+    # the solver's shift, a near-solution shift, and cells clamped by a wide draw
+    for spread, shift in ((0.4, None), (0.4, 1e-6), (3.0, None)):
+        _, k = _interior_target(T, rng)
+        x = rng.uniform(-spread, spread, T.n_edge_classes)
+        L = x[T.slot_class]
+        g = cone_angles(T, AngleAssignment(extended_angles_batch(L))).values - k.values
+        s = shift or min(float(np.max(np.abs(g))), 1.0)
+        dx = factor(_covolume_hessian(extended_angles_batch(L)), s)(
+            -_gauge_complement(T)(g)
+        )
+        # dense oracle: shifted Newton step in an orthonormal gauge-complement basis
+        H = Z.T @ _dense_dual_hessian(T, L) @ Z + s * np.eye(Z.shape[1])
+        dense = Z @ np.linalg.solve(H, -Z.T @ g)
+        assert np.max(np.abs(dx - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize(
@@ -133,18 +206,18 @@ def test_sparse_primal_step_matches_dense_null_space_step(name):
     T = validate(FIXTURES[name]())
     n = T.n_tetrahedra
     rng = np.random.default_rng(75)
-    W = sparse.csc_matrix(T.gauge_matrix)
+    factor = _range_solver(T)
     for mu in (1e-1, 1e-3, 1e-6):
         angles, k = _interior_target(T, rng)
         cs = assemble(T, k)
         a_eq = cs.a_eq
-        solve_eye = _range_solver(T, W, np.broadcast_to(np.eye(3), (n, 3, 3)))
+        solve_eye = factor(np.broadcast_to(SLOT_COEF @ SLOT_COEF.T, (n, 6, 6)))
 
         def project(g):
             return g - a_eq.T @ solve_eye(a_eq @ g)
 
         u = angles[:, :3].ravel()
-        _, pg, res, step = _barrier_oracle(cs, mu, W, project)(u)
+        _, pg, res, step = _barrier_oracle(cs, mu, factor, project)(u)
         dx = step()
 
         # dense oracle: Newton step in an orthonormal null-space basis
@@ -166,10 +239,14 @@ def test_sparse_primal_step_matches_dense_null_space_step(name):
 
 
 def test_maximize_cover512_solves():
-    # the dense null-space chart failed here with "SVD did not converge"
+    # the dense null-space chart failed here with "SVD did not converge"; the
+    # dual solves the same target on the bordered sparse step
     T = validate(cover_document(512))
     _, k = _interior_target(T, np.random.default_rng(76))
     rep = maximize_volume(T, k, tol=1e-6)
     assert rep.kkt_residual <= 1e-6
     verdict, _ = is_member(T, rep.maximizer, k)
     assert verdict is not Membership.OUTSIDE
+    dual = solve_cone_angles(T, k, tol=1e-6)
+    assert dual.residual <= 1e-6 and not dual.diverged
+    assert np.max(np.abs(curvature(T, dual.metric) - (2.0 * np.pi - k.values))) <= 1e-5

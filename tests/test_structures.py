@@ -145,6 +145,18 @@ def test_is_member_violations_match_row_loop():
         is_member(T, AngleAssignment(A), k[:-1])
 
 
+def test_is_member_rejects_negative_slot_angles():
+    # a negative slot makes an edge sum negative: a violation, not a bad target
+    T = validate(double_document())
+    row = np.full(6, PI / 4.0)
+    row[0] = -0.5
+    A = AngleAssignment(np.stack([row, row]))
+    k = np.full(T.n_edge_classes, PI / 2.0)
+    verdict, violations = is_member(T, A, k)
+    assert verdict is Membership.OUTSIDE
+    assert "slot angles leave [0, pi]" in violations
+
+
 def test_find_interior_on_fixture():
     T, k, assignment = _fixture()
     fr = find_interior(T, k)
