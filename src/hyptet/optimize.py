@@ -19,7 +19,9 @@ metrics in the orthogonal complement of the gauge; its gradient is
 ``cone_angles(extended angles) - k`` and its Hessian is the sum of the
 per-tetrahedron co-volume Hessians ``C (-2 H)^-1 C^T`` (Schlaefli, ``H`` the
 volume Hessian), PSD with the gauge as kernel, factored by the primal's
-bordered sparse LU.
+bordered sparse LU.  The energy is unbounded below exactly when no closed
+angle assignment has cone angles ``k``, and the dual stops at the first
+point it evaluates that certifies this (a Farkas vector).
 
 Both problems run the same damped Newton iteration, ``_newton``.  They
 meet through a Legendre-type identity: the dual minimum equals twice the
@@ -43,6 +45,7 @@ from .structures import (
     FeasibilityStatus,
     Membership,
     SLOT_COEF,
+    SLOT_CONST,
     assemble,
     find_interior,
     is_member,
@@ -59,15 +62,13 @@ PI = math.pi
 _EPS = float(np.finfo(np.float64).eps)
 #: step halvings before a line search counts as failed
 _BACKTRACKS = 40
-#: a run beyond this max-norm whose residual has not shrunk by 10 % over
-#: the last ``_WINDOW`` steps has escaped to infinity
-_ESCAPE = 1e3
-_WINDOW = 100
 #: infeasible-start Newton steps before ``maximize_volume`` falls back to
 #: the feasibility LP
 _PHASE_ONE = 20
 #: outer products c_j c_j^T of the slot coefficient rows, flattened to (6, 9)
 _SLOT_OUTER = np.einsum("jp,jq->jpq", SLOT_COEF, SLOT_COEF).reshape(6, 9)
+#: vertices of a cell's closed angle polytope (u >= 0, sum u <= pi), (6, 4)
+_CELL_VERTICES = np.vstack([SLOT_CONST, FLAT_PATTERNS]).T
 
 
 @dataclass
@@ -99,9 +100,9 @@ class PrimalReport:
 @dataclass
 class DualReport:
     """``residual`` is the max-norm error of the cone angles of ``metric``;
-    ``diverged`` marks a run that escaped (see ``_ESCAPE``) with the residual
-    above ``tol``, so ``metric`` solves nothing; ``iterations`` counts the
-    Newton steps taken."""
+    ``diverged`` marks a target certified infeasible, with ``metric`` the
+    Farkas certificate (see ``solve_cone_angles``), so it solves nothing;
+    ``iterations`` counts the Newton steps taken."""
 
     metric: GeneralizedMetric
     residual: float
@@ -164,6 +165,10 @@ class _Run(NamedTuple):
     trace: list
 
 
+class _Infeasible(Exception):
+    """Raised by the dual oracle with ``(x, f, res)`` at a Farkas vector."""
+
+
 def _newton(x, oracle, tol, max_iter, max_step=None):
     """Damped Newton descent on a smooth convex objective over an affine set.
 
@@ -176,13 +181,11 @@ def _newton(x, oracle, tol, max_iter, max_step=None):
     ``max_step(x, dx)`` when given, and is halved until the Armijo test
     holds or the residual halves with ``f`` flat to float noise -- near the
     optimum the decrease of ``f`` is below float resolution while the
-    analytic gradient still is not.  A failed line search, an accepted step
-    that moves ``x`` by float noise only, or an escape (see ``_ESCAPE``)
-    stalls the run.
+    analytic gradient still is not.  A failed line search or an accepted
+    step that moves ``x`` by float noise only stalls the run.
     """
     f, pg, res, step = oracle(x)
     trace = [f]
-    history = [res]
     it = 0
     while res > tol and it < max_iter:
         it += 1
@@ -208,13 +211,7 @@ def _newton(x, oracle, tol, max_iter, max_step=None):
         moved = float(np.max(np.abs(x_try - x))) > noise
         x, f, pg, res, step = x_try, f_try, pg_try, res_try, step_try
         trace.append(f)
-        history.append(res)
-        escaped = (
-            float(np.max(np.abs(x))) > _ESCAPE
-            and len(history) > _WINDOW
-            and res > 0.9 * history[-1 - _WINDOW]
-        )
-        if (escaped or not moved) and res > tol:
+        if not moved and res > tol:
             return _Run(x, f, res, it, trace)
     return _Run(x, f, res, it, trace)
 
@@ -467,28 +464,43 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
     Damped Newton steps in the orthogonal complement of the gauge, from
     ``x0`` projected there; each solves ``(H + s I) dx = -P g`` there by
     ``_range_solver``, ``H`` the summed co-volume blocks, ``s = min(res, 1)``.
-    Succeeds when the cone angles match ``k`` to ``tol`` in max norm.  A run
-    that escapes the trust region without its gradient vanishing is
-    flagged diverged, never reported as a solution.
+    Succeeds when the cone angles match ``k`` to ``tol`` in max norm.
+
+    Every point the run evaluates, line-search trial points included, is a
+    candidate Farkas vector: with ``L = x[slot_class]`` and ``v`` over the
+    vertices of a cell's closed angle polytope, any angle assignment with
+    cone angles ``k`` has ``k . x = sum_t <a_t, L_t> <= sum_t max_v <v, L_t>``
+    (Boyd & Vandenberghe, *Convex Optimization*, sec. 5.8), and the energy
+    is at least the right side minus ``k . x``.  Where ``k . x`` exceeds it
+    by the rounding margin ``1e-9 (1 + k . |x| + pi sum |L|)`` the run stops
+    with that point as a report flagged ``diverged``, never as a solution.
     """
     k_vals = admissible_cone_values(T, k)
     slot_class = T.slot_class
     n_edges = T.n_edge_classes
     factor = _range_solver(T)
     project = _gauge_complement(T)
+    steps = 0
 
     def oracle(x):
         L = np.ascontiguousarray(x[slot_class])
         A = extended_angles_batch(L)
-        obj = float(volume2_batch(A).sum() + np.sum(A * L)) - float(k_vals @ x)
+        kx = float(k_vals @ x)
+        obj = float(volume2_batch(A).sum() + np.sum(A * L)) - kx
         cone = np.bincount(
             slot_class.ravel(), weights=A.ravel(), minlength=n_edges
         )
         g = cone - k_vals
         res = float(np.max(np.abs(g)))
+        support = float((L @ _CELL_VERTICES).max(axis=1).sum())
+        scale = 1.0 + float(k_vals @ np.abs(x)) + PI * float(np.abs(L).sum())
+        if kx - support > 1e-9 * scale:
+            raise _Infeasible(x, obj, res)
         pg = project(g)
 
         def step():
+            nonlocal steps
+            steps += 1
             return factor(_covolume_hessian(A), min(res, 1.0))(-pg)
 
         return obj, pg, res, step
@@ -500,9 +512,12 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
         if x0.shape != (n_edges,) or not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be a finite vector over the edge classes")
         x = project(x0)
-    run = _newton(x, oracle, tol, max_iter)
-    diverged = run.res > tol and float(np.max(np.abs(run.x))) > _ESCAPE
-    if run.res > tol and not diverged:
+    try:
+        run = _newton(x, oracle, tol, max_iter)
+    except _Infeasible as cert:
+        x, f, res = cert.args
+        return DualReport(GeneralizedMetric(project(x)), res, True, f, steps)
+    if run.res > tol:
         what = "stalled" if run.iterations < max_iter else "hit the iteration cap"
         raise MaxIterations(
             f"dual solve {what} at residual {run.res:.3e}", residual=run.res
@@ -510,7 +525,7 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
     return DualReport(
         GeneralizedMetric(project(run.x)),
         run.res,
-        diverged,
+        False,
         run.f,
         run.iterations,
         run.trace,
@@ -535,7 +550,8 @@ def rigidity_check(T, k, n_starts=5, tol=1e-6, seed=0):
 
     The gauge-projected solutions must coincide (the metric is determined
     by its curvature up to decorations); ``all_agree`` records whether the
-    max pairwise distance stays within ``tol``.
+    max pairwise distance stays within ``tol``.  A start that certifies
+    the target infeasible raises ``MaxIterations``: no start can converge.
     """
     if n_starts < 2:
         raise ValueError("rigidity check needs at least two starts")
@@ -552,13 +568,11 @@ def rigidity_check(T, k, n_starts=5, tol=1e-6, seed=0):
             last_error = exc
             continue
         if rep.diverged:
-            failed.append(s)
-            continue
+            msg = "cone target certified infeasible: no angle structure has it"
+            raise MaxIterations(msg, residual=rep.residual)
         solutions.append(rep.metric.values)
     if len(solutions) < 2:
-        if last_error is not None:
-            raise last_error
-        raise MaxIterations("fewer than two rigidity starts converged")
+        raise last_error
     dist = 0.0
     for i in range(len(solutions)):
         for j in range(i + 1, len(solutions)):

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import _kernels, tetra
 from .lobachevsky import lobachevsky, lobachevsky_derivative, lobachevsky_reference
+from .structures import SLOT_COEF, SLOT_CONST
 
 PI = math.pi
 
@@ -221,9 +222,7 @@ def schlafli_suite(seed=0, n=100, tol=1e-6):
             dn = row[:3].copy()
             up[d] += h
             dn[d] -= h
-            rows = np.stack(
-                [_expand_free(up), _expand_free(dn)]
-            )
+            rows = SLOT_CONST + np.stack([up, dn]) @ SLOT_COEF.T
             v2 = _kernels.volume2_batch(rows)
             fd = (v2[0] - v2[1]) / (2.0 * h)
             dev = abs(fd - expected[d])
@@ -232,20 +231,6 @@ def schlafli_suite(seed=0, n=100, tol=1e-6):
             if dev > tol:
                 failures += 1
     return SuiteResult("volume derivative identity", checked, failures, worst)
-
-
-def _expand_free(apex):
-    a12, a13, a14 = apex
-    return np.array(
-        [
-            a12,
-            a13,
-            a14,
-            (PI - a12 - a13 + a14) / 2.0,
-            (PI - a12 - a14 + a13) / 2.0,
-            (PI - a13 - a14 + a12) / 2.0,
-        ]
-    )
 
 
 def triangle_suite(seed=0, n=10_000, tol=1e-10):

@@ -8,8 +8,16 @@ import sys
 import numpy as np
 import pytest
 
-from hyptet import covolume, extended_angles, volume_from_angles
+from hyptet import (
+    AngleAssignment,
+    cone_angles,
+    covolume,
+    extended_angles,
+    validate,
+    volume_from_angles,
+)
 from hyptet.cli import main
+from hyptet.structures import SLOT_COEF, SLOT_CONST
 
 PI = math.pi
 
@@ -106,6 +114,32 @@ def test_maximize_solve_rigidity_reports(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["all_agree"] is True
+
+
+def test_infeasible_target_solve_and_rigidity(tmp_path, capsys):
+    out_dir = str(tmp_path / "fx4")
+    run_cli(["fixture", "double", "--l", "0,0,0,0,0,0", "--out-dir", out_dir],
+            capsys)
+    tri = f"{out_dir}/tri.json"
+    kp = str(tmp_path / "infeasible_k.json")
+    # both cells on the apex row (1.5, 1.2, 1.0), whose sum is above pi
+    T = validate(json.load(open(tri)))
+    row = SLOT_CONST + SLOT_COEF @ np.array([1.5, 1.2, 1.0])
+    k = cone_angles(T, AngleAssignment(np.stack([row, row])))
+    with open(kp, "w") as fh:
+        json.dump(k.to_json(T), fh)
+
+    code, out, _ = run_cli(["solve", tri, "--k", kp], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert list(rep) == ["metric", "residual", "diverged", "objective"]
+    assert '"diverged":true' in out and rep["residual"] > 1e-8
+
+    code, out, err = run_cli(["rigidity", tri, "--k", kp], capsys)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "MaxIterations"
+    assert "certified infeasible" in payload["message"]
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

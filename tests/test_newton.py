@@ -20,6 +20,7 @@ from hyptet import (
     cone_angles,
     covolume_hessian,
     curvature,
+    find_interior,
     is_member,
     maximize_volume,
     solve_cone_angles,
@@ -33,7 +34,7 @@ from hyptet.optimize import (
     _volume_hessian,
 )
 from hyptet.selftest import sample_interior_angles
-from hyptet.structures import SLOT_COEF, SLOT_CONST
+from hyptet.structures import SLOT_COEF, SLOT_CONST, FeasibilityStatus
 from hyptet.tetra import _covolume_hessian_batch
 from hyptet.triangulation import _gauge_complement, double_document
 
@@ -176,17 +177,48 @@ def test_newton_iteration_counts_stay_small(doc):
         assert primal.iterations <= 100
 
 
-def test_dual_flags_escape_on_infeasible_target():
-    # admissible but infeasible (apex sum above pi): the energy is unbounded
-    # below, so the run must stop as diverged instead of walking to max_iter
-    T = validate(double_document())
-    a12, a13, a14 = 1.5, 1.2, 1.0
-    row = [a12, a13, a14, (np.pi - a12 - a13 + a14) / 2,
-           (np.pi - a12 - a14 + a13) / 2, (np.pi - a13 - a14 + a12) / 2]
-    k = cone_angles(T, AngleAssignment(np.array([row, row])))
+def _apex_rows(apex):
+    """Slot-angle rows of the apex triples ``apex``, (n, 3) -> (n, 6)."""
+    return SLOT_CONST + np.asarray(apex, dtype=np.float64) @ SLOT_COEF.T
+
+
+def _above_pi(n, seed):
+    # every apex angle in [1.1, 1.4]: each apex sum is above pi, every slot
+    # angle stays positive
+    return _apex_rows(np.random.default_rng(seed).uniform(1.1, 1.4, (n, 3)))
+
+
+INFEASIBLE = {
+    "double-a": (double_document, lambda n: _apex_rows([[1.5, 1.2, 1.0]] * n)),
+    "double-b": (double_document, lambda n: _apex_rows([[0.2, 0.2, 2.8]] * n)),
+    "cover16": (lambda: cover_document(16), lambda n: _above_pi(n, 76)),
+    "random16": (random_gluing_document, lambda n: _above_pi(n, 77)),
+}
+
+
+def _farkas_gap(T, k, x):
+    """``k . x - sum_t max_v <v, x[slot_class]_t>`` over the vertices ``v``
+    of each cell's closed angle polytope, the slot maps of the apex
+    triples 0, pi e_1, pi e_2, pi e_3."""
+    vertices = _apex_rows(np.vstack([np.zeros(3), np.pi * np.eye(3)]))
+    support = np.max(x[T.slot_class] @ vertices.T, axis=1).sum()
+    return float(k.values @ x) - float(support)
+
+
+@pytest.mark.parametrize("name", sorted(INFEASIBLE))
+def test_dual_certifies_infeasible_target(name):
+    # admissible (sum_e k_e fixes sum_t apex_t) but infeasible (that sum is
+    # above n pi): the dual must stop with a Farkas certificate
+    doc, rows = INFEASIBLE[name]
+    T = validate(doc())
+    k = cone_angles(T, AngleAssignment(rows(T.n_tetrahedra)))
+    assert find_interior(T, k).status is FeasibilityStatus.INFEASIBLE
     rep = solve_cone_angles(T, k, tol=1e-8)
     assert rep.diverged and rep.residual > 1e-8
-    assert rep.iterations <= 2000
+    assert _farkas_gap(T, k, rep.metric.values) > 1e-9 * (
+        1.0 + float(k.values @ np.abs(rep.metric.values))
+    )
+    assert rep.iterations <= 30
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))

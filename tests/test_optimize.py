@@ -30,9 +30,10 @@ from hyptet import (
     solve_cone_angles,
     volume_from_angles,
 )
-from hyptet.errors import InadmissibleTarget, NoInteriorStart
+from hyptet.errors import InadmissibleTarget, MaxIterations, NoInteriorStart
 from hyptet.optimize import _near_flat_flags
 from hyptet.selftest import sample_interior_angles
+from hyptet.structures import SLOT_COEF, SLOT_CONST
 from hyptet.tetra import FLAT_PATTERNS
 from hyptet.triangulation import PAIR_INDEX, double_document, validate
 
@@ -232,21 +233,43 @@ def test_dual_rejects_wrong_length_target():
 
 def test_dual_never_false_success_on_boundary_only_target():
     # admissible, but only boundary assignments exist: the infimum is not
-    # attained, so the solver must either flag divergence or fail honestly
+    # attained, and the target is feasible, so no Farkas certificate exists;
+    # the solver must fail honestly
     from hyptet import AngleAssignment, cone_angles
-    from hyptet.errors import MaxIterations
 
     T = validate(double_document())
     b = np.array(
         [0.0, 0.7, 0.9, (PI - 0.7 + 0.9) / 2, (PI - 0.9 + 0.7) / 2, (PI - 1.6) / 2]
     )
     k = cone_angles(T, AngleAssignment(np.stack([b, b])))
+    with pytest.raises(MaxIterations) as exc:
+        solve_cone_angles(T, k, tol=1e-8, max_iter=1500)
+    assert exc.value.residual > 1e-8
+
+
+@pytest.mark.parametrize(
+    "apex",
+    [(0.0, 0.7, 0.9), (1.2, 1.0, PI - 2.2), (1e-3, PI - 2e-3, 1e-3)],
+    ids=["pinned-zero", "apex-pi", "apex-pi-near-flat"],
+)
+@pytest.mark.parametrize(
+    "doc",
+    [double_document, lambda: cover_document(4), random_gluing_document],
+    ids=["double", "cover4", "random16"],
+)
+def test_dual_never_certifies_a_closed_assignment_target(doc, apex):
+    # every cell on one boundary row of its closed angle polytope: that
+    # assignment realizes k, so a diverged verdict would be a false
+    # certificate of infeasibility
+    T = validate(doc())
+    row = SLOT_CONST + SLOT_COEF @ np.array(apex)
+    k = cone_angles(T, AngleAssignment(np.tile(row, (T.n_tetrahedra, 1))))
     try:
-        rep = solve_cone_angles(T, k, tol=1e-8, max_iter=1500)
+        rep = solve_cone_angles(T, k, tol=1e-8, max_iter=300)
     except MaxIterations as exc:
         assert exc.residual > 1e-8
     else:
-        assert rep.diverged
+        assert not rep.diverged and rep.residual <= 1e-8
 
 
 def test_primal_dual_consistency():
@@ -289,6 +312,15 @@ def test_rigidity_agreement():
     assert rep.pairwise_distance <= 1e-6
     assert rep.failed_starts == []
     assert rep.seed == 0
+
+
+def test_rigidity_reports_certified_infeasible_target():
+    # apex sum above pi in both cells: the first start certifies infeasibility
+    T = validate(double_document())
+    row = SLOT_CONST + SLOT_COEF @ np.array([1.5, 1.2, 1.0])
+    k = cone_angles(T, AngleAssignment(np.stack([row, row])))
+    with pytest.raises(MaxIterations, match="certified infeasible"):
+        rigidity_check(T, k)
 
 
 def test_rigidity_needs_two_starts():
@@ -337,7 +369,6 @@ def test_dual_near_flat_targets():
     # solution toward a degeneration wall; mild mixes must solve, extreme
     # ones may only fail honestly (the energy is merely C1 at the wall)
     from hyptet import assignment_from_metric as afm, cone_angles
-    from hyptet.errors import MaxIterations
 
     T, k0, _ = doubled_fixture(np.zeros(6))
     m_flat = np.zeros(T.n_edge_classes)
@@ -348,13 +379,14 @@ def test_dual_near_flat_targets():
     rep = solve_cone_angles(T, mild, tol=1e-8)
     assert rep.residual <= 1e-8 and not rep.diverged
 
+    # an interior target: a diverged verdict would be a false certificate
     extreme = ConeTarget(0.999 * k_flat.values + 0.001 * k0.values)
     try:
         rep = solve_cone_angles(T, extreme, tol=1e-10, max_iter=1500)
     except MaxIterations as exc:
         assert exc.residual > 1e-10
     else:
-        assert rep.diverged or rep.residual <= 1e-10
+        assert not rep.diverged and rep.residual <= 1e-10
 
 
 def test_dual_rejects_bad_start():
