@@ -44,13 +44,17 @@ from .errors import MaxIterations, NoInteriorStart
 from .structures import (
     FeasibilityStatus,
     Membership,
-    SLOT_COEF,
-    SLOT_CONST,
     assemble,
     find_interior,
     is_member,
 )
-from .tetra import FLAT_PATTERNS
+from .tetra import (
+    CELL_VERTICES,
+    SLOT_COEF,
+    _covolume_hessian,
+    _near_flat,
+    _volume_hessian,
+)
 from .triangulation import (
     AngleAssignment,
     GeneralizedMetric,
@@ -65,17 +69,15 @@ _BACKTRACKS = 40
 #: infeasible-start Newton steps before ``maximize_volume`` falls back to
 #: the feasibility LP
 _PHASE_ONE = 20
-#: outer products c_j c_j^T of the slot coefficient rows, flattened to (6, 9)
-_SLOT_OUTER = np.einsum("jp,jq->jpq", SLOT_COEF, SLOT_COEF).reshape(6, 9)
-#: vertices of a cell's closed angle polytope (u >= 0, sum u <= pi), (6, 4)
-_CELL_VERTICES = np.vstack([SLOT_CONST, FLAT_PATTERNS]).T
+#: Newton steps per barrier weight in ``maximize_volume``
+_INNER = 150
 
 
 @dataclass
 class PrimalReport:
     """Maximizer of the volume; ``kkt_residual`` is the larger of the final
     barrier weight and ``max|P g|``, the barrier gradient projected onto the
-    null space of the edge equations (0.0 when that null space is trivial).
+    null space of the edge equations.
     ``iterations`` counts every Newton step taken, the phase-one steps that
     reach the start included.
     """
@@ -216,39 +218,6 @@ def _newton(x, oracle, tol, max_iter, max_step=None):
     return _Run(x, f, res, it, trace)
 
 
-def _volume_hessian(angles):
-    """Hessian of the volume in the free chart (a12, a13, a14), (n, 3, 3).
-
-    The volume is half the sum of the Lobachevsky function over the six
-    slot angles ``c_j . u + const`` and over ``(pi - h) / 2`` with
-    ``h = a12 + a13 + a14``; since its second derivative is ``-cot``,
-    ``H = -1/2 [sum_j cot(a_j) c_j c_j^T + 1/4 cot((pi - h) / 2) 11^T]``.
-    """
-    A = np.asarray(angles, dtype=np.float64)
-    half_gap = (PI - A[:, 0] - A[:, 1] - A[:, 2]) / 2.0
-    H = (1.0 / np.tan(A)) @ _SLOT_OUTER + (0.25 / np.tan(half_gap))[:, None]
-    return -0.5 * H.reshape(-1, 3, 3)
-
-
-def _covolume_hessian(angles):
-    """Co-volume Hessians ``C (-2 H)^-1 C^T`` at extended angles, (n, 6, 6).
-
-    Schlaefli gives ``d(2 vol)/du = -C^T l`` (``C = SLOT_COEF``,
-    ``H = _volume_hessian``).  ``(-2 H)^-1`` is the top-left 3x3 of
-    ``[[M, 1], [1^T, -4 tan((pi - h) / 2)]]^-1``, ``M = sum_j cot(a_j) c_j
-    c_j^T``, finite when the apex sum ``h`` rounds to pi.  A cell with an
-    angle clamped to 0 or pi is locally constant, so its block is 0.
-    """
-    clamped = np.any((angles == 0.0) | (angles == PI), axis=1)
-    A = np.where(clamped[:, None], PI / 4.0, angles)
-    K = np.ones((A.shape[0], 4, 4))
-    K[:, :3, :3] = ((1.0 / np.tan(A)) @ _SLOT_OUTER).reshape(-1, 3, 3)
-    K[:, 3, 3] = -4.0 * np.tan((PI - A[:, 0] - A[:, 1] - A[:, 2]) / 2.0)
-    inv = np.linalg.inv(K)[:, :3, :3]
-    inv[clamped] = 0.0
-    return SLOT_COEF @ inv @ SLOT_COEF.T
-
-
 def _range_solver(T):
     """Sparse LUs of ``[[S + s I, W], [W^T, 0]]``, ``W = T.gauge_matrix``.
 
@@ -326,13 +295,6 @@ def _barrier_oracle(cs, mu, factor, project):
     return oracle
 
 
-def _near_flat_flags(angles, tol=1e-6):
-    """Per tetrahedron, whether its slot angles lie within ``tol`` of a flat
-    pattern in max norm."""
-    A = np.asarray(angles, dtype=np.float64)
-    return (np.abs(A[:, None] - FLAT_PATTERNS).max(axis=2).min(axis=1) <= tol).tolist()
-
-
 def _phase_one(cs, oracle, max_step, u):
     """Infeasible-start Newton steps from ``u`` onto the edge equations.
 
@@ -363,7 +325,7 @@ def _phase_one(cs, oracle, max_step, u):
     return None, _PHASE_ONE
 
 
-def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
+def maximize_volume(T, k, tol=1e-8, u0=None):
     """Log-barrier maximization of total volume over the polytope for ``k``.
 
     The barrier starts from ``u0`` (three free angles per tetrahedron,
@@ -373,7 +335,7 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
     point onto the edge equations and certifies it interior by
     substitution; only when it fails does the max-slack feasibility LP
     (``find_interior``) supply the start or the verdict.  Each barrier
-    weight then runs at most ``max_inner`` range-space Newton steps on the
+    weight then runs at most ``_INNER`` range-space Newton steps on the
     closed-form free-chart Hessian (see ``_range_solver``); no dense matrix
     over the 3n free angles is formed.  On success the KKT residual -- the
     max of the stationarity residual ``max|P g|`` (``P`` the orthogonal
@@ -426,18 +388,10 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
             raise NoInteriorStart(f"feasibility status: {fr.status.value}")
         u = fr.witness.values[:, :3].ravel().copy()
 
-    # 3n - rank(a_eq) free directions; none left means u is the only point
-    if cs.n_free - T.n_edge_classes + T.gauge_matrix.shape[1] == 0:
-        ang = cs.expand(u)
-        vol = 0.5 * float(volume2_batch(ang.values).sum())
-        return PrimalReport(
-            ang, vol, 0.0, _near_flat_flags(ang.values), iterations, [vol]
-        )
-
     trace = []
     for mu in mus:
         oracle = _barrier_oracle(cs, mu, factor, project)
-        run = _newton(u, oracle, max(0.1 * mu, 1e-13), max_inner, max_step)
+        run = _newton(u, oracle, max(0.1 * mu, 1e-13), _INNER, max_step)
         u = run.x
         iterations += run.iterations
         trace.append(0.5 * float(volume2_batch(cs.expand(u).values).sum()))
@@ -452,7 +406,7 @@ def maximize_volume(T, k, tol=1e-8, max_inner=150, u0=None):
         ang,
         trace[-1],
         kkt,
-        _near_flat_flags(ang.values),
+        _near_flat(ang.values, 1e-6).tolist(),
         iterations,
         trace,
     )
@@ -492,7 +446,7 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
         )
         g = cone - k_vals
         res = float(np.max(np.abs(g)))
-        support = float((L @ _CELL_VERTICES).max(axis=1).sum())
+        support = float((L @ CELL_VERTICES).max(axis=1).sum())
         scale = 1.0 + float(k_vals @ np.abs(x)) + PI * float(np.abs(L).sum())
         if kx - support > 1e-9 * scale:
             raise _Infeasible(x, obj, res)

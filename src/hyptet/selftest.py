@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _kernels, tetra
 from .lobachevsky import lobachevsky, lobachevsky_derivative, lobachevsky_reference
-from .structures import SLOT_COEF, SLOT_CONST
+from .tetra import SLOT_COEF, SLOT_CONST
 
 PI = math.pi
 

@@ -5,10 +5,11 @@ the cusp-sum relations force
 
     a23 = pi/2 - (a12 + a13 - a14)/2   (and cyclic),
 
-so every slot angle is affine in the free vector ``u``.  With ``u >= 0``
-and the per-tetrahedron sum at most pi, all six slot angles automatically
-land in [0, pi].  Edge equations "slot angles over a class sum to k(e)"
-become affine equalities in ``u``.
+so every slot angle is affine in the free vector ``u`` (the chart
+``SLOT_COEF`` / ``SLOT_CONST``, defined in ``tetra`` with the rest of the
+cell's math).  With ``u >= 0`` and the per-tetrahedron sum at most pi, all
+six slot angles automatically land in [0, pi].  Edge equations "slot
+angles over a class sum to k(e)" become affine equalities in ``u``.
 
 ``find_interior`` solves the max-min-slack LP (a Chebyshev-style interior
 point); verdicts about found witnesses are certified by direct
@@ -24,6 +25,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import InadmissibleTarget, LpFailure
+from .tetra import SLOT_COEF, SLOT_CONST, _cusp_sums
 from .triangulation import (
     AngleAssignment,
     ConeTarget,
@@ -31,19 +33,6 @@ from .triangulation import (
 )
 
 PI = math.pi
-
-#: slot angles as affine functions of (a12, a13, a14): coefficients and offsets
-SLOT_COEF = np.array(
-    [
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [-0.5, -0.5, 0.5],
-        [-0.5, 0.5, -0.5],
-        [0.5, -0.5, -0.5],
-    ]
-)
-SLOT_CONST = np.array([0.0, 0.0, 0.0, PI / 2.0, PI / 2.0, PI / 2.0])
 
 
 class Membership(Enum):
@@ -144,14 +133,7 @@ def is_member(T, assignment, k, tol=1e-9):
         f"edge {T.edge_keys[e]}: cone angle {cone[e]:.12g} != {k_vals[e]:.12g}"
         for e in np.flatnonzero(np.abs(cone - k_vals) > tol)
     ]
-    sums = np.stack(
-        [
-            A[:, 0] + A[:, 3] + A[:, 4],
-            A[:, 1] + A[:, 3] + A[:, 5],
-            A[:, 2] + A[:, 4] + A[:, 5],
-        ],
-        axis=1,
-    )
+    sums = _cusp_sums(A)
     apex = A[:, 0] + A[:, 1] + A[:, 2]
     bad_sum = np.abs(sums - PI) > tol
     bad_apex = apex > PI + tol

@@ -16,7 +16,14 @@ The central objects:
   constant on each degenerate region;
 * ``volume_from_angles`` / ``covolume`` -- the concave volume and its
   convex Legendre-type partner ``2*vol + <angles, lengths>``, which is C^1
-  on all of R^6 with gradient equal to the extended angles.
+  on all of R^6 with gradient equal to the extended angles;
+* ``SLOT_COEF`` / ``SLOT_CONST`` -- the cusp-sum chart: every slot angle is
+  affine in the three apex-slot angles (a12, a13, a14), and
+  ``CELL_VERTICES`` are the four vertices of the closed angle polytope in
+  that chart;
+* ``_volume_hessian`` / ``_covolume_hessian`` -- the closed-form volume
+  Hessian in the chart and, through the Schlaefli identity, the co-volume
+  Hessian ``C (-2 H)^-1 C^T``, batched over cells for the solvers.
 """
 
 import math
@@ -58,6 +65,25 @@ FLAT_PATTERNS = np.array(
         [0.0, 0.0, PI, PI, 0.0, 0.0],
     ]
 )
+
+#: slot angles as affine functions of (a12, a13, a14): coefficients and offsets
+SLOT_COEF = np.array(
+    [
+        [1.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0],
+        [-0.5, -0.5, 0.5],
+        [-0.5, 0.5, -0.5],
+        [0.5, -0.5, -0.5],
+    ]
+)
+SLOT_CONST = np.array([0.0, 0.0, 0.0, PI / 2.0, PI / 2.0, PI / 2.0])
+
+#: vertices of a cell's closed angle polytope (u >= 0, sum u <= pi), (6, 4)
+CELL_VERTICES = np.vstack([SLOT_CONST, FLAT_PATTERNS]).T
+
+#: outer products c_j c_j^T of the slot coefficient rows, flattened to (6, 9)
+_SLOT_OUTER = np.einsum("jp,jq->jpq", SLOT_COEF, SLOT_COEF).reshape(6, 9)
 
 
 class DihedralAngles(NamedTuple):
@@ -208,10 +234,15 @@ def apply_decoration(lengths, w):
     return DecoratedLengths(*(float(v) for v in out))
 
 
-def _ideal_sums(a):
-    return np.array(
-        [a[0] + a[3] + a[4], a[1] + a[3] + a[5], a[2] + a[4] + a[5]]
-    )
+def _cusp_sums(A):
+    """Angle sums at the cusped vertices 2, 3, 4 of each row, (..., 3)."""
+    return A[..., [0, 1, 2]] + A[..., [3, 3, 4]] + A[..., [4, 5, 5]]
+
+
+def _near_flat(A, tol):
+    """Per row, whether the slot angles lie within ``tol`` of a flat
+    pattern in max norm, (...,) bool."""
+    return np.abs(A[..., None, :] - FLAT_PATTERNS).max(axis=-1).min(axis=-1) <= tol
 
 
 def _check_closure_membership(a, tol):
@@ -220,7 +251,7 @@ def _check_closure_membership(a, tol):
         return "entries outside [0, pi]"
     if a[0] + a[1] + a[2] > PI + tol:
         return "apex angle sum exceeds pi"
-    bad = np.abs(_ideal_sums(a) - PI) > tol
+    bad = np.abs(_cusp_sums(a) - PI) > tol
     if np.any(bad):
         return "cusp angle sums differ from pi"
     return None
@@ -237,9 +268,8 @@ def classify_angles(alpha, tol=1e-9):
         if np.all(a > tol):
             return AngleRegionLabel.B
         return AngleRegionLabel.B_I_BOUNDARY
-    for pattern in FLAT_PATTERNS:
-        if np.max(np.abs(a - pattern)) <= tol:
-            return AngleRegionLabel.B_II
+    if _near_flat(a, tol):
+        return AngleRegionLabel.B_II
     return AngleRegionLabel.B_III
 
 
@@ -248,7 +278,7 @@ def _require_interior_angles(a):
         raise NotInteriorAngle("all six angles must lie strictly in (0, pi)")
     if a[0] + a[1] + a[2] >= PI:
         raise NotInteriorAngle("apex angle sum must be strictly below pi")
-    if np.any(np.abs(_ideal_sums(a) - PI) > 1e-9):
+    if np.any(np.abs(_cusp_sums(a) - PI) > 1e-9):
         raise NotInteriorAngle("cusp angle sums must equal pi within 1e-9")
 
 
@@ -323,33 +353,60 @@ def covolume_gradient(lengths):
     return _kernels.extended_angles_batch(arr.reshape(1, 6))[0]
 
 
-def covolume_hessian(lengths, h=1e-4):
-    """Symmetrized central-difference Hessian of ``covolume``.
+def covolume_hessian(lengths):
+    """Hessian of ``covolume``, the closed form ``_covolume_hessian``.
 
-    Differentiates the analytic gradient (the extended angles).  Positive
-    semidefinite with rank 3; the gauge directions span the kernel.  Only
-    defined at interior points; ``h`` must lie in [1e-6, 1e-3].
+    Positive semidefinite with rank 3; the gauge directions span the
+    kernel.  Only defined at interior points.
     """
-    if not (1e-6 <= h <= 1e-3):
-        raise ValueError("h must lie in [1e-6, 1e-3]")
     arr = _as6(lengths, "lengths")
     if classify(arr) is not RegionLabel.INTERIOR:
         raise NotInterior("Hessian requested at a non-interior length vector")
-    return _covolume_hessian_batch(arr.reshape(1, 6), h)[0]
+    return _covolume_hessian(_kernels.extended_angles_batch(arr.reshape(1, 6)))[0]
 
 
-def _covolume_hessian_batch(lengths, h):
-    """Co-volume Hessians of the rows of ``lengths``, (n, 6, 6).
+def _cot_outer(angles):
+    """``sum_j cot(a_j) c_j c_j^T`` per row, flattened to (n, 9).
 
-    Symmetrized central differences of the extended angles with step ``h``,
-    all 12n stencil points in one kernel call.  No domain checks.
+    Each product is exact (the entries of ``_SLOT_OUTER`` are 0, 1/4 and
+    1) and einsum adds them slot by slot, so a row gets the same bits in
+    any batch, a single row included; a BLAS product takes another path,
+    with another rounding, for one row.
     """
-    L = np.asarray(lengths, dtype=np.float64)
-    shift = h * np.eye(6)
-    pts = np.concatenate([L[:, None, :] + shift, L[:, None, :] - shift], axis=1)
-    grads = _kernels.extended_angles_batch(pts.reshape(-1, 6)).reshape(-1, 12, 6)
-    hess = (grads[:, :6] - grads[:, 6:]) / (2.0 * h)
-    return 0.5 * (hess + hess.transpose(0, 2, 1))
+    return np.einsum("tj,jk->tk", 1.0 / np.tan(angles), _SLOT_OUTER)
+
+
+def _volume_hessian(angles):
+    """Hessian of the volume in the free chart (a12, a13, a14), (n, 3, 3).
+
+    The volume is half the sum of the Lobachevsky function over the six
+    slot angles ``c_j . u + const`` and over ``(pi - h) / 2`` with
+    ``h = a12 + a13 + a14``; since its second derivative is ``-cot``,
+    ``H = -1/2 [sum_j cot(a_j) c_j c_j^T + 1/4 cot((pi - h) / 2) 11^T]``.
+    """
+    A = np.asarray(angles, dtype=np.float64)
+    half_gap = (PI - A[:, 0] - A[:, 1] - A[:, 2]) / 2.0
+    H = _cot_outer(A) + (0.25 / np.tan(half_gap))[:, None]
+    return -0.5 * H.reshape(-1, 3, 3)
+
+
+def _covolume_hessian(angles):
+    """Co-volume Hessians ``C (-2 H)^-1 C^T`` at extended angles, (n, 6, 6).
+
+    Schlaefli gives ``d(2 vol)/du = -C^T l`` (``C = SLOT_COEF``,
+    ``H = _volume_hessian``).  ``(-2 H)^-1`` is the top-left 3x3 of
+    ``[[M, 1], [1^T, -4 tan((pi - h) / 2)]]^-1``, ``M = sum_j cot(a_j) c_j
+    c_j^T``, finite when the apex sum ``h`` rounds to pi.  A cell with an
+    angle clamped to 0 or pi is locally constant, so its block is 0.
+    """
+    clamped = np.any((angles == 0.0) | (angles == PI), axis=1)
+    A = np.where(clamped[:, None], PI / 4.0, angles)
+    K = np.ones((A.shape[0], 4, 4))
+    K[:, :3, :3] = _cot_outer(A).reshape(-1, 3, 3)
+    K[:, 3, 3] = -4.0 * np.tan((PI - A[:, 0] - A[:, 1] - A[:, 2]) / 2.0)
+    inv = np.linalg.inv(K)[:, :3, :3]
+    inv[clamped] = 0.0
+    return SLOT_COEF @ inv @ SLOT_COEF.T
 
 
 def boundary_face_hessian(a13, a14):

@@ -379,12 +379,6 @@ class AngleAssignment:
         return cls(np.array(doc["values"], dtype=np.float64))
 
 
-def metric_lengths_per_tet(T, metric_values):
-    """Gather per-tetrahedron six-vectors from edge-class values."""
-    vals = np.asarray(metric_values, dtype=np.float64)
-    return vals[T.slot_class]
-
-
 def cone_angles(T, assignment):
     """Sum the slot angles over each edge class."""
     vals = assignment.values if isinstance(assignment, AngleAssignment) else assignment
@@ -398,7 +392,7 @@ def cone_angles(T, assignment):
 def assignment_from_metric(T, metric):
     """Extended dihedral angles of the per-edge-class length vector."""
     vals = metric.values if isinstance(metric, GeneralizedMetric) else metric
-    L = metric_lengths_per_tet(T, vals)
+    L = np.asarray(vals, dtype=np.float64)[T.slot_class]
     return AngleAssignment(extended_angles_batch(np.ascontiguousarray(L)))
 
 

@@ -6,6 +6,7 @@ that drops one of them breaks ``perfbench/run.py --trace 1``.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,3 +34,41 @@ def test_tracer_wraps_and_restores_every_entry_point():
     assert [span[0] for span in tracer.spans] == ["optimize.null_space"]
     for (layer, name), fn in original.items():
         assert getattr(tracing.LAYERS[layer], name) is fn
+
+
+def test_layer_metrics_read_only_traced_span_names():
+    # a metric whose span name no entry point produces reads 0 forever, so a
+    # moved or renamed function must fail here, not zero a per-layer metric
+    tracing = _tracing()
+    consts = tracing.layer_metrics.__code__.co_consts
+    ids = next(c for c in consts if getattr(c, "co_name", None) == "ids")
+    read = []
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code is ids:
+            read.append(frame.f_locals["name"])
+
+    sys.setprofile(record)
+    try:
+        tracing.layer_metrics([])
+    finally:
+        sys.setprofile(None)
+    traced = {f"{layer}.{name}" for layer, name, _ in tracing.entry_points()}
+    traced.add("triangulation.gauge_projector")
+    assert set(read) <= traced, sorted(set(read) - traced)
+    expected = {f"_kernels.{k}" for k in tracing.KERNELS}
+    expected |= {f"tetra.{q}" for q in tracing.TETRA_QUERIES}
+    expected |= {
+        "optimize.maximize_volume",
+        "optimize.solve_cone_angles",
+        "optimize.rigidity_check",
+        "optimize.null_space",
+        "structures.assemble",
+        "structures.linprog",
+        "structures.find_interior",
+        "structures.is_member",
+        "triangulation.validate",
+        "triangulation.curvature",
+        "triangulation.gauge_projector",
+    }
+    assert expected <= set(read)

@@ -27,15 +27,10 @@ from hyptet import (
     validate,
 )
 from hyptet._kernels import extended_angles_batch, phi_batch, volume_gradient_batch
-from hyptet.optimize import (
-    _barrier_oracle,
-    _covolume_hessian,
-    _range_solver,
-    _volume_hessian,
-)
+from hyptet.optimize import _barrier_oracle, _range_solver
 from hyptet.selftest import sample_interior_angles
 from hyptet.structures import SLOT_COEF, SLOT_CONST, FeasibilityStatus
-from hyptet.tetra import _covolume_hessian_batch
+from hyptet.tetra import GAUGE_VECTORS, _covolume_hessian, _volume_hessian
 from hyptet.triangulation import _gauge_complement, double_document
 
 FIXTURES = {
@@ -51,6 +46,18 @@ FIXTURES = {
 def _interior_target(T, rng):
     angles = sample_interior_angles(rng, T.n_tetrahedra)
     return angles, cone_angles(T, AngleAssignment(angles))
+
+
+def _fd_covolume_hessian(lengths, h):
+    """Co-volume Hessians of the rows of ``lengths``, (n, 6, 6), by
+    symmetrized central differences of the extended angles with step ``h``:
+    the reference the closed form is checked against."""
+    L = np.asarray(lengths, dtype=np.float64)
+    shift = h * np.eye(6)
+    pts = np.concatenate([L[:, None, :] + shift, L[:, None, :] - shift], axis=1)
+    grads = extended_angles_batch(pts.reshape(-1, 6)).reshape(-1, 12, 6)
+    hess = (grads[:, :6] - grads[:, 6:]) / (2.0 * h)
+    return 0.5 * (hess + hess.transpose(0, 2, 1))
 
 
 def _dense_dual_hessian(T, L):
@@ -116,8 +123,7 @@ def test_covolume_hessian_closed_form_matches_fd():
     A = extended_angles_batch(L)
     assert np.count_nonzero(A[:, :3].sum(axis=1) >= np.pi) >= 10
     closed = _covolume_hessian(A)
-    for l, H in zip(L, closed):
-        fd = covolume_hessian(l, h=1e-5)
+    for H, fd in zip(closed, _fd_covolume_hessian(L, 1e-5)):
         assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
@@ -128,13 +134,31 @@ def test_covolume_hessian_vanishes_on_clamped_cells():
     L = rng.uniform(-3.0, 3.0, (4000, 6))
     A = extended_angles_batch(L)
     clamped = np.any((A == 0.0) | (A == np.pi), axis=1)
-    fd_zero = ~np.any(_covolume_hessian_batch(L, 1e-4), axis=(1, 2))
+    fd_zero = ~np.any(_fd_covolume_hessian(L, 1e-4), axis=(1, 2))
     assert np.count_nonzero(fd_zero) >= 1000
     assert np.all(clamped[fd_zero])
     assert not any(classify(l) is RegionLabel.INTERIOR for l in L[clamped])
     H = _covolume_hessian(A)
     assert not np.any(H[clamped])
     assert np.all(np.any(H[~clamped], axis=(1, 2)))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_covolume_hessian_is_the_dual_block(name):
+    # the single-cell query and the dual's batched block are one formula: the
+    # same bits, with the gauge as kernel to rounding
+    T = validate(FIXTURES[name]())
+    rng = np.random.default_rng(80)
+    x = rng.uniform(-0.4, 0.4, T.n_edge_classes)
+    L = np.ascontiguousarray(x[T.slot_class])
+    blocks = _covolume_hessian(extended_angles_batch(L))
+    interior = [t for t, l in enumerate(L) if classify(l) is RegionLabel.INTERIOR]
+    assert len(interior) >= T.n_tetrahedra // 2
+    for t in interior:
+        H = covolume_hessian(L[t])
+        assert np.array_equal(H, blocks[t])
+        norm = float(np.max(np.abs(H)))
+        assert np.max(np.abs(H @ GAUGE_VECTORS.T)) <= 1e-12 * norm
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))

@@ -1,5 +1,6 @@
 """Primal maximization, dual solve, gap, and rigidity on forward fixtures."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,11 +16,13 @@ import hyptet.optimize
 import hyptet.structures
 from hyptet import (
     AngleAssignment,
+    AngleRegionLabel,
     ConeTarget,
     GeneralizedMetric,
     RegionLabel,
     assignment_from_metric,
     classify,
+    classify_angles,
     cone_angles,
     doubled_fixture,
     duality_gap,
@@ -31,10 +34,9 @@ from hyptet import (
     volume_from_angles,
 )
 from hyptet.errors import InadmissibleTarget, MaxIterations, NoInteriorStart
-from hyptet.optimize import _near_flat_flags
 from hyptet.selftest import sample_interior_angles
 from hyptet.structures import SLOT_COEF, SLOT_CONST
-from hyptet.tetra import FLAT_PATTERNS
+from hyptet.tetra import FLAT_PATTERNS, _near_flat
 from hyptet.triangulation import PAIR_INDEX, double_document, validate
 
 PI = math.pi
@@ -183,14 +185,43 @@ def _near_flat_flags_by_loop(angles, tol=1e-6):
 def test_near_flat_flags_match_row_loop():
     rng = np.random.default_rng(64)
     rows = [sample_interior_angles(rng, 20)]
+    # on the apex face of the closed polytope, at slot distance d from a corner
+    for i in range(3):
+        for d in (0.0, 5e-7, 1e-6, 2e-6, 1e-3):
+            u = np.zeros((4, 3))
+            u[:, i] = PI - d
+            u[:, (i + 1) % 3] = rng.uniform(0.0, d, 4)
+            u[:, (i + 2) % 3] = d - u[:, (i + 1) % 3]
+            rows.append(u @ SLOT_COEF.T + SLOT_CONST)
+    polytope = np.concatenate(rows)
     for p in FLAT_PATTERNS:
         for d in (0.0, 5e-7, 1e-6, 2e-6):
             rows.append(p + rng.choice([-d, d], size=(4, 6)))
     A = np.concatenate(rows)
-    flags = _near_flat_flags(A)
+    flags = _near_flat(A, 1e-6).tolist()
     assert flags == _near_flat_flags_by_loop(A)
-    assert type(flags) is list and all(type(f) is bool for f in flags)
     assert any(flags) and not all(flags)
+    # in the polytope, classify_angles says B_II exactly on the flagged rows
+    labels = [classify_angles(row, tol=1e-6) for row in polytope]
+    assert [lab is AngleRegionLabel.B_II for lab in labels] == flags[: len(polytope)]
+    assert {AngleRegionLabel.B, AngleRegionLabel.B_II, AngleRegionLabel.B_III} <= set(
+        labels
+    )
+
+
+def test_barrier_always_has_free_directions():
+    # 3n - rank(a_eq) >= 3n - E + cusps = 2n - h + chi >= n, with chi >= 0 and
+    # at most n hyperideal classes h, so the polytope ``maximize_volume``
+    # searches is never a single point; random gluings pair the faces
+    # opposite the truncated vertex, so n is even
+    docs = [double_document(), snake_document(), disjoint_double_document()]
+    docs += [cover_document(m) for m in (1, 4, 16, 64)]
+    sizes = itertools.cycle(range(2, 33, 2))
+    docs += [random_gluing_document(next(sizes), seed) for seed in range(300)]
+    for doc in docs:
+        T = validate(doc)
+        n = T.n_tetrahedra
+        assert 3 * n - T.n_edge_classes + T.gauge_matrix.shape[1] >= n
 
 
 def test_dual_recovers_fixture_metric():
