@@ -365,17 +365,6 @@ def covolume_hessian(lengths):
     return _covolume_hessian(_kernels.extended_angles_batch(arr.reshape(1, 6)))[0]
 
 
-def _cot_outer(angles):
-    """``sum_j cot(a_j) c_j c_j^T`` per row, flattened to (n, 9).
-
-    Each product is exact (the entries of ``_SLOT_OUTER`` are 0, 1/4 and
-    1) and einsum adds them slot by slot, so a row gets the same bits in
-    any batch, a single row included; a BLAS product takes another path,
-    with another rounding, for one row.
-    """
-    return np.einsum("tj,jk->tk", 1.0 / np.tan(angles), _SLOT_OUTER)
-
-
 def _volume_hessian(angles):
     """Hessian of the volume in the free chart (a12, a13, a14), (n, 3, 3).
 
@@ -386,7 +375,7 @@ def _volume_hessian(angles):
     """
     A = np.asarray(angles, dtype=np.float64)
     half_gap = (PI - A[:, 0] - A[:, 1] - A[:, 2]) / 2.0
-    H = _cot_outer(A) + (0.25 / np.tan(half_gap))[:, None]
+    H = (1.0 / np.tan(A)) @ _SLOT_OUTER + (0.25 / np.tan(half_gap))[:, None]
     return -0.5 * H.reshape(-1, 3, 3)
 
 
@@ -402,7 +391,11 @@ def _covolume_hessian(angles):
     clamped = np.any((angles == 0.0) | (angles == PI), axis=1)
     A = np.where(clamped[:, None], PI / 4.0, angles)
     K = np.ones((A.shape[0], 4, 4))
-    K[:, :3, :3] = _cot_outer(A).reshape(-1, 3, 3)
+    # each product with _SLOT_OUTER (entries 0, 1/4, 1) is exact and einsum
+    # adds them slot by slot, so a row gets the same bits in any batch; a
+    # BLAS product rounds one row (gemv) differently from a batch (gemm)
+    M = np.einsum("tj,jk->tk", 1.0 / np.tan(A), _SLOT_OUTER)
+    K[:, :3, :3] = M.reshape(-1, 3, 3)
     K[:, 3, 3] = -4.0 * np.tan((PI - A[:, 0] - A[:, 1] - A[:, 2]) / 2.0)
     inv = np.linalg.inv(K)[:, :3, :3]
     inv[clamped] = 0.0

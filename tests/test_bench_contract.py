@@ -48,11 +48,12 @@ def test_layer_metrics_read_only_traced_span_names():
         if event == "call" and frame.f_code is ids:
             read.append(frame.f_locals["name"])
 
+    prev = sys.getprofile()
     sys.setprofile(record)
     try:
         tracing.layer_metrics([])
     finally:
-        sys.setprofile(None)
+        sys.setprofile(prev)
     traced = {f"{layer}.{name}" for layer, name, _ in tracing.entry_points()}
     traced.add("triangulation.gauge_projector")
     assert set(read) <= traced, sorted(set(read) - traced)

@@ -67,6 +67,8 @@ def test_maximize_recovers_fixture_assignment():
         vol_expected = 2.0 * volume_from_angles(assignment.values[0])
         assert rep.volume == pytest.approx(vol_expected, abs=1e-9)
         assert rep.boundary_flags == [False, False]
+        flags = rep.boundary_flags
+        assert type(flags) is list and all(type(f) is bool for f in flags)
 
 
 def test_maximize_symmetric_zero_lengths():
