@@ -143,8 +143,6 @@ def _cmd_rigidity(args):
 
 
 def _cmd_fixture(args):
-    if args.kind != "double":
-        raise ValueError("only the 'double' fixture is available")
     lengths = _parse_six(args.l, "--l")
     T, k, assignment = triangulation.doubled_fixture(lengths)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -441,10 +441,7 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
         A = extended_angles_batch(L)
         kx = float(k_vals @ x)
         obj = float(volume2_batch(A).sum() + np.sum(A * L)) - kx
-        cone = np.bincount(
-            slot_class.ravel(), weights=A.ravel(), minlength=n_edges
-        )
-        g = cone - k_vals
+        g = T.edge_sums(A) - k_vals
         res = float(np.max(np.abs(g)))
         support = float((L @ CELL_VERTICES).max(axis=1).sum())
         scale = 1.0 + float(k_vals @ np.abs(x)) + PI * float(np.abs(L).sum())

@@ -89,7 +89,7 @@ class ConstraintSystem:
         return np.concatenate([U.ravel(), PI - U.sum(axis=1)])
 
 
-def assemble(T, k, tol=1e-9):
+def assemble(T, k):
     """Build the equality system for cone target ``k`` on ``T``.
 
     ``a_eq`` is sparse (E, 3n): row ``e`` sums the slot coefficient rows of
@@ -97,7 +97,7 @@ def assemble(T, k, tol=1e-9):
     per-cusp counting identity fails, which makes the equality system
     provably inconsistent.
     """
-    k_vals = admissible_cone_values(T, k, tol)
+    k_vals = admissible_cone_values(T, k)
     n = T.n_tetrahedra
     E = T.n_edge_classes
     rows = np.repeat(T.slot_class, 3, axis=1)
@@ -107,9 +107,7 @@ def assemble(T, k, tol=1e-9):
         (coef.ravel(), (rows.ravel(), cols.ravel())), shape=(E, 3 * n)
     )
     a_eq.eliminate_zeros()
-    consts = np.bincount(
-        T.slot_class.ravel(), weights=np.tile(SLOT_CONST, n), minlength=E
-    )
+    consts = T.edge_sums(np.tile(SLOT_CONST, n))
     return ConstraintSystem(T, k_vals, a_eq, k_vals - consts)
 
 
@@ -126,7 +124,7 @@ def is_member(T, assignment, k, tol=1e-9):
         A = np.asarray(assignment, dtype=np.float64)
     k_vals = k.values if isinstance(k, ConeTarget) else np.asarray(k, dtype=np.float64)
     # summed directly: a negative slot angle is a violation, not a bad target
-    cone = np.bincount(T.slot_class.ravel(), A.ravel(), T.n_edge_classes)
+    cone = T.edge_sums(A)
     if k_vals.shape != cone.shape:
         raise ValueError("cone target length does not match edge classes")
     violations = [

@@ -301,10 +301,6 @@ def angles_to_lengths(alpha):
     )
 
 
-def _volume2_raw(a):
-    return float(_kernels.volume2_batch(np.asarray(a, dtype=np.float64).reshape(1, 6))[0])
-
-
 def volume_from_angles(alpha):
     """Hyperbolic volume of the tetrahedron with the given slot angles.
 
@@ -316,7 +312,7 @@ def volume_from_angles(alpha):
     reason = _check_closure_membership(a, 1e-9)
     if reason is not None:
         raise InvalidAngles(reason)
-    v = 0.5 * _volume2_raw(a)
+    v = 0.5 * float(_kernels.volume2_batch(a.reshape(1, 6))[0])
     return v if v > 0.0 else 0.0
 
 

@@ -6,10 +6,16 @@ the cusp triangle {2,3,4}, faces 2..4 are the quadrilateral faces through
 vertex 1.  A closed triangulation pairs every face slot with exactly one
 other via a vertex permutation that preserves vertex types.
 
-Edge and vertex classes are the orbits of per-tetrahedron vertex pairs /
-vertices under the gluing identifications, computed by union-find.  The
-decoration (horosphere rescaling) action on metrics acts along one gauge
-vector per cusped vertex class; curvature and dihedral angles are
+Slots and corners are numbered flat: slot ``(t, PAIRS[j])`` is ``6t + j``
+and corner ``(t, v)`` is ``4t + v - 1``, so both numberings follow the
+lexicographic order of the pairs.  Edge and vertex classes are the
+connected components of slots / corners under the gluing
+identifications.  ``Triangulation.slot_class`` (n, 6) and
+``Triangulation.corner_class`` (n, 4) hold the class index of each slot
+and corner, classes numbered in the order of their least member, and
+``Triangulation.edge_sums`` sums a per-slot array over each edge class.
+The decoration (horosphere rescaling) action on metrics acts along one
+gauge vector per cusped vertex class; curvature and dihedral angles are
 invariant under it.
 
 Document format (JSON)::
@@ -31,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from . import tetra
@@ -50,34 +57,26 @@ ASSIGNMENT_FORMAT = "hyptet-assignment-v1"
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 PAIR_INDEX = {pair: i for i, pair in enumerate(PAIRS)}
+#: corner index within a tetrahedron of the two endpoints of each slot
+_PAIR_ENDS = np.array(PAIRS) - 1
 TWO_PI = 2.0 * np.pi
+#: admissibility tolerance, relative to the largest cone target value
+ADMISSIBILITY_TOL = 1e-9
 
 
 def face_vertices(face):
     return tuple(v for v in (1, 2, 3, 4) if v != face)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != x:
-            self.parent[x] = p = self.parent[p]
-            x, p = p, self.parent[p]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def classes(self, items):
-        groups = {}
-        for it in items:
-            groups.setdefault(self.find(it), []).append(it)
-        return [sorted(groups[r]) for r in sorted(groups)]
+def _classes(size, pairs):
+    """Class index of each of ``size`` items under the identified ``pairs``,
+    classes numbered in the order of their least member."""
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    graph = sparse.coo_matrix((np.ones(i.size), (i, j)), shape=(size, size))
+    _, labels = connected_components(graph, directed=False)
+    # scipy does not promise an order of its labels: renumber by least member
+    _, least = np.unique(labels, return_index=True)
+    return np.unique(least[labels], return_inverse=True)[1]
 
 
 @dataclass(frozen=True)
@@ -88,79 +87,59 @@ class Gluing:
     to_face: int
     vertex_map: tuple
 
-    def image(self, v):
-        return self.vertex_map[v - 1]
-
 
 class Triangulation:
     """Validated closed triangulation with derived edge/vertex classes."""
 
-    def __init__(self, n_tetrahedra, gluings, edge_classes, vertex_classes):
+    def __init__(self, n_tetrahedra, gluings, slot_class, corner_class):
         self.n_tetrahedra = n_tetrahedra
         self.gluings = tuple(gluings)
-        self.edge_classes = [tuple(c) for c in edge_classes]
-        self.vertex_classes = [tuple(c) for c in vertex_classes]
-        self.edge_class_of = {
-            slot: i for i, cls in enumerate(self.edge_classes) for slot in cls
-        }
-        self.vertex_class_of = {
-            slot: i for i, cls in enumerate(self.vertex_classes) for slot in cls
-        }
-        self.n_edge_classes = len(self.edge_classes)
-        self.is_ideal_class = [cls[0][1] != 1 for cls in self.vertex_classes]
-        self.ideal_classes = [
-            i for i, ideal in enumerate(self.is_ideal_class) if ideal
+        #: per-tetrahedron slot -> edge class index, shape (n, 6)
+        self.slot_class = slot_class
+        #: per-tetrahedron corner -> vertex class index, shape (n, 4)
+        self.corner_class = corner_class
+        _, least = np.unique(slot_class, return_index=True)
+        self.n_edge_classes = least.size
+        tet, slot = np.divmod(least, 6)
+        self.edge_keys = [
+            f"{t}:{tetra.SLOTS[j]}" for t, j in zip(tet.tolist(), slot.tolist())
         ]
         #: number of (tetrahedron, vertex) corners carried by each class
-        self.corners = np.array([len(c) for c in self.vertex_classes])
-        #: per-tetrahedron slot -> edge class index
-        self.slot_class = np.array(
-            [
-                [self.edge_class_of[(t, pair)] for pair in PAIRS]
-                for t in range(n_tetrahedra)
-            ],
-            dtype=np.intp,
-        )
-        self.edge_keys = [
-            f"{cls[0][0]}:{cls[0][1][0]}{cls[0][1][1]}" for cls in self.edge_classes
-        ]
-        # endpoints of each edge class as vertex classes (well defined:
-        # gluings identify edges together with their endpoints)
-        self.edge_endpoints = [
-            (
-                self.vertex_class_of[(cls[0][0], cls[0][1][0])],
-                self.vertex_class_of[(cls[0][0], cls[0][1][1])],
-            )
-            for cls in self.edge_classes
-        ]
+        self.corners = np.bincount(corner_class.ravel())
+        self.n_vertex_classes = self.corners.size
+        _, least = np.unique(corner_class, return_index=True)
+        # a class is cusped unless its least corner is a truncated one, 4t
+        self.ideal_classes = np.flatnonzero(least % 4)
         # gauge matrix: one column per cusped vertex class, entry = number
-        # of endpoints of the edge class in that vertex class
-        W = np.zeros((self.n_edge_classes, len(self.ideal_classes)))
-        col = {v: j for j, v in enumerate(self.ideal_classes)}
-        for e, (va, vb) in enumerate(self.edge_endpoints):
-            if va in col:
-                W[e, col[va]] += 1.0
-            if vb in col:
-                W[e, col[vb]] += 1.0
-        self.gauge_matrix = W
+        # of endpoints of the edge class in that vertex class (well defined:
+        # gluings identify edges together with their endpoints)
+        ends = corner_class[tet[:, None], _PAIR_ENDS[slot]]
+        W = np.zeros((self.n_edge_classes, self.n_vertex_classes))
+        np.add.at(W, (np.arange(self.n_edge_classes)[:, None], ends), 1.0)
+        self.gauge_matrix = np.take(W, self.ideal_classes, axis=1)
 
     @property
     def gauge_projector(self):
         """Orthogonal projector onto the complement of the gauge subspace."""
         return _gauge_complement(self)(np.eye(self.n_edge_classes))
 
-    def n_edge_slots(self):
-        return 6 * self.n_tetrahedra
+    def edge_sums(self, per_slot):
+        """Sum a per-slot array of shape (n, 6) over each edge class."""
+        return np.bincount(
+            self.slot_class.ravel(),
+            weights=np.ravel(per_slot),
+            minlength=self.n_edge_classes,
+        )
 
     def summary(self):
-        n_ideal = len(self.ideal_classes)
+        n_ideal = self.ideal_classes.size
         return {
             "tetrahedra": self.n_tetrahedra,
             "edge_classes": self.n_edge_classes,
-            "vertex_classes": len(self.vertex_classes),
+            "vertex_classes": self.n_vertex_classes,
             "ideal_vertex_classes": n_ideal,
-            "hyperideal_vertex_classes": len(self.vertex_classes) - n_ideal,
-            "edge_slots": self.n_edge_slots(),
+            "hyperideal_vertex_classes": self.n_vertex_classes - n_ideal,
+            "edge_slots": 6 * self.n_tetrahedra,
             "edge_keys": list(self.edge_keys),
         }
 
@@ -191,14 +170,9 @@ def validate(doc):
 
     gluings = []
     paired = {}
-    uf_edges = _UnionFind()
-    uf_verts = _UnionFind()
-    for t in range(n):
-        for pair in PAIRS:
-            uf_edges.find((t, pair))
-        for v in (1, 2, 3, 4):
-            uf_verts.find((t, v))
-
+    # identified (slot, slot) and (corner, corner) pairs, flat numbering
+    slot_pairs = []
+    corner_pairs = []
     for idx, g in enumerate(raw):
         where = f"gluing #{idx}"
         if not isinstance(g, dict):
@@ -225,7 +199,8 @@ def validate(doc):
                 f"{where}: vertex_map must send the opposite vertex {face} "
                 f"to {to_face}"
             )
-        for v in face_vertices(face):
+        verts = face_vertices(face)
+        for v in verts:
             if (v == 1) != (vm[v - 1] == 1):
                 raise TypeViolation(
                     f"{where}: vertex {v} -> {vm[v - 1]} mixes truncated and "
@@ -241,31 +216,29 @@ def validate(doc):
         paired[(tet, face)] = (to_tet, to_face)
         paired[(to_tet, to_face)] = (tet, face)
         gluings.append(Gluing(tet, face, to_tet, to_face, vm))
-
-        verts = face_vertices(face)
         for v in verts:
-            uf_verts.union((tet, v), (to_tet, vm[v - 1]))
+            corner_pairs.append((4 * tet + v - 1, 4 * to_tet + vm[v - 1] - 1))
         for p, q in itertools.combinations(verts, 2):
             a, b = sorted((vm[p - 1], vm[q - 1]))
-            uf_edges.union((tet, (p, q)), (to_tet, (a, b)))
+            slot_pairs.append(
+                (6 * tet + PAIR_INDEX[p, q], 6 * to_tet + PAIR_INDEX[a, b])
+            )
 
-    missing = [
-        (t, f) for t in range(n) for f in (1, 2, 3, 4) if (t, f) not in paired
-    ]
+    faces = ((t, f) for t in range(n) for f in (1, 2, 3, 4))
+    # the first eight in order: the scan stops there, so it costs
+    # O(len(gluings)) however large 'tetrahedra' is
+    missing = list(itertools.islice((s for s in faces if s not in paired), 8))
     if missing:
-        raise UnpairedFace(f"unglued faces remain: {missing[:8]}")
+        raise UnpairedFace(f"unglued faces remain: {missing}")
 
-    edge_classes = uf_edges.classes(
-        [(t, pair) for t in range(n) for pair in PAIRS]
+    # no vertex class mixes vertex types: each identified corner pair
+    # passed the TypeViolation check above
+    return Triangulation(
+        n,
+        gluings,
+        _classes(6 * n, slot_pairs).reshape(n, 6),
+        _classes(4 * n, corner_pairs).reshape(n, 4),
     )
-    vertex_classes = uf_verts.classes(
-        [(t, v) for t in range(n) for v in (1, 2, 3, 4)]
-    )
-    for cls in vertex_classes:
-        kinds = {v == 1 for _, v in cls}
-        if len(kinds) > 1:
-            raise TypeViolation(f"vertex class {cls} mixes vertex types")
-    return Triangulation(n, gluings, edge_classes, vertex_classes)
 
 
 def triangulation_document(T):
@@ -300,6 +273,12 @@ def _edge_values_from_json(T, doc, what):
         raise InvalidDocument(f"{what} document needs 'edges' and 'values'")
     keys = doc["edges"]
     vals = doc["values"]
+    if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+        raise InvalidDocument(f"{what} 'edges' must be a list of strings")
+    if not isinstance(vals, list) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in vals
+    ):
+        raise InvalidDocument(f"{what} 'values' must be a list of numbers")
     if sorted(keys) != sorted(T.edge_keys):
         raise InvalidDocument(
             f"{what} edge keys do not match the triangulation"
@@ -382,11 +361,7 @@ class AngleAssignment:
 def cone_angles(T, assignment):
     """Sum the slot angles over each edge class."""
     vals = assignment.values if isinstance(assignment, AngleAssignment) else assignment
-    vals = np.asarray(vals, dtype=np.float64)
-    sums = np.bincount(
-        T.slot_class.ravel(), weights=vals.ravel(), minlength=T.n_edge_classes
-    )
-    return ConeTarget(sums)
+    return ConeTarget(T.edge_sums(vals))
 
 
 def assignment_from_metric(T, metric):
@@ -425,24 +400,22 @@ def admissibility_residual(T, cone_values):
     k = np.asarray(cone_values, dtype=np.float64)
     lhs = T.gauge_matrix.T @ k
     rhs = np.pi * T.corners[T.ideal_classes]
-    if lhs.size == 0:
-        return 0.0
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def admissible_cone_values(T, k, tol=1e-9):
+def admissible_cone_values(T, k):
     """The values of cone target ``k`` on ``T``, checked for admissibility.
 
     Raises ValueError when there is not one value per edge class, and
     InadmissibleTarget when the per-cusp counting identity fails by more
-    than ``tol`` relative to the largest value, which makes the edge
-    equations provably inconsistent.
+    than ``ADMISSIBILITY_TOL`` relative to the largest value, which makes
+    the edge equations provably inconsistent.
     """
     k_vals = k.values if isinstance(k, ConeTarget) else np.asarray(k, dtype=np.float64)
     if k_vals.shape != (T.n_edge_classes,):
         raise ValueError("cone target length does not match edge classes")
     resid = admissibility_residual(T, k_vals)
-    if resid > tol * max(1.0, float(np.max(np.abs(k_vals)))):
+    if resid > ADMISSIBILITY_TOL * max(1.0, float(np.max(np.abs(k_vals)))):
         raise InadmissibleTarget(
             f"cone target violates the counting identity by {resid:.3e}"
         )
@@ -480,8 +453,7 @@ def doubled_fixture(l0):
         raise NotInterior("doubled fixture needs an interior length vector")
     T = validate(double_document())
     values = np.zeros(T.n_edge_classes)
-    for pair, slot in PAIR_INDEX.items():
-        values[T.edge_class_of[(0, pair)]] = arr[slot]
+    values[T.slot_class[0]] = arr
     metric = GeneralizedMetric(values)
     assignment = assignment_from_metric(T, metric)
     k = cone_angles(T, assignment)

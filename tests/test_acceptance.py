@@ -310,7 +310,7 @@ def test_criterion_11_optimization_fixtures():
         dual = H.solve_cone_angles(T, k, tol=1e-8)
         target = np.zeros(T.n_edge_classes)
         for pair, slot in PAIR_INDEX.items():
-            target[T.edge_class_of[(0, pair)]] = l0[slot]
+            target[T.slot_class[0, slot]] = l0[slot]
         target = H.gauge_project(T, target).values
         worst_dual = max(
             worst_dual, float(np.max(np.abs(dual.metric.values - target)))

@@ -196,3 +196,35 @@ def test_selftest_runs_quickly(capsys):
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 0
     assert "6/6 suites passed" in out
+
+
+_VALUES_MSG = "cone target 'values' must be a list of numbers"
+_EDGES_MSG = "cone target 'edges' must be a list of strings"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda k: k["values"].__setitem__(0, None), _VALUES_MSG),
+        (lambda k: k["values"].__setitem__(0, "1.0"), _VALUES_MSG),
+        (lambda k: k["values"].__setitem__(0, True), _VALUES_MSG),
+        (lambda k: k.__setitem__("values", 1.0), _VALUES_MSG),
+        (lambda k: k.__setitem__("values", {"0:12": 1.0}), _VALUES_MSG),
+        (lambda k: k["edges"].__setitem__(0, 12), _EDGES_MSG),
+        (lambda k: k.__setitem__("edges", None), _EDGES_MSG),
+    ],
+    ids=["null-value", "string-value", "bool-value", "number-values",
+         "object-values", "int-key", "null-edges"],
+)
+def test_malformed_cone_target_gives_error_object(tmp_path, capsys, edit, message):
+    out_dir = str(tmp_path / "fx5")
+    run_cli(["fixture", "double", "--l", "0,0,0,0,0,0", "--out-dir", out_dir],
+            capsys)
+    kp = f"{out_dir}/k.json"
+    k = json.load(open(kp))
+    edit(k)
+    with open(kp, "w") as fh:
+        json.dump(k, fh)
+    code, out, err = run_cli(["solve", f"{out_dir}/tri.json", "--k", kp], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "InvalidDocument", "message": message}

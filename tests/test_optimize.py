@@ -52,7 +52,7 @@ def _interior_lengths(rng):
 def _double_metric(T, l0):
     values = np.zeros(T.n_edge_classes)
     for pair, slot in PAIR_INDEX.items():
-        values[T.edge_class_of[(0, pair)]] = l0[slot]
+        values[T.slot_class[0, slot]] = l0[slot]
     return GeneralizedMetric(values)
 
 
@@ -405,7 +405,7 @@ def test_dual_near_flat_targets():
 
     T, k0, _ = doubled_fixture(np.zeros(6))
     m_flat = np.zeros(T.n_edge_classes)
-    m_flat[T.edge_class_of[(0, (3, 4))]] = 25.0
+    m_flat[T.slot_class[0, PAIR_INDEX[(3, 4)]]] = 25.0
     k_flat = cone_angles(T, afm(T, m_flat))
 
     mild = ConeTarget(0.99 * k_flat.values + 0.01 * k0.values)
@@ -448,11 +448,11 @@ def test_two_component_complex_pipeline():
             }
         )
     T = validate(doc)
-    assert T.n_edge_classes == 12 and len(T.vertex_classes) == 8
+    assert T.n_edge_classes == 12 and T.n_vertex_classes == 8
     metric = np.zeros(T.n_edge_classes)
     for pair, slot in PAIR_INDEX.items():
-        metric[T.edge_class_of[(0, pair)]] = la[slot]
-        metric[T.edge_class_of[(2, pair)]] = lb[slot]
+        metric[T.slot_class[0, slot]] = la[slot]
+        metric[T.slot_class[2, slot]] = lb[slot]
     forward = assignment_from_metric(T, metric)
     from hyptet import cone_angles
 

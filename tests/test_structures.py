@@ -20,7 +20,7 @@ from hyptet import (
 from hyptet.errors import InadmissibleTarget
 from hyptet.selftest import sample_interior_angles
 from hyptet.structures import SLOT_COEF, SLOT_CONST
-from hyptet.triangulation import double_document, validate
+from hyptet.triangulation import PAIR_INDEX, double_document, validate
 
 PI = math.pi
 
@@ -74,7 +74,7 @@ def test_zero_cone_edge_forces_zero_slots():
     )
     a = AngleAssignment(np.stack([boundary, boundary]))
     k = cone_angles(T, a)
-    assert k.values[T.edge_class_of[(0, (1, 2))]] == 0.0
+    assert k.values[T.slot_class[0, PAIR_INDEX[(1, 2)]]] == 0.0
     cs = assemble(T, k)
     verdict, _ = is_member(T, a, k)
     assert verdict is Membership.BOUNDARY

@@ -1,7 +1,9 @@
 """Gluing validation, derived classes, cone angles, curvature, gauge."""
 
 import copy
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,13 +30,99 @@ from hyptet.errors import (
     TypeViolation,
     UnpairedFace,
 )
-from hyptet.triangulation import PAIR_INDEX, admissibility_residual
+from hyptet.triangulation import PAIR_INDEX, PAIRS, admissibility_residual
 
 PI = math.pi
 
 
 def _double():
     return validate(double_document())
+
+
+class _UnionFind:
+    """Tuple-keyed union-find: the reference for the class arrays."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        p = self.parent.setdefault(x, x)
+        while p != x:
+            self.parent[x] = p = self.parent[p]
+            x, p = p, self.parent[p]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+    def classes(self, items):
+        groups = {}
+        for it in items:
+            groups.setdefault(self.find(it), []).append(it)
+        return [sorted(groups[r]) for r in sorted(groups)]
+
+
+def _reference(T):
+    """The derived fields of ``T``, rebuilt from its gluings by tuple
+    union-find over ``(tet, vertex-pair)`` slots and ``(tet, vertex)``
+    corners."""
+    edges, verts = _UnionFind(), _UnionFind()
+    for g in T.gluings:
+        face_verts = [v for v in (1, 2, 3, 4) if v != g.face]
+        for v in face_verts:
+            verts.union((g.tet, v), (g.to_tet, g.vertex_map[v - 1]))
+        for p, q in itertools.combinations(face_verts, 2):
+            a, b = sorted((g.vertex_map[p - 1], g.vertex_map[q - 1]))
+            edges.union((g.tet, (p, q)), (g.to_tet, (a, b)))
+    n = T.n_tetrahedra
+    edge_classes = edges.classes([(t, pair) for t in range(n) for pair in PAIRS])
+    vertex_classes = verts.classes(
+        [(t, v) for t in range(n) for v in (1, 2, 3, 4)]
+    )
+    # type preservation per gluing keeps every vertex class to one type
+    assert all(len({v == 1 for _, v in cls}) == 1 for cls in vertex_classes)
+    edge_of = {x: i for i, cls in enumerate(edge_classes) for x in cls}
+    vertex_of = {x: i for i, cls in enumerate(vertex_classes) for x in cls}
+    ideal = [i for i, cls in enumerate(vertex_classes) if cls[0][1] != 1]
+    col = {v: j for j, v in enumerate(ideal)}
+    W = np.zeros((len(edge_classes), len(ideal)))
+    for e, cls in enumerate(edge_classes):
+        t, ends = cls[0]
+        for v in ends:
+            if vertex_of[(t, v)] in col:
+                W[e, col[vertex_of[(t, v)]]] += 1.0
+    keys = [f"{t}:{p}{q}" for (t, (p, q)), *_ in edge_classes]
+    return {
+        "slot_class": [[edge_of[(t, pair)] for pair in PAIRS] for t in range(n)],
+        "corner_class": [[vertex_of[(t, v)] for v in (1, 2, 3, 4)] for t in range(n)],
+        "edge_keys": keys,
+        "corners": [len(cls) for cls in vertex_classes],
+        "ideal_classes": ideal,
+        "gauge_matrix": W,
+        "summary": {
+            "tetrahedra": n,
+            "edge_classes": len(edge_classes),
+            "vertex_classes": len(vertex_classes),
+            "ideal_vertex_classes": len(ideal),
+            "hyperideal_vertex_classes": len(vertex_classes) - len(ideal),
+            "edge_slots": 6 * n,
+            "edge_keys": keys,
+        },
+    }
+
+
+def _assert_matches_reference(T):
+    ref = _reference(T)
+    assert T.slot_class.dtype == np.intp and T.corner_class.dtype == np.intp
+    for name in ("slot_class", "corner_class", "corners", "ideal_classes"):
+        assert getattr(T, name).tolist() == ref[name], name
+    assert T.edge_keys == ref["edge_keys"]
+    assert np.array_equal(T.gauge_matrix, ref["gauge_matrix"])
+    # row-major like the reference, so products with it round the same way
+    assert T.gauge_matrix.flags["C_CONTIGUOUS"]
+    assert T.summary() == ref["summary"]
 
 
 def test_double_summary():
@@ -51,14 +139,14 @@ def test_double_summary():
 
 def test_double_corners():
     T = _double()
-    assert all(T.corners[v] == 2 for v in range(len(T.vertex_classes)))
+    assert all(T.corners[v] == 2 for v in range(T.n_vertex_classes))
 
 
 def test_edge_slots_partition():
+    # every slot sits in exactly one edge class, every class is nonempty
     T = _double()
-    slots = [s for cls in T.edge_classes for s in cls]
-    assert len(slots) == 6 * T.n_tetrahedra
-    assert len(set(slots)) == len(slots)
+    assert T.slot_class.shape == (T.n_tetrahedra, 6)
+    assert np.array_equal(np.unique(T.slot_class), np.arange(T.n_edge_classes))
 
 
 def test_self_glued_complex():
@@ -73,8 +161,8 @@ def test_self_glued_complex():
     # with multiplicity two
     assert sorted(T.corners.tolist()) == [2, 2, 4]
     assert np.max(T.gauge_matrix) == 2.0
-    slots = [x for cls in T.edge_classes for x in cls]
-    assert len(slots) == 12 and len(set(slots)) == 12
+    assert T.slot_class.shape == (2, 6)
+    assert np.array_equal(np.unique(T.slot_class), np.arange(5))
     # admissibility identity holds for any induced assignment
     a = assignment_from_metric(T, np.zeros(T.n_edge_classes))
     assert admissibility_residual(T, cone_angles(T, a).values) <= 1e-12
@@ -147,20 +235,20 @@ def test_twisted_double_valid():
     doc["gluings"][0]["vertex_map"] = [1, 3, 2, 4]
     T = validate(doc)
     assert T.n_tetrahedra == 2
-    assert all(
-        len({v == 1 for _, v in cls}) == 1 for cls in T.vertex_classes
-    )
+    # no vertex class holds both a truncated and a cusped corner
+    truncated = set(T.corner_class[:, 0].tolist())
+    assert truncated.isdisjoint(T.corner_class[:, 1:].ravel().tolist())
 
 
 def test_cone_angles_double_symmetric():
     T, k, assignment = doubled_fixture([1, 1, 1, 2, 2, 2])
     a0 = np.asarray(extended_angles([1, 1, 1, 2, 2, 2]))
     for pair, slot in PAIR_INDEX.items():
-        e = T.edge_class_of[(0, pair)]
+        e = T.slot_class[0, slot]
         assert k.values[e] == pytest.approx(2.0 * a0[slot], abs=1e-15)
     acos34 = math.acos(0.75)
     for pair in ((1, 2), (1, 3), (1, 4)):
-        assert k.values[T.edge_class_of[(0, pair)]] == pytest.approx(
+        assert k.values[T.slot_class[0, PAIR_INDEX[pair]]] == pytest.approx(
             2.0 * acos34, abs=1e-14
         )
     assert assignment.values.shape == (2, 6)
@@ -186,7 +274,7 @@ def test_cone_angles_quarter_pi_assignment():
     row = np.array([PI / 4] * 3 + [3 * PI / 8] * 3)
     k = cone_angles(T, AngleAssignment(np.stack([row, row])))
     for pair in ((1, 2), (1, 3), (1, 4)):
-        assert k.values[T.edge_class_of[(0, pair)]] == pytest.approx(
+        assert k.values[T.slot_class[0, PAIR_INDEX[pair]]] == pytest.approx(
             PI / 2, abs=1e-15
         )
 
@@ -196,7 +284,7 @@ def test_curvature_forward_value():
     m = GeneralizedMetric(np.zeros(T.n_edge_classes))
     K = curvature(T, m)
     for pair in ((1, 2), (1, 3), (1, 4)):
-        e = T.edge_class_of[(0, pair)]
+        e = T.slot_class[0, PAIR_INDEX[pair]]
         assert K[e] == pytest.approx(2 * PI - 2 * math.acos(0.75), abs=1e-14)
 
 
@@ -206,10 +294,10 @@ def test_curvature_quarter_pi_metric():
     s = math.log(math.sqrt(2.0) / 2.0)
     m = np.zeros(T.n_edge_classes)
     for pair in ((2, 3), (2, 4), (3, 4)):
-        m[T.edge_class_of[(0, pair)]] = s
+        m[T.slot_class[0, PAIR_INDEX[pair]]] = s
     K = curvature(T, m)
     for pair in ((1, 2), (1, 3), (1, 4)):
-        assert K[T.edge_class_of[(0, pair)]] == pytest.approx(
+        assert K[T.slot_class[0, PAIR_INDEX[pair]]] == pytest.approx(
             3 * PI / 2, abs=1e-12
         )
 
@@ -228,7 +316,7 @@ def test_curvature_gauge_invariance():
 def test_assignment_from_metric_degenerate_tet():
     T = _double()
     m = np.zeros(T.n_edge_classes)
-    m[T.edge_class_of[(0, (3, 4))]] = 25.0  # deep in a degenerate region
+    m[T.slot_class[0, PAIR_INDEX[(3, 4)]]] = 25.0  # deep in a degenerate region
     a = assignment_from_metric(T, m)
     assert tuple(a.values[0]) == (PI, 0.0, 0.0, 0.0, 0.0, PI)
     assert tuple(a.values[1]) == (PI, 0.0, 0.0, 0.0, 0.0, PI)
@@ -276,3 +364,45 @@ def test_assignment_json_round_trip():
     doc = assignment.to_json()
     back = AngleAssignment.from_json(doc)
     assert np.array_equal(back.values, assignment.values)
+
+
+def test_classes_match_union_find_on_fixtures():
+    from conftest import cover_document, disjoint_double_document, snake_document
+
+    twisted = double_document()
+    twisted["gluings"][0]["vertex_map"] = [1, 3, 2, 4]
+    docs = [double_document(), twisted, snake_document(),
+            disjoint_double_document()]
+    docs += [cover_document(m) for m in (1, 2, 4, 16, 64, 512)]
+    for doc in docs:
+        _assert_matches_reference(validate(doc))
+
+
+def test_classes_match_union_find_on_random_gluings():
+    from conftest import random_gluing_document
+
+    # n = 2, 4, ..., 40: the faces opposite vertex 1 pair up, so n is even
+    for seed in range(300):
+        doc = random_gluing_document(n=2 + 2 * (seed % 20), seed=seed)
+        _assert_matches_reference(validate(doc))
+
+
+def test_unglued_faces_reported_without_walking_every_tetrahedron():
+    doc = {"format": "hyptet-tri-v1", "tetrahedra": 10**9, "gluings": []}
+    start = time.perf_counter()
+    with pytest.raises(UnpairedFace) as err:
+        validate(doc)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == (
+        "unglued faces remain: [(0, 1), (0, 2), (0, 3), (0, 4), (1, 1), "
+        "(1, 2), (1, 3), (1, 4)]"
+    )
+    doc = double_document()
+    doc["tetrahedra"] = 3
+    del doc["gluings"][1]
+    with pytest.raises(UnpairedFace) as err:
+        validate(doc)
+    assert str(err.value) == (
+        "unglued faces remain: [(0, 2), (1, 2), (2, 1), (2, 2), (2, 3), "
+        "(2, 4)]"
+    )
