@@ -32,7 +32,6 @@ from .lobachevsky import lobachevsky, lobachevsky_derivative, lobachevsky_refere
 from .tetra import (
     AngleRegionLabel,
     DecoratedLengths,
-    Decoration,
     DihedralAngles,
     RegionLabel,
     ThetaTable,

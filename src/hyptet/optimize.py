@@ -165,10 +165,11 @@ class _Run(NamedTuple):
     res: float
     iterations: int
     trace: list
+    stopped: bool = False
 
 
-class _Infeasible(Exception):
-    """Raised by the dual oracle with ``(x, f, res)`` at a Farkas vector."""
+class _Stop(Exception):
+    """Raised by an oracle with ``(x, f, res)`` at a point that ends the run."""
 
 
 def _newton(x, oracle, tol, max_iter, max_step=None):
@@ -184,37 +185,42 @@ def _newton(x, oracle, tol, max_iter, max_step=None):
     holds or the residual halves with ``f`` flat to float noise -- near the
     optimum the decrease of ``f`` is below float resolution while the
     analytic gradient still is not.  A failed line search or an accepted
-    step that moves ``x`` by float noise only stalls the run.
+    step that moves ``x`` by float noise only stalls the run.  An oracle
+    that raises ``_Stop`` ends the run at its point, flagged ``stopped``.
     """
-    f, pg, res, step = oracle(x)
-    trace = [f]
+    trace = []
     it = 0
-    while res > tol and it < max_iter:
-        it += 1
-        try:
-            dx = step()
-        except np.linalg.LinAlgError:
-            dx = None
-        if dx is None or not np.all(np.isfinite(dx)) or float(pg @ dx) >= 0.0:
-            dx = -pg
-        slope = float(pg @ dx)
-        a = 1.0 if max_step is None else max_step(x, dx)
-        for _ in range(_BACKTRACKS):
-            x_try = x + a * dx
-            f_try, pg_try, res_try, step_try = oracle(x_try)
-            if f_try <= f + 1e-4 * a * slope or (
-                res_try <= 0.5 * res and f_try <= f + 1e-12 * (1.0 + abs(f))
-            ):
-                break
-            a *= 0.5
-        else:
-            return _Run(x, f, res, it, trace)
-        noise = 4.0 * _EPS * (1.0 + float(np.max(np.abs(x))))
-        moved = float(np.max(np.abs(x_try - x))) > noise
-        x, f, pg, res, step = x_try, f_try, pg_try, res_try, step_try
+    try:
+        f, pg, res, step = oracle(x)
         trace.append(f)
-        if not moved and res > tol:
-            return _Run(x, f, res, it, trace)
+        while res > tol and it < max_iter:
+            it += 1
+            try:
+                dx = step()
+            except np.linalg.LinAlgError:
+                dx = None
+            if dx is None or not np.all(np.isfinite(dx)) or float(pg @ dx) >= 0.0:
+                dx = -pg
+            slope = float(pg @ dx)
+            a = 1.0 if max_step is None else max_step(x, dx)
+            for _ in range(_BACKTRACKS):
+                x_try = x + a * dx
+                f_try, pg_try, res_try, step_try = oracle(x_try)
+                if f_try <= f + 1e-4 * a * slope or (
+                    res_try <= 0.5 * res and f_try <= f + 1e-12 * (1.0 + abs(f))
+                ):
+                    break
+                a *= 0.5
+            else:
+                break
+            noise = 4.0 * _EPS * (1.0 + float(np.max(np.abs(x))))
+            moved = float(np.max(np.abs(x_try - x))) > noise
+            x, f, pg, res, step = x_try, f_try, pg_try, res_try, step_try
+            trace.append(f)
+            if not moved and res > tol:
+                break
+    except _Stop as stop:
+        return _Run(*stop.args, it, trace, True)
     return _Run(x, f, res, it, trace)
 
 
@@ -295,34 +301,28 @@ def _barrier_oracle(cs, mu, factor, project):
     return oracle
 
 
-def _phase_one(cs, oracle, max_step, u):
-    """Infeasible-start Newton steps from ``u`` onto the edge equations.
+def _equation_oracle(cs, barrier):
+    """Oracle of ``|a_eq u - b_eq|^2 / 2`` whose step is ``barrier``'s.
 
-    ``u`` is strictly inside the inequalities.  Each step is the barrier
-    oracle's Newton direction, which also cancels the edge-equation
-    residual, cut by the fraction-to-boundary rule ``max_step``; the first
-    full step lands on the equations (Boyd & Vandenberghe, *Convex
-    Optimization*, sec. 10.3).  The landed point must pass the substitution
-    certificate of ``find_interior``'s witness.  Returns ``(u, steps)``,
-    with ``u`` None when no full step came within ``_PHASE_ONE`` steps, a
-    solve failed or the certificate did.
+    From ``u`` strictly inside the inequalities, the barrier oracle's Newton
+    direction also cancels the edge-equation residual ``r``, so a run cut by
+    the fraction-to-boundary rule lands on the equations at its first full
+    step (an infeasible-start phase one; Boyd & Vandenberghe, *Convex
+    Optimization*, sec. 10.3).  The residual is ``max|r|``.  A point on the
+    boundary to rounding raises ``_Stop``: the barrier would divide by 0.
     """
-    for steps in range(1, _PHASE_ONE + 1):
-        try:
-            dx = oracle(u)[3]()
-        except np.linalg.LinAlgError:
-            return None, steps
-        if not np.all(np.isfinite(dx)):
-            return None, steps
-        a = max_step(u, dx)
-        u = u + a * dx
-        # on the boundary to rounding: the next oracle call would divide by 0
-        if min(np.min(cs.constraint_values(u)), np.min(cs.expand(u).values)) <= 0.0:
-            return None, steps
-        if a == 1.0:
-            verdict, _ = is_member(cs.triangulation, cs.expand(u), cs.cone, tol=1e-8)
-            return (u if verdict is Membership.INTERIOR else None), steps
-    return None, _PHASE_ONE
+    a_eq = cs.a_eq
+
+    def oracle(u_vec):
+        r = a_eq @ u_vec - cs.b_eq
+        f = 0.5 * float(r @ r)
+        res = float(np.max(np.abs(r)))
+        edge = min(np.min(cs.constraint_values(u_vec)), np.min(cs.expand(u_vec).values))
+        if edge <= 0.0:
+            raise _Stop(u_vec, f, res)
+        return f, a_eq.T @ r, res, lambda: barrier(u_vec)[3]()
+
+    return oracle
 
 
 def maximize_volume(T, k, tol=1e-8, u0=None):
@@ -330,14 +330,15 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
 
     The barrier starts from ``u0`` (three free angles per tetrahedron,
     strictly inside the inequalities and on the edge equations to 1e-8)
-    when given, otherwise from every free angle at pi/4.  A phase one of
-    infeasible-start Newton steps at the first barrier weight carries that
-    point onto the edge equations and certifies it interior by
-    substitution; only when it fails does the max-slack feasibility LP
-    (``find_interior``) supply the start or the verdict.  Each barrier
-    weight then runs at most ``_INNER`` range-space Newton steps on the
-    closed-form free-chart Hessian (see ``_range_solver``); no dense matrix
-    over the 3n free angles is formed.  On success the KKT residual -- the
+    when given, otherwise from every free angle at pi/4.  A phase one of at
+    most ``_PHASE_ONE`` infeasible-start Newton steps at the first barrier
+    weight (``_equation_oracle``) carries that point onto the edge
+    equations to 1e-8, and the landed point must pass the substitution
+    certificate of ``find_interior``'s witness; only when it fails does the
+    max-slack feasibility LP (``find_interior``) supply the start or the
+    verdict.  Each barrier weight then runs at most ``_INNER`` range-space
+    Newton steps on the closed-form free-chart Hessian (see
+    ``_range_solver``); no dense matrix over the 3n free angles is formed.  On success the KKT residual -- the
     max of the stationarity residual ``max|P g|`` (``P`` the orthogonal
     projector onto the null space of the edge equations, ``g`` the barrier
     gradient) and the final barrier weight (= complementarity) -- is at
@@ -379,10 +380,10 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
         m *= 0.1
     mus.append(mu_final)
 
-    u, iterations = _phase_one(
-        cs, _barrier_oracle(cs, mus[0], factor, project), max_step, u
-    )
-    if u is None:
+    barrier = _barrier_oracle(cs, mus[0], factor, project)
+    run = _newton(u, _equation_oracle(cs, barrier), 1e-8, _PHASE_ONE, max_step)
+    u, iterations = run.x, run.iterations
+    if is_member(T, cs.expand(u), cs.cone, tol=1e-8)[0] is not Membership.INTERIOR:
         fr = find_interior(T, k)
         if fr.status is not FeasibilityStatus.INTERIOR_FOUND:
             raise NoInteriorStart(f"feasibility status: {fr.status.value}")
@@ -434,7 +435,6 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
     n_edges = T.n_edge_classes
     factor = _range_solver(T)
     project = _gauge_complement(T)
-    steps = 0
 
     def oracle(x):
         L = np.ascontiguousarray(x[slot_class])
@@ -446,12 +446,10 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
         support = float((L @ CELL_VERTICES).max(axis=1).sum())
         scale = 1.0 + float(k_vals @ np.abs(x)) + PI * float(np.abs(L).sum())
         if kx - support > 1e-9 * scale:
-            raise _Infeasible(x, obj, res)
+            raise _Stop(x, obj, res)
         pg = project(g)
 
         def step():
-            nonlocal steps
-            steps += 1
             return factor(_covolume_hessian(A), min(res, 1.0))(-pg)
 
         return obj, pg, res, step
@@ -463,12 +461,8 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
         if x0.shape != (n_edges,) or not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be a finite vector over the edge classes")
         x = project(x0)
-    try:
-        run = _newton(x, oracle, tol, max_iter)
-    except _Infeasible as cert:
-        x, f, res = cert.args
-        return DualReport(GeneralizedMetric(project(x)), res, True, f, steps)
-    if run.res > tol:
+    run = _newton(x, oracle, tol, max_iter)
+    if run.res > tol and not run.stopped:
         what = "stalled" if run.iterations < max_iter else "hit the iteration cap"
         raise MaxIterations(
             f"dual solve {what} at residual {run.res:.3e}", residual=run.res
@@ -476,7 +470,7 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
     return DualReport(
         GeneralizedMetric(project(run.x)),
         run.res,
-        False,
+        run.stopped,
         run.f,
         run.iterations,
         run.trace,

@@ -12,7 +12,10 @@ six slot angles automatically land in [0, pi].  Edge equations "slot
 angles over a class sum to k(e)" become affine equalities in ``u``.
 
 ``find_interior`` solves the max-min-slack LP (a Chebyshev-style interior
-point); verdicts about found witnesses are certified by direct
+point) "maximize t subject to u >= t, pi - sum_tet u >= t and the edge
+equations", written in the slack variables ``u = s + t 1``: the bounds on
+``u`` become ``s >= 0``, and only the n per-tetrahedron sums stay as
+inequality rows.  Verdicts about found witnesses are certified by direct
 substitution, independent of the LP solver.
 """
 
@@ -33,6 +36,9 @@ from .triangulation import (
 )
 
 PI = math.pi
+#: ``find_interior`` reports an interior point when the optimal slack
+#: exceeds this, a boundary point when it is at least its negative
+FEASIBILITY_TOL = 1e-7
 
 
 class Membership(Enum):
@@ -154,13 +160,16 @@ def is_member(T, assignment, k, tol=1e-9):
     return Membership.BOUNDARY, []
 
 
-def find_interior(T, k, tol=1e-7):
+def find_interior(T, k):
     """Max-min-slack LP over the assignment polytope, with certification.
 
-    InteriorFound verdicts carry a witness that is re-verified by
-    substitution at tol/10; a mismatch raises LpFailure rather than
-    returning a wrong verdict.  An inadmissible target is provably
-    infeasible and reported as such.
+    In the slack variables ``u = s + t 1`` the LP is: maximize ``t`` over
+    ``s >= 0`` and ``-4 pi <= t <= pi`` with ``sum_tet s + 4 t <= pi`` per
+    tetrahedron and ``a_eq s + (a_eq 1) t = b_eq``; the witness is
+    ``u = s + t* 1``.  InteriorFound verdicts carry a witness that is
+    re-verified by substitution at ``FEASIBILITY_TOL / 10``; a mismatch
+    raises LpFailure rather than returning a wrong verdict.  An
+    inadmissible target is provably infeasible and reported as such.
     """
     try:
         cs = assemble(T, k)
@@ -169,26 +178,21 @@ def find_interior(T, k, tol=1e-7):
 
     n = T.n_tetrahedra
     nf = cs.n_free
-    # variables z = (u, t); maximize t
+    # variables z = (s, t); maximize t
     c = np.zeros(nf + 1)
     c[-1] = -1.0
-    a = cs.a_eq
-    a_eq = sparse.csr_matrix((a.data, a.indices, a.indptr), shape=(a.shape[0], nf + 1))
-    # rows: t - u_i <= 0 for each free angle, then sum_tet u + t <= pi
-    i = np.arange(nf)
-    rows = np.concatenate([i, i, nf + i // 3, nf + np.arange(n)])
-    cols = np.concatenate([i, np.full(nf, nf), i, np.full(n, nf)])
-    vals = np.concatenate([-np.ones(nf), np.ones(2 * nf + n)])
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(nf + n, nf + 1))
-    b_ub = np.concatenate([np.zeros(nf), np.full(n, PI)])
-    bounds = [(-4.0 * PI, 4.0 * PI)] * nf + [(-4.0 * PI, PI)]
+    a_ub = sparse.hstack(
+        [sparse.kron(sparse.identity(n), np.ones((1, 3))), np.full((n, 1), 4.0)],
+        format="csr",
+    )
+    a_eq = sparse.hstack([cs.a_eq, cs.a_eq.sum(axis=1)], format="csr")
     res = linprog(
         c,
         A_ub=a_ub,
-        b_ub=b_ub,
+        b_ub=np.full(n, PI),
         A_eq=a_eq,
         b_eq=cs.b_eq,
-        bounds=bounds,
+        bounds=[(0.0, None)] * nf + [(-4.0 * PI, PI)],
         method="highs",
     )
     if res.status == 2:
@@ -197,17 +201,18 @@ def find_interior(T, k, tol=1e-7):
         raise LpFailure(f"LP solver failed: {res.message}")
 
     t_star = float(res.x[-1])
-    witness = cs.expand(res.x[:-1])
+    u = res.x[:-1] + t_star
+    witness = cs.expand(u)
     # report the slack the witness actually achieves, not the LP's claim
-    slack = float(np.min(cs.constraint_values(res.x[:-1])))
-    if t_star > tol:
-        verdict, violations = is_member(T, witness, k, tol=tol / 10.0)
+    slack = float(np.min(cs.constraint_values(u)))
+    if t_star > FEASIBILITY_TOL:
+        verdict, violations = is_member(T, witness, k, tol=FEASIBILITY_TOL / 10.0)
         if verdict is not Membership.INTERIOR:
             raise LpFailure(
                 "LP claimed an interior point but substitution disagrees: "
                 + "; ".join(violations[:4])
             )
         return FeasibilityReport(FeasibilityStatus.INTERIOR_FOUND, witness, slack)
-    if t_star >= -tol:
+    if t_star >= -FEASIBILITY_TOL:
         return FeasibilityReport(FeasibilityStatus.BOUNDARY_ONLY, witness, slack)
     return FeasibilityReport(FeasibilityStatus.INFEASIBLE, None, t_star)

@@ -94,10 +94,6 @@ class DihedralAngles(NamedTuple):
     a24: float
     a34: float
 
-    @classmethod
-    def from_array(cls, arr):
-        return cls(*(float(x) for x in np.asarray(arr, dtype=np.float64)))
-
 
 class DecoratedLengths(NamedTuple):
     l12: float
@@ -106,18 +102,6 @@ class DecoratedLengths(NamedTuple):
     l23: float
     l24: float
     l34: float
-
-    @classmethod
-    def from_array(cls, arr):
-        return cls(*(float(x) for x in np.asarray(arr, dtype=np.float64)))
-
-
-class Decoration(NamedTuple):
-    """Horosphere rescaling shifts at the three cusped vertices."""
-
-    w2: float
-    w3: float
-    w4: float
 
 
 class ThetaTable(NamedTuple):

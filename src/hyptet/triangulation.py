@@ -398,9 +398,11 @@ def admissibility_residual(T, cone_values):
     cusped vertex class v, sum_e mult_v(e) * k(e) = pi * corners(v).
     """
     k = np.asarray(cone_values, dtype=np.float64)
-    lhs = T.gauge_matrix.T @ k
-    rhs = np.pi * T.corners[T.ideal_classes]
-    return float(np.max(np.abs(lhs - rhs)))
+    # summed at scale max(1, max|k|): values near the float limit overflow
+    scale = max(1.0, float(np.max(np.abs(k))))
+    lhs = T.gauge_matrix.T @ (k / scale)
+    rhs = np.pi * T.corners[T.ideal_classes] / scale
+    return scale * float(np.max(np.abs(lhs - rhs)))
 
 
 def admissible_cone_values(T, k):

@@ -371,7 +371,7 @@ def test_criterion_13_feasibility_certification():
         if H.classify(l0) is not H.RegionLabel.INTERIOR:
             continue
         T, k, _ = H.doubled_fixture(l0)
-        fr = H.find_interior(T, k, tol=1e-7)
+        fr = H.find_interior(T, k)
         if fr.status is not H.FeasibilityStatus.INTERIOR_FOUND:
             ok = False
             break

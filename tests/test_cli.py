@@ -192,6 +192,29 @@ def test_usage_error_exit_code_subprocess():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("verb", ["solve", "maximize"])
+def test_huge_target_gives_one_error_object(tmp_path, capsys, verb):
+    # near the float limit the counting identity must not overflow: stderr
+    # is the error object alone, with no warning line before it
+    out_dir = str(tmp_path / "fx6")
+    run_cli(["fixture", "double", "--l", "0,0,0,0,0,0", "--out-dir", out_dir],
+            capsys)
+    kp = f"{out_dir}/k.json"
+    k = json.load(open(kp))
+    k["values"] = [1e308] * len(k["values"])
+    with open(kp, "w") as fh:
+        json.dump(k, fh)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyptet.cli", verb, f"{out_dir}/tri.json", "--k", kp],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InadmissibleTarget"
+
+
 def test_selftest_runs_quickly(capsys):
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 0

@@ -176,6 +176,17 @@ def test_maximize_falls_back_to_lp_start(monkeypatch):
     assert np.max(np.abs(rep.maximizer.values - from_lp.maximizer.values)) <= 1e-6
 
 
+def test_start_on_the_equations_takes_no_phase_step(monkeypatch):
+    T = validate(cover_document(4))
+    angles = sample_interior_angles(np.random.default_rng(65), T.n_tetrahedra)
+    k = cone_angles(T, AngleAssignment(angles))
+    u0 = angles[:, :3].ravel()
+    rep = maximize_volume(T, k, tol=1e-8, u0=u0)
+    monkeypatch.setattr(hyptet.optimize, "_PHASE_ONE", 0)
+    monkeypatch.setattr(hyptet.optimize, "find_interior", None)
+    assert maximize_volume(T, k, tol=1e-8, u0=u0).to_json() == rep.to_json()
+
+
 def _near_flat_flags_by_loop(angles, tol=1e-6):
     flags = []
     for row in angles:

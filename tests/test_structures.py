@@ -4,7 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import cover_document
+from conftest import (
+    cover_document,
+    disjoint_double_document,
+    random_gluing_document,
+    snake_document,
+)
+from scipy import sparse
+from scipy.optimize import linprog
 
 from hyptet import (
     AngleAssignment,
@@ -19,7 +26,7 @@ from hyptet import (
 )
 from hyptet.errors import InadmissibleTarget
 from hyptet.selftest import sample_interior_angles
-from hyptet.structures import SLOT_COEF, SLOT_CONST
+from hyptet.structures import FEASIBILITY_TOL, SLOT_COEF, SLOT_CONST
 from hyptet.triangulation import PAIR_INDEX, double_document, validate
 
 PI = math.pi
@@ -168,7 +175,7 @@ def test_find_interior_on_fixture():
 
 def test_find_interior_certificate_at_tenth_tolerance():
     T, k, _ = _fixture()
-    fr = find_interior(T, k, tol=1e-7)
+    fr = find_interior(T, k)
     verdict, _ = is_member(T, fr.witness, k, tol=1e-8)
     assert verdict is Membership.INTERIOR
 
@@ -200,3 +207,84 @@ def test_expand_round_trip_membership():
     u = fr.witness.values[:, :3].ravel()
     verdict, _ = is_member(T, cs.expand(u), k, tol=1e-8)
     assert verdict is not Membership.OUTSIDE
+
+
+def _reference_lp(T, k):
+    """Optimal slack ``t*`` of the max-min-slack LP in the variables
+    ``(u, t)``: one row ``t - u_i <= 0`` per free angle, one row
+    ``sum_tet u + t <= pi`` per tetrahedron, and the box ``|u_i| <= 4 pi``;
+    -inf when the LP or the target is infeasible."""
+    try:
+        cs = assemble(T, k)
+    except InadmissibleTarget:
+        return -np.inf
+    n, nf = T.n_tetrahedra, cs.n_free
+    c = np.zeros(nf + 1)
+    c[-1] = -1.0
+    a_eq = sparse.hstack([cs.a_eq, sparse.csr_matrix((cs.a_eq.shape[0], 1))])
+    i = np.arange(nf)
+    rows = np.concatenate([i, i, nf + i // 3, nf + np.arange(n)])
+    cols = np.concatenate([i, np.full(nf, nf), i, np.full(n, nf)])
+    vals = np.concatenate([-np.ones(nf), np.ones(2 * nf + n)])
+    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(nf + n, nf + 1))
+    b_ub = np.concatenate([np.zeros(nf), np.full(n, PI)])
+    bounds = [(-4.0 * PI, 4.0 * PI)] * nf + [(-4.0 * PI, PI)]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=cs.b_eq,
+                  bounds=bounds, method="highs")
+    if res.status == 2:
+        return -np.inf
+    assert res.status == 0, res.message
+    return float(res.x[-1])
+
+
+def _status_of(t_star):
+    if t_star > FEASIBILITY_TOL:
+        return FeasibilityStatus.INTERIOR_FOUND
+    if t_star >= -FEASIBILITY_TOL:
+        return FeasibilityStatus.BOUNDARY_ONLY
+    return FeasibilityStatus.INFEASIBLE
+
+
+REFERENCE_INSTANCES = {
+    "double": double_document,
+    "snake": snake_document,
+    "double2": disjoint_double_document,
+    "cover4": lambda: cover_document(4),
+    "cover64": lambda: cover_document(64),
+    **{f"random16-{s}": (lambda s=s: random_gluing_document(16, s)) for s in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+def test_find_interior_matches_reference_lp(name):
+    # the slack-variable LP has the same verdict and optimal slack as the
+    # 4n-row boxed LP in (u, t) on every kind of target
+    T = validate(REFERENCE_INSTANCES[name]())
+    n = T.n_tetrahedra
+    interior = cone_angles(
+        T, AngleAssignment(sample_interior_angles(np.random.default_rng(70), n))
+    )
+    targets = {
+        FeasibilityStatus.INTERIOR_FOUND: [interior],
+        # apex sums pi in every cell: the largest total the target allows
+        FeasibilityStatus.BOUNDARY_ONLY: [
+            cone_angles(T, AngleAssignment(np.tile(SLOT_COEF @ u + SLOT_CONST, (n, 1))))
+            for u in ([0.5, 1.0, PI - 1.5], [1e-6, PI - 2e-6, 1e-6])
+        ],
+        # apex sums above pi, then the counting identity broken
+        FeasibilityStatus.INFEASIBLE: [
+            cone_angles(T, AngleAssignment(
+                np.tile(SLOT_COEF @ [1.5, 1.2, 1.0] + SLOT_CONST, (n, 1))
+            )),
+            ConeTarget(interior.values * 1.5),
+        ],
+    }
+    for status, ks in targets.items():
+        for k in ks:
+            fr = find_interior(T, k)
+            t_ref = _reference_lp(T, k)
+            assert fr.status is status is _status_of(t_ref)
+            assert fr.min_slack == t_ref or abs(fr.min_slack - t_ref) <= 1e-8
+            if status is FeasibilityStatus.INTERIOR_FOUND:
+                verdict, _ = is_member(T, fr.witness, k, tol=1e-9)
+                assert verdict is Membership.INTERIOR
