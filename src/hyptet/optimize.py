@@ -35,9 +35,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import null_space  # noqa: F401 -- perfbench/tracing.py traces it
-from scipy.sparse.linalg import splu
 
 from ._kernels import extended_angles_batch, volume2_batch, volume_gradient_batch
 from .errors import MaxIterations, NoInteriorStart
@@ -58,7 +56,7 @@ from .tetra import (
 from .triangulation import (
     AngleAssignment,
     GeneralizedMetric,
-    _gauge_complement,
+    _range_solver,
     admissible_cone_values,
 )
 
@@ -224,40 +222,6 @@ def _newton(x, oracle, tol, max_iter, max_step=None):
     return _Run(x, f, res, it, trace)
 
 
-def _range_solver(T):
-    """Sparse LUs of ``[[S + s I, W], [W^T, 0]]``, ``W = T.gauge_matrix``.
-
-    ``S`` sums per-tetrahedron (n, 6, 6) slot blocks through ``slot_class``:
-    ``C B^-1 C^T`` (``C = SLOT_COEF``) give the primal's ``A B^-1 A^T``, the
-    co-volume blocks the dual Hessian.  Both have ``S W = 0`` (``W^T A = 0``),
-    so for ``W^T r = 0`` the solution of ``[r; 0]`` is the ``x`` with
-    ``W^T x = 0`` and ``(S + s I) x = r``; it is unique for ``s > 0`` and,
-    as ``rank A = E - cusps``, for the primal.  ``factor(blocks, s=0.0)``
-    refills the CSC pattern built once here and returns ``r -> x``; a
-    singular LU raises ``LinAlgError``.
-    """
-    E, m = T.gauge_matrix.shape
-    we, wc = np.nonzero(T.gauge_matrix)
-    sc, diag = T.slot_class, np.arange(E)
-    # block entry (t, i, j) sits at (slot_class[t, i], slot_class[t, j])
-    rows = np.concatenate([np.repeat(sc, 6, axis=1).ravel(), diag, we, E + wc])
-    cols = np.concatenate([np.tile(sc, 6).ravel(), diag, E + wc, we])
-    keys, slot = np.unique(cols * (E + m) + rows, return_inverse=True)
-    pattern = keys % (E + m), np.searchsorted(keys, np.arange(E + m + 1) * (E + m))
-    border = np.tile(T.gauge_matrix[we, wc], 2)
-
-    def factor(blocks, s=0.0):
-        weights = np.concatenate([np.ravel(blocks), np.full(E, s), border])
-        data = np.bincount(slot, weights=weights, minlength=keys.size)
-        try:
-            lu = splu(sparse.csc_matrix((data, *pattern), shape=(E + m, E + m)))
-        except RuntimeError as exc:
-            raise np.linalg.LinAlgError(str(exc)) from exc
-        return lambda r: lu.solve(np.concatenate([r, np.zeros(m)]))[:E]
-
-    return factor
-
-
 def _barrier_oracle(cs, mu, factor, project):
     """Oracle of ``-(vol + mu * sum log c)`` over the edge equations.
 
@@ -338,18 +302,18 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
     max-slack feasibility LP (``find_interior``) supply the start or the
     verdict.  Each barrier weight then runs at most ``_INNER`` range-space
     Newton steps on the closed-form free-chart Hessian (see
-    ``_range_solver``); no dense matrix over the 3n free angles is formed.  On success the KKT residual -- the
-    max of the stationarity residual ``max|P g|`` (``P`` the orthogonal
-    projector onto the null space of the edge equations, ``g`` the barrier
-    gradient) and the final barrier weight (= complementarity) -- is at
-    most ``tol``.
+    ``_range_solver``); no dense matrix over the 3n free angles is formed.
+    On success the KKT residual -- the max of the stationarity residual
+    ``max|P g|`` (``P`` the orthogonal projector onto the null space of the
+    edge equations, ``g`` the barrier gradient) and the final barrier
+    weight (= complementarity) -- is at most ``tol``.
     """
     cs = assemble(T, k)
     n = T.n_tetrahedra
     a_eq = cs.a_eq
     factor = _range_solver(T)
     # B = I: the orthogonal projector onto the null space of the edge equations
-    solve_eye = factor(np.broadcast_to(SLOT_COEF @ SLOT_COEF.T, (n, 6, 6)))
+    solve_eye = factor(SLOT_COEF @ SLOT_COEF.T)
 
     def project(g):
         return g - a_eq.T @ solve_eye(a_eq @ g)
@@ -418,8 +382,10 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
 
     Damped Newton steps in the orthogonal complement of the gauge, from
     ``x0`` projected there; each solves ``(H + s I) dx = -P g`` there by
-    ``_range_solver``, ``H`` the summed co-volume blocks, ``s = min(res, 1)``.
-    Succeeds when the cone angles match ``k`` to ``tol`` in max norm.
+    ``_range_solver``, ``H`` the summed co-volume blocks, ``s = min(res, 1)``;
+    the projector ``P`` onto that complement is the same solver with zero
+    blocks and ``s = 1``.  Succeeds when the cone angles match ``k`` to
+    ``tol`` in max norm.
 
     Every point the run evaluates, line-search trial points included, is a
     candidate Farkas vector: with ``L = x[slot_class]`` and ``v`` over the
@@ -434,7 +400,7 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
     slot_class = T.slot_class
     n_edges = T.n_edge_classes
     factor = _range_solver(T)
-    project = _gauge_complement(T)
+    project = factor(0.0, 1.0)
 
     def oracle(x):
         L = np.ascontiguousarray(x[slot_class])
@@ -518,8 +484,5 @@ def rigidity_check(T, k, n_starts=5, tol=1e-6, seed=0):
         solutions.append(rep.metric.values)
     if len(solutions) < 2:
         raise last_error
-    dist = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            dist = max(dist, float(np.max(np.abs(solutions[i] - solutions[j]))))
+    dist = float(np.ptp(np.array(solutions), axis=0).max())
     return RigidityReport(n_starts, dist, dist <= tol, seed, failed)

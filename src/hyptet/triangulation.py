@@ -15,8 +15,10 @@ identifications.  ``Triangulation.slot_class`` (n, 6) and
 and corner, classes numbered in the order of their least member, and
 ``Triangulation.edge_sums`` sums a per-slot array over each edge class.
 The decoration (horosphere rescaling) action on metrics acts along one
-gauge vector per cusped vertex class; curvature and dihedral angles are
-invariant under it.
+gauge vector per cusped vertex class, the columns of the sparse
+``Triangulation.gauge_matrix``; curvature and dihedral angles are
+invariant under it.  ``_range_solver`` factors every linear system the
+solvers need, the projector onto the gauge complement included.
 
 Document format (JSON)::
 
@@ -110,18 +112,20 @@ class Triangulation:
         _, least = np.unique(corner_class, return_index=True)
         # a class is cusped unless its least corner is a truncated one, 4t
         self.ideal_classes = np.flatnonzero(least % 4)
-        # gauge matrix: one column per cusped vertex class, entry = number
-        # of endpoints of the edge class in that vertex class (well defined:
-        # gluings identify edges together with their endpoints)
+        # sparse gauge matrix: one column per cusped vertex class, entry =
+        # number of endpoints of the edge class in that vertex class (well
+        # defined: gluings identify edges together with their endpoints)
         ends = corner_class[tet[:, None], _PAIR_ENDS[slot]]
-        W = np.zeros((self.n_edge_classes, self.n_vertex_classes))
-        np.add.at(W, (np.arange(self.n_edge_classes)[:, None], ends), 1.0)
-        self.gauge_matrix = np.take(W, self.ideal_classes, axis=1)
+        edge = np.repeat(np.arange(self.n_edge_classes), 2)
+        self.gauge_matrix = sparse.csr_matrix(
+            (np.ones(ends.size), (edge, ends.ravel())),
+            shape=(self.n_edge_classes, self.n_vertex_classes),
+        )[:, self.ideal_classes]
 
     @property
     def gauge_projector(self):
         """Orthogonal projector onto the complement of the gauge subspace."""
-        return _gauge_complement(self)(np.eye(self.n_edge_classes))
+        return _range_solver(self)(0.0, 1.0)(np.eye(self.n_edge_classes))
 
     def edge_sums(self, per_slot):
         """Sum a per-slot array of shape (n, 6) over each edge class."""
@@ -268,6 +272,13 @@ def _edge_values_to_json(T, values):
     return {"edges": list(T.edge_keys), "values": [float(v) for v in values]}
 
 
+def _numbers(vals):
+    """Whether ``vals`` is a list of JSON numbers, bools excluded."""
+    return isinstance(vals, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals
+    )
+
+
 def _edge_values_from_json(T, doc, what):
     if not isinstance(doc, dict) or "edges" not in doc or "values" not in doc:
         raise InvalidDocument(f"{what} document needs 'edges' and 'values'")
@@ -275,9 +286,7 @@ def _edge_values_from_json(T, doc, what):
     vals = doc["values"]
     if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
         raise InvalidDocument(f"{what} 'edges' must be a list of strings")
-    if not isinstance(vals, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in vals
-    ):
+    if not _numbers(vals):
         raise InvalidDocument(f"{what} 'values' must be a list of numbers")
     if sorted(keys) != sorted(T.edge_keys):
         raise InvalidDocument(
@@ -355,7 +364,14 @@ class AngleAssignment:
     def from_json(cls, doc):
         if not isinstance(doc, dict) or doc.get("format") != ASSIGNMENT_FORMAT:
             raise InvalidDocument(f"expected format '{ASSIGNMENT_FORMAT}'")
-        return cls(np.array(doc["values"], dtype=np.float64))
+        rows = doc.get("values")
+        if not isinstance(rows, list) or not all(
+            _numbers(row) and len(row) == 6 for row in rows
+        ):
+            raise InvalidDocument("assignment 'values' must be rows of six numbers")
+        if len(rows) != _require_int(doc, "tetrahedra", "assignment"):
+            raise InvalidDocument("assignment 'tetrahedra' does not match its rows")
+        return cls(np.array(rows, dtype=np.float64).reshape(-1, 6))
 
 
 def cone_angles(T, assignment):
@@ -377,18 +393,50 @@ def curvature(T, metric):
     return TWO_PI - k.values
 
 
-def _gauge_complement(T):
-    """``v -> v - W (W^T W)^-1 W^T v`` for the gauge matrix ``W``, whose
-    columns are independent, by a sparse LU of ``W^T W``."""
-    W = sparse.csc_matrix(T.gauge_matrix)
-    lu = splu(sparse.csc_matrix(W.T @ W))
-    return lambda v: v - W @ lu.solve(W.T @ v)
+def _range_solver(T):
+    """Sparse LUs of ``[[S + s I, W], [W^T, 0]]``, ``W = T.gauge_matrix``.
+
+    ``S`` sums per-tetrahedron (n, 6, 6) slot blocks through ``slot_class``;
+    a scalar is broadcast to every block.  ``C B^-1 C^T`` (``C =
+    SLOT_COEF``) give the primal's ``A B^-1 A^T``, the co-volume blocks the
+    dual Hessian.  Both have ``S W = 0`` (``W^T A = 0``), so for
+    ``W^T r = 0`` the solution of ``[r; 0]`` is the ``x`` with ``W^T x = 0``
+    and ``(S + s I) x = r``; it is unique for ``s > 0`` and, as
+    ``rank A = E - cusps``, for the primal.  Zero blocks with ``s = 1`` give
+    ``x = r - W (W^T W)^-1 W^T r`` for every ``r``: the orthogonal projector
+    onto the complement of the gauge, whose columns are independent.
+    ``factor(blocks, s=0.0)`` refills the CSC pattern built once here and
+    returns ``r -> x`` for ``r`` of shape (E,) or (E, k); a singular LU
+    raises ``LinAlgError``.
+    """
+    W = T.gauge_matrix.tocoo()
+    (E, m), we, wc = W.shape, W.row, W.col
+    sc, diag = T.slot_class, np.arange(E)
+    # block entry (t, i, j) sits at (slot_class[t, i], slot_class[t, j])
+    rows = np.concatenate([np.repeat(sc, 6, axis=1).ravel(), diag, we, E + wc])
+    cols = np.concatenate([np.tile(sc, 6).ravel(), diag, E + wc, we])
+    keys, slot = np.unique(cols * (E + m) + rows, return_inverse=True)
+    pattern = keys % (E + m), np.searchsorted(keys, np.arange(E + m + 1) * (E + m))
+    border = np.tile(W.data, 2)
+
+    def factor(blocks, s=0.0):
+        blocks = np.broadcast_to(blocks, (T.n_tetrahedra, 6, 6))
+        weights = np.concatenate([blocks.ravel(), np.full(E, s), border])
+        data = np.bincount(slot, weights=weights, minlength=keys.size)
+        try:
+            lu = splu(sparse.csc_matrix((data, *pattern), shape=(E + m, E + m)))
+        except RuntimeError as exc:
+            raise np.linalg.LinAlgError(str(exc)) from exc
+        return lambda r: lu.solve(np.concatenate([r, np.zeros((m, *r.shape[1:]))]))[:E]
+
+    return factor
 
 
 def gauge_project(T, metric):
     """Project a metric onto the orthogonal complement of the gauge span."""
     vals = metric.values if isinstance(metric, GeneralizedMetric) else metric
-    return GeneralizedMetric(_gauge_complement(T)(np.asarray(vals, dtype=np.float64)))
+    project = _range_solver(T)(0.0, 1.0)
+    return GeneralizedMetric(project(np.asarray(vals, dtype=np.float64)))
 
 
 def admissibility_residual(T, cone_values):

@@ -22,6 +22,11 @@ from hyptet.structures import SLOT_COEF, SLOT_CONST
 PI = math.pi
 
 
+def _load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def run_cli(args, capsys):
     code = main(args)
     out, err = capsys.readouterr()
@@ -100,7 +105,7 @@ def test_maximize_solve_rigidity_reports(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["kkt_residual"] <= 1e-8
-    expected = json.load(open(f"{out_dir}/assignment.json"))
+    expected = _load(f"{out_dir}/assignment.json")
     got = np.array(rep["maximizer"]["values"])
     assert np.max(np.abs(got - np.array(expected["values"]))) <= 1e-6
 
@@ -123,7 +128,7 @@ def test_infeasible_target_solve_and_rigidity(tmp_path, capsys):
     tri = f"{out_dir}/tri.json"
     kp = str(tmp_path / "infeasible_k.json")
     # both cells on the apex row (1.5, 1.2, 1.0), whose sum is above pi
-    T = validate(json.load(open(tri)))
+    T = validate(_load(tri))
     row = SLOT_CONST + SLOT_COEF @ np.array([1.5, 1.2, 1.0])
     k = cone_angles(T, AngleAssignment(np.stack([row, row])))
     with open(kp, "w") as fh:
@@ -200,7 +205,7 @@ def test_huge_target_gives_one_error_object(tmp_path, capsys, verb):
     run_cli(["fixture", "double", "--l", "0,0,0,0,0,0", "--out-dir", out_dir],
             capsys)
     kp = f"{out_dir}/k.json"
-    k = json.load(open(kp))
+    k = _load(kp)
     k["values"] = [1e308] * len(k["values"])
     with open(kp, "w") as fh:
         json.dump(k, fh)
@@ -244,7 +249,7 @@ def test_malformed_cone_target_gives_error_object(tmp_path, capsys, edit, messag
     run_cli(["fixture", "double", "--l", "0,0,0,0,0,0", "--out-dir", out_dir],
             capsys)
     kp = f"{out_dir}/k.json"
-    k = json.load(open(kp))
+    k = _load(kp)
     edit(k)
     with open(kp, "w") as fh:
         json.dump(k, fh)

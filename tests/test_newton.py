@@ -27,11 +27,11 @@ from hyptet import (
     validate,
 )
 from hyptet._kernels import extended_angles_batch, phi_batch, volume_gradient_batch
-from hyptet.optimize import _barrier_oracle, _range_solver
+from hyptet.optimize import _barrier_oracle
 from hyptet.selftest import sample_interior_angles
 from hyptet.structures import SLOT_COEF, SLOT_CONST, FeasibilityStatus
 from hyptet.tetra import GAUGE_VECTORS, _covolume_hessian, _volume_hessian
-from hyptet.triangulation import _gauge_complement, double_document
+from hyptet.triangulation import _range_solver, double_document
 
 FIXTURES = {
     "cover4": lambda: cover_document(4),
@@ -103,7 +103,7 @@ def test_dual_hessian_psd_with_gauge_kernel(doc):
         norm = float(np.max(np.abs(H)))
         assert np.max(np.abs(H - H.T)) <= 1e-12 * norm
         assert np.linalg.eigvalsh(H)[0] >= -1e-8 * norm
-        for v in T.gauge_matrix.T:
+        for v in T.gauge_matrix.toarray().T:
             assert np.linalg.norm(H @ v) <= 1e-6 * norm
 
 
@@ -166,7 +166,12 @@ def test_bordered_dual_step_matches_dense_gauge_complement_step(name):
     T = validate(FIXTURES[name]())
     rng = np.random.default_rng(79)
     factor = _range_solver(T)
-    Z = null_space(T.gauge_matrix.T)
+    project = factor(0.0, 1.0)
+    # dense oracles: the projector I - W (W^T W)^-1 W^T and an orthonormal
+    # basis of the gauge complement
+    W = T.gauge_matrix.toarray()
+    P = np.eye(T.n_edge_classes) - W @ np.linalg.solve(W.T @ W, W.T)
+    Z = null_space(W.T)
     # the solver's shift, a near-solution shift, and cells clamped by a wide draw
     for spread, shift in ((0.4, None), (0.4, 1e-6), (3.0, None)):
         _, k = _interior_target(T, rng)
@@ -174,9 +179,9 @@ def test_bordered_dual_step_matches_dense_gauge_complement_step(name):
         L = x[T.slot_class]
         g = cone_angles(T, AngleAssignment(extended_angles_batch(L))).values - k.values
         s = shift or min(float(np.max(np.abs(g))), 1.0)
-        dx = factor(_covolume_hessian(extended_angles_batch(L)), s)(
-            -_gauge_complement(T)(g)
-        )
+        pg = project(g)
+        assert np.max(np.abs(pg - P @ g)) <= 1e-12 * np.max(np.abs(g))
+        dx = factor(_covolume_hessian(extended_angles_batch(L)), s)(-pg)
         # dense oracle: shifted Newton step in an orthonormal gauge-complement basis
         H = Z.T @ _dense_dual_hessian(T, L) @ Z + s * np.eye(Z.shape[1])
         dense = Z @ np.linalg.solve(H, -Z.T @ g)
@@ -251,7 +256,7 @@ def test_gauge_borders_the_edge_equations(name):
     T = validate(FIXTURES[name]())
     _, k = _interior_target(T, np.random.default_rng(74))
     a_eq = assemble(T, k).a_eq.toarray()
-    W = T.gauge_matrix
+    W = T.gauge_matrix.toarray()
     assert np.max(np.abs(W.T @ a_eq)) == 0.0
     assert np.linalg.matrix_rank(W) == W.shape[1]
     assert np.linalg.matrix_rank(a_eq) == T.n_edge_classes - W.shape[1]

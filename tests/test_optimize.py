@@ -176,6 +176,21 @@ def test_maximize_falls_back_to_lp_start(monkeypatch):
     assert np.max(np.abs(rep.maximizer.values - from_lp.maximizer.values)) <= 1e-6
 
 
+def test_maximize_rejects_bad_u0():
+    T = validate(cover_document(4))
+    angles = sample_interior_angles(np.random.default_rng(66), T.n_tetrahedra)
+    k = cone_angles(T, AngleAssignment(angles))
+    u0 = angles[:, :3].ravel()
+    with pytest.raises(NoInteriorStart, match="u0 violates the edge equations"):
+        maximize_volume(T, k, u0=u0 + 1e-3)
+    # on the edge equations of its own cone angles, but with one free angle 0
+    outside = u0.copy()
+    outside[0] = 0.0
+    k_out = cone_angles(T, hyptet.structures.assemble(T, k).expand(outside))
+    with pytest.raises(NoInteriorStart, match="u0 is not strictly interior"):
+        maximize_volume(T, k_out, u0=outside)
+
+
 def test_start_on_the_equations_takes_no_phase_step(monkeypatch):
     T = validate(cover_document(4))
     angles = sample_interior_angles(np.random.default_rng(65), T.n_tetrahedra)
@@ -371,6 +386,38 @@ def test_rigidity_needs_two_starts():
     T, k, _ = doubled_fixture(np.zeros(6))
     with pytest.raises(ValueError):
         rigidity_check(T, k, n_starts=1)
+
+
+def test_rigidity_skips_a_failed_start(monkeypatch):
+    T, k, _ = doubled_fixture(_interior_lengths(np.random.default_rng(59)))
+    solve = hyptet.optimize.solve_cone_angles
+    calls = []
+
+    def second_start_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise MaxIterations("dual solve stalled", residual=1.0)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(hyptet.optimize, "solve_cone_angles", second_start_fails)
+    rep = rigidity_check(T, k, n_starts=4, tol=1e-6)
+    assert rep.failed_starts == [1]
+    assert rep.all_agree and rep.pairwise_distance <= 1e-6
+    assert rep.to_json()["failed_starts"] == [1]
+
+
+def test_rigidity_reraises_when_every_start_fails(monkeypatch):
+    T, k, _ = doubled_fixture(np.zeros(6))
+    calls = []
+
+    def always_fails(*args, **kwargs):
+        calls.append(None)
+        raise MaxIterations(f"start {len(calls) - 1} stalled", residual=1.0)
+
+    monkeypatch.setattr(hyptet.optimize, "solve_cone_angles", always_fails)
+    with pytest.raises(MaxIterations, match="^start 2 stalled$"):
+        rigidity_check(T, k, n_starts=3)
+    assert len(calls) == 3
 
 
 def test_distinct_targets_give_distinct_metrics():

@@ -173,6 +173,24 @@ def test_find_interior_on_fixture():
     assert verdict is Membership.INTERIOR
 
 
+def test_feasibility_report_to_json():
+    T, k, _ = _fixture()
+    fr = find_interior(T, k)
+    doc = fr.to_json()
+    assert doc == {
+        "status": "InteriorFound",
+        "witness": fr.witness.to_json(),
+        "min_slack": fr.min_slack,
+    }
+    assert AngleAssignment.from_json(doc["witness"]).values.tolist() == (
+        fr.witness.values.tolist()
+    )
+    fr = find_interior(T, ConeTarget(k.values * 1.5))
+    assert fr.to_json() == {
+        "status": "Infeasible", "witness": None, "min_slack": fr.min_slack,
+    }
+
+
 def test_find_interior_certificate_at_tenth_tolerance():
     T, k, _ = _fixture()
     fr = find_interior(T, k)

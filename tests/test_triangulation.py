@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import cover_document, snake_document
 
 from hyptet import (
     AngleAssignment,
@@ -119,9 +120,11 @@ def _assert_matches_reference(T):
     for name in ("slot_class", "corner_class", "corners", "ideal_classes"):
         assert getattr(T, name).tolist() == ref[name], name
     assert T.edge_keys == ref["edge_keys"]
-    assert np.array_equal(T.gauge_matrix, ref["gauge_matrix"])
-    # row-major like the reference, so products with it round the same way
-    assert T.gauge_matrix.flags["C_CONTIGUOUS"]
+    assert np.array_equal(T.gauge_matrix.toarray(), ref["gauge_matrix"])
+    # held sparse: at most the two endpoints of each edge class are stored
+    W = T.gauge_matrix
+    assert W.format == "csr" and W.has_canonical_format
+    assert W.nnz <= 2 * T.n_edge_classes
     assert T.summary() == ref["summary"]
 
 
@@ -160,7 +163,7 @@ def test_self_glued_complex():
     # the merged cusp class carries four corners and meets one edge class
     # with multiplicity two
     assert sorted(T.corners.tolist()) == [2, 2, 4]
-    assert np.max(T.gauge_matrix) == 2.0
+    assert np.max(T.gauge_matrix.toarray()) == 2.0
     assert T.slot_class.shape == (2, 6)
     assert np.array_equal(np.unique(T.slot_class), np.arange(5))
     # admissibility identity holds for any induced assignment
@@ -194,6 +197,18 @@ def test_validate_rejects_type_mixing():
     doc["gluings"][1]["vertex_map"] = [3, 1, 2, 4]
     with pytest.raises((TypeViolation, BadPermutation)):
         validate(doc)
+
+
+def test_validate_reports_type_violation():
+    doc = double_document()
+    # a valid permutation that sends the opposite vertex 2 to face 1, so the
+    # truncated vertex 1 of the glued face lands on the cusped vertex 2
+    doc["gluings"][1].update(face=2, to_face=1, vertex_map=[2, 1, 3, 4])
+    with pytest.raises(TypeViolation) as err:
+        validate(doc)
+    assert str(err.value) == (
+        "gluing #1: vertex 1 -> 2 mixes truncated and cusped vertices"
+    )
 
 
 def test_validate_rejects_bad_permutation():
@@ -334,8 +349,21 @@ def test_gauge_project_properties():
         q = gauge_project(T, m + shift).values
         assert np.max(np.abs(q - p)) <= 1e-12
     # a pure gauge vector projects to zero
-    g = T.gauge_matrix[:, 0]
+    g = T.gauge_matrix.toarray()[:, 0]
     assert np.max(np.abs(gauge_project(T, g).values)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [double_document, snake_document, lambda: cover_document(4)],
+    ids=["double", "snake", "cover4"],
+)
+def test_gauge_projector_is_the_dense_projector(doc):
+    # one bordered solve with the identity as its (E, E) right-hand side
+    T = validate(doc())
+    W = T.gauge_matrix.toarray()
+    dense = np.eye(T.n_edge_classes) - W @ np.linalg.solve(W.T @ W, W.T)
+    assert np.max(np.abs(T.gauge_projector - dense)) <= 1e-13
 
 
 def test_doubled_fixture_requires_interior():
@@ -364,6 +392,31 @@ def test_assignment_json_round_trip():
     doc = assignment.to_json()
     back = AngleAssignment.from_json(doc)
     assert np.array_equal(back.values, assignment.values)
+
+
+def _assignment_doc(**fields):
+    doc = AngleAssignment(np.full((2, 6), 0.5)).to_json()
+    doc.update(fields)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"values": None},
+        {"values": [[0.5] * 6, [0.5] * 5]},
+        {"values": [[True, 1, 1, 1, 1, 1], [0.5] * 6]},
+        {"values": [[0.5] * 6, ["0.5"] * 6]},
+        {"values": {"0": [0.5] * 6}},
+        {"tetrahedra": 3},
+        {"tetrahedra": None},
+    ],
+    ids=["no-values", "ragged", "bool", "string", "not-a-list", "count",
+         "no-count"],
+)
+def test_assignment_from_json_rejects_malformed(doc):
+    with pytest.raises(InvalidDocument):
+        AngleAssignment.from_json(_assignment_doc(**doc))
 
 
 def test_classes_match_union_find_on_fixtures():
