@@ -9,6 +9,10 @@ run record of ``perfbench/run.py`` holds the ns/row of each kernel
 (``kernel_ns_per_row``), and ``--trace 1`` adds the ``kernels.*`` calls,
 rows and busy time of the workload itself.
 
+The volume formula is written once: twice a cell's volume is Lobachevsky
+summed over the seven ``volume_args``, affine in the apex angles by
+``VOLUME_CHART``; its gradient and ``tetra``'s Hessians read them too.
+
 Conventions: float64 throughout; length/angle batches are ``(n, 6)`` arrays
 in slot order (12, 13, 14, 23, 24, 34), vertex 1 being the truncated
 vertex and vertices 2, 3, 4 the cusped ones.  All exponentials are taken
@@ -28,13 +32,22 @@ _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
 _EXP_CLAMP = 700.0
 
-# Coefficients of the log-split series for the Clausen-type integral on
-# [0, pi/2]: value(x) = x*(1 - ln 2x) + sum_m c_m * x * (x/pi)^(2m) with
-# c_m = zeta(2m) / (m*(2m+1)).  32 terms leave a remainder below 1e-19
-# for |x| <= pi/2.
-_N_TERMS = 32
-_SERIES_COEF = np.array(
-    [zeta(2.0 * m) / (m * (2 * m + 1)) for m in range(1, _N_TERMS + 1)]
+# Log-split series on [0, pi/2]: value(x) = x*(1 - ln 2x) + x*q*P(q), q = (x/pi)^2,
+# P by Horner from c_m = zeta(2m) / (m*(2m+1)), m = 22..1; the tail is < 3e-17.
+_SERIES_COEF = np.array([zeta(2 * m) / (m * (2 * m + 1)) for m in range(22, 0, -1)])
+
+#: the volume's arguments in the apex angles (a12, a13, a14): half the apex
+#: gap, then the cusp-sum chart of the six slot angles (``tetra.SLOT_COEF``)
+VOLUME_CHART = np.array(
+    [
+        [-0.5, -0.5, -0.5],
+        [1.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0],
+        [-0.5, -0.5, 0.5],
+        [-0.5, 0.5, -0.5],
+        [0.5, -0.5, -0.5],
+    ]
 )
 
 
@@ -51,16 +64,19 @@ def np_lobachevsky_batch(theta):
     xs = np.where(x > 0.0, x, 1.0)
     acc = np.where(x > 0.0, x * (1.0 - np.log(2.0 * xs)), 0.0)
     q = (x / PI) ** 2
-    p = np.ones_like(x)
-    for c in _SERIES_COEF:
-        p = p * q
-        acc = acc + c * x * p
-    return sgn * acc
+    return sgn * (acc + x * q * np.polyval(_SERIES_COEF, q))
 
 
-def _np_log_abs_2sin(x):
+def lobachevsky_prime(x):
+    """The derivative -ln|2 sin x|, +inf at the multiples of pi."""
     s = np.abs(2.0 * np.sin(x))
-    return np.where(s > 0.0, np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
+    return np.where(s > 0.0, -np.log(np.where(s > 0.0, s, 1.0)), np.inf)
+
+
+def volume_args(angles):
+    """Half the apex gap, then the six slot angles, (n, 6) -> (n, 7)."""
+    A = np.asarray(angles, dtype=np.float64)
+    return np.column_stack(((PI - (A[:, 0] + A[:, 1] + A[:, 2])) / 2.0, A))
 
 
 def np_phi_batch(lengths):
@@ -142,22 +158,18 @@ def np_extended_angles_batch(lengths):
 
 def np_volume2_batch(angles):
     """Twice the hyperbolic volume as a function of the six slot angles."""
-    A = np.asarray(angles, dtype=np.float64)
-    h = A[:, 0] + A[:, 1] + A[:, 2]
-    return np_lobachevsky_batch(np.column_stack(((PI - h) / 2.0, A))).sum(axis=1)
+    return np_lobachevsky_batch(volume_args(angles)).sum(axis=1)
 
 
 def np_volume_gradient_batch(angles):
     """d(vol)/d(a12, a13, a14) with the dependent slots eliminated."""
-    A = np.asarray(angles, dtype=np.float64)
-    h = A[:, 0] + A[:, 1] + A[:, 2]
-    lp_m = -_np_log_abs_2sin((PI - h) / 2.0)
-    lp = -_np_log_abs_2sin(A)
-    out = np.empty((A.shape[0], 3), dtype=np.float64)
-    out[:, 0] = 0.5 * (-0.5 * lp_m + lp[:, 0] - 0.5 * lp[:, 3] - 0.5 * lp[:, 4] + 0.5 * lp[:, 5])
-    out[:, 1] = 0.5 * (-0.5 * lp_m + lp[:, 1] - 0.5 * lp[:, 3] + 0.5 * lp[:, 4] - 0.5 * lp[:, 5])
-    out[:, 2] = 0.5 * (-0.5 * lp_m + lp[:, 2] + 0.5 * lp[:, 3] - 0.5 * lp[:, 4] - 0.5 * lp[:, 5])
-    return out
+    lp = lobachevsky_prime(volume_args(angles))
+    # Lambda'(0) is inf, so a12..a14 enter by their own columns, not through
+    # their rows' zero coefficients: an apex angle at 0 leaves the rest finite
+    g = lp[:, :1] * VOLUME_CHART[0] + lp[:, 1:4]
+    for k in range(4, 7):
+        g = g + lp[:, k, None] * VOLUME_CHART[k]
+    return 0.5 * g
 
 
 def np_covolume_batch(lengths):

@@ -47,7 +47,7 @@ def lobachevsky_derivative(theta):
         raise SingularArgument(
             "derivative diverges within 1e-12 of a multiple of pi"
         )
-    out = -np.log(np.abs(2.0 * np.sin(arr)))
+    out = _kernels.lobachevsky_prime(arr)
     if arr.ndim == 0:
         return float(out)
     return out

@@ -69,6 +69,8 @@ _BACKTRACKS = 40
 _PHASE_ONE = 20
 #: Newton steps per barrier weight in ``maximize_volume``
 _INNER = 150
+#: Newton steps of ``solve_cone_angles`` (a boundary-only run took 483)
+_DUAL_STEPS = 1000
 
 
 @dataclass
@@ -377,7 +379,7 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
     )
 
 
-def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
+def solve_cone_angles(T, k, tol=1e-8, x0=None):
     """Prescribe cone angles by minimizing the convex metric energy.
 
     Damped Newton steps in the orthogonal complement of the gauge, from
@@ -427,9 +429,9 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None, max_iter=50000):
         if x0.shape != (n_edges,) or not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be a finite vector over the edge classes")
         x = project(x0)
-    run = _newton(x, oracle, tol, max_iter)
+    run = _newton(x, oracle, tol, _DUAL_STEPS)
     if run.res > tol and not run.stopped:
-        what = "stalled" if run.iterations < max_iter else "hit the iteration cap"
+        what = "stalled" if run.iterations < _DUAL_STEPS else "hit the iteration cap"
         raise MaxIterations(
             f"dual solve {what} at residual {run.res:.3e}", residual=run.res
         )

@@ -210,13 +210,7 @@ def schlafli_suite(seed=0, n=100, tol=1e-6):
     checked = 0
     for row in A:
         l = np.asarray(tetra.angles_to_lengths(row))
-        expected = np.array(
-            [
-                (l[3] + l[4] - l[5]) / 2.0 - l[0],
-                (l[3] + l[5] - l[4]) / 2.0 - l[1],
-                (l[4] + l[5] - l[3]) / 2.0 - l[2],
-            ]
-        )
+        expected = -l @ SLOT_COEF
         for d in range(3):
             up = row[:3].copy()
             dn = row[:3].copy()

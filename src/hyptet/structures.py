@@ -149,7 +149,7 @@ def is_member(T, assignment, k, tol=1e-9):
             )
         if bad_apex[t]:
             violations.append(f"tet {t}: apex angle sum {apex[t]:.12g} > pi")
-    if np.any(A < -tol) or np.any(A > PI + tol):
+    if not np.all((A >= -tol) & (A <= PI + tol)):
         violations.append("slot angles leave [0, pi]")
     if violations:
         return Membership.OUTSIDE, violations

@@ -18,9 +18,9 @@ The central objects:
   convex Legendre-type partner ``2*vol + <angles, lengths>``, which is C^1
   on all of R^6 with gradient equal to the extended angles;
 * ``SLOT_COEF`` / ``SLOT_CONST`` -- the cusp-sum chart: every slot angle is
-  affine in the three apex-slot angles (a12, a13, a14), and
-  ``CELL_VERTICES`` are the four vertices of the closed angle polytope in
-  that chart;
+  affine in the three apex-slot angles (a12, a13, a14).  It lives in
+  ``_kernels.VOLUME_CHART`` with the volume formula; ``FLAT_PATTERNS`` and
+  ``CELL_VERTICES`` (the closed angle polytope's vertices) follow from it;
 * ``_volume_hessian`` / ``_covolume_hessian`` -- the closed-form volume
   Hessian in the chart and, through the Schlaefli identity, the co-volume
   Hessian ``C (-2 H)^-1 C^T``, batched over cells for the solvers.
@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
+from ._kernels import VOLUME_CHART
 from .errors import (
     AmbiguousClassification,
     BoundaryGradient,
@@ -57,33 +58,17 @@ GAUGE_VECTORS = np.array(
     ]
 )
 
-#: the three flat-collapse angle patterns (closure corner points)
-FLAT_PATTERNS = np.array(
-    [
-        [PI, 0.0, 0.0, 0.0, 0.0, PI],
-        [0.0, PI, 0.0, 0.0, PI, 0.0],
-        [0.0, 0.0, PI, PI, 0.0, 0.0],
-    ]
-)
-
 #: slot angles as affine functions of (a12, a13, a14): coefficients and offsets
-SLOT_COEF = np.array(
-    [
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [-0.5, -0.5, 0.5],
-        [-0.5, 0.5, -0.5],
-        [0.5, -0.5, -0.5],
-    ]
-)
+SLOT_COEF = VOLUME_CHART[1:]
 SLOT_CONST = np.array([0.0, 0.0, 0.0, PI / 2.0, PI / 2.0, PI / 2.0])
 
+#: the three flat-collapse angle patterns (closure corner points), and the
 #: vertices of a cell's closed angle polytope (u >= 0, sum u <= pi), (6, 4)
+FLAT_PATTERNS = np.ascontiguousarray(SLOT_CONST + PI * SLOT_COEF.T)
 CELL_VERTICES = np.vstack([SLOT_CONST, FLAT_PATTERNS]).T
 
-#: outer products c_j c_j^T of the slot coefficient rows, flattened to (6, 9)
-_SLOT_OUTER = np.einsum("jp,jq->jpq", SLOT_COEF, SLOT_COEF).reshape(6, 9)
+#: outer products c_k c_k^T of the volume chart rows, flattened to (7, 9)
+_CHART_OUTER = np.einsum("kp,kq->kpq", VOLUME_CHART, VOLUME_CHART).reshape(7, 9)
 
 
 class DihedralAngles(NamedTuple):
@@ -308,7 +293,7 @@ def volume_gradient(alpha):
     """
     a = _as6(alpha, "alpha")
     _require_interior_angles(a)
-    args = np.concatenate(([(PI - a[0] - a[1] - a[2]) / 2.0], a))
+    args = _kernels.volume_args(a.reshape(1, 6))
     dist = np.abs(args - PI * np.round(args / PI))
     if np.any(dist <= 1e-9):
         raise BoundaryGradient(
@@ -348,14 +333,12 @@ def covolume_hessian(lengths):
 def _volume_hessian(angles):
     """Hessian of the volume in the free chart (a12, a13, a14), (n, 3, 3).
 
-    The volume is half the sum of the Lobachevsky function over the six
-    slot angles ``c_j . u + const`` and over ``(pi - h) / 2`` with
-    ``h = a12 + a13 + a14``; since its second derivative is ``-cot``,
-    ``H = -1/2 [sum_j cot(a_j) c_j c_j^T + 1/4 cot((pi - h) / 2) 11^T]``.
+    Twice the volume is the Lobachevsky sum over the seven arguments
+    ``c_k . u + const`` of ``_kernels.volume_args`` (``c_k`` the rows of
+    ``VOLUME_CHART``); since its second derivative is ``-cot``,
+    ``H = -1/2 sum_k cot(arg_k) c_k c_k^T``.
     """
-    A = np.asarray(angles, dtype=np.float64)
-    half_gap = (PI - A[:, 0] - A[:, 1] - A[:, 2]) / 2.0
-    H = (1.0 / np.tan(A)) @ _SLOT_OUTER + (0.25 / np.tan(half_gap))[:, None]
+    H = (1.0 / np.tan(_kernels.volume_args(angles))) @ _CHART_OUTER
     return -0.5 * H.reshape(-1, 3, 3)
 
 
@@ -364,19 +347,20 @@ def _covolume_hessian(angles):
 
     Schlaefli gives ``d(2 vol)/du = -C^T l`` (``C = SLOT_COEF``,
     ``H = _volume_hessian``).  ``(-2 H)^-1`` is the top-left 3x3 of
-    ``[[M, 1], [1^T, -4 tan((pi - h) / 2)]]^-1``, ``M = sum_j cot(a_j) c_j
-    c_j^T``, finite when the apex sum ``h`` rounds to pi.  A cell with an
-    angle clamped to 0 or pi is locally constant, so its block is 0.
+    ``[[M, 1], [1^T, -4 tan(g)]]^-1``, ``M`` the slot rows of ``_CHART_OUTER``
+    weighted by ``cot(a_j)``, ``g`` the half apex gap; finite when the apex
+    sum rounds to pi.  A cell with an angle clamped to 0 or pi is locally
+    constant, so its block is 0.
     """
     clamped = np.any((angles == 0.0) | (angles == PI), axis=1)
-    A = np.where(clamped[:, None], PI / 4.0, angles)
-    K = np.ones((A.shape[0], 4, 4))
-    # each product with _SLOT_OUTER (entries 0, 1/4, 1) is exact and einsum
+    args = _kernels.volume_args(np.where(clamped[:, None], PI / 4.0, angles))
+    K = np.ones((args.shape[0], 4, 4))
+    # each product with _CHART_OUTER (entries 0, 1/4, 1) is exact and einsum
     # adds them slot by slot, so a row gets the same bits in any batch; a
     # BLAS product rounds one row (gemv) differently from a batch (gemm)
-    M = np.einsum("tj,jk->tk", 1.0 / np.tan(A), _SLOT_OUTER)
+    M = np.einsum("tj,jk->tk", 1.0 / np.tan(args[:, 1:]), _CHART_OUTER[1:])
     K[:, :3, :3] = M.reshape(-1, 3, 3)
-    K[:, 3, 3] = -4.0 * np.tan((PI - A[:, 0] - A[:, 1] - A[:, 2]) / 2.0)
+    K[:, 3, 3] = -4.0 * np.tan(args[:, 0])
     inv = np.linalg.inv(K)[:, :3, :3]
     inv[clamped] = 0.0
     return SLOT_COEF @ inv @ SLOT_COEF.T

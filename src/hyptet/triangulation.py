@@ -351,6 +351,8 @@ class AngleAssignment:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[1] != 6:
             raise ValueError("assignment must have shape (n, 6)")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("assignment values must be finite")
 
     def to_json(self):
         return {

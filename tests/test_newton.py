@@ -27,7 +27,7 @@ from hyptet import (
     validate,
 )
 from hyptet._kernels import extended_angles_batch, phi_batch, volume_gradient_batch
-from hyptet.optimize import _barrier_oracle
+from hyptet.optimize import _barrier_oracle, _newton
 from hyptet.selftest import sample_interior_angles
 from hyptet.structures import SLOT_COEF, SLOT_CONST, FeasibilityStatus
 from hyptet.tetra import GAUGE_VECTORS, _covolume_hessian, _volume_hessian
@@ -186,6 +186,27 @@ def test_bordered_dual_step_matches_dense_gauge_complement_step(name):
         H = Z.T @ _dense_dual_hessian(T, L) @ Z + s * np.eye(Z.shape[1])
         dense = Z @ np.linalg.solve(H, -Z.T @ g)
         assert np.max(np.abs(dx - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+def test_range_solver_raises_on_a_singular_matrix():
+    # zero blocks and s = 0 leave only the gauge border: singular
+    T = validate(double_document())
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _range_solver(T)(0.0, 0.0)
+
+
+def test_newton_stalls_on_a_step_of_float_noise():
+    # flat f, a residual that halves per call, and a descent direction that
+    # moves x by one ulp: the step is accepted, then the run stalls
+    calls = []
+
+    def oracle(x):
+        calls.append(x.copy())
+        return 0.0, np.full(1, -1.0), 0.5 ** len(calls), lambda: np.full(1, 3e-16)
+
+    run = _newton(np.ones(1), oracle, 1e-12, 50)
+    assert run.iterations == 1 and not run.stopped
+    assert run.res == 0.25 and run.x[0] == 1.0 + np.finfo(float).eps
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Assignment-polytope encoding, membership verdicts, feasibility LP."""
 
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from conftest import (
 from scipy import sparse
 from scipy.optimize import linprog
 
+import hyptet.structures
 from hyptet import (
     AngleAssignment,
     ConeTarget,
@@ -24,7 +27,7 @@ from hyptet import (
     find_interior,
     is_member,
 )
-from hyptet.errors import InadmissibleTarget
+from hyptet.errors import InadmissibleTarget, LpFailure
 from hyptet.selftest import sample_interior_angles
 from hyptet.structures import FEASIBILITY_TOL, SLOT_COEF, SLOT_CONST
 from hyptet.triangulation import PAIR_INDEX, double_document, validate
@@ -162,6 +165,57 @@ def test_is_member_rejects_negative_slot_angles():
     verdict, violations = is_member(T, A, k)
     assert verdict is Membership.OUTSIDE
     assert "slot angles leave [0, pi]" in violations
+
+
+def test_is_member_rejects_nan_slot_angle():
+    # every comparison with NaN is false, so only a range test that asks for
+    # membership of [0, pi] catches it
+    T, k, assignment = _fixture()
+    A = assignment.values.copy()
+    A[0, 4] = np.nan
+    verdict, violations = is_member(T, A, k)
+    assert verdict is Membership.OUTSIDE
+    assert "slot angles leave [0, pi]" in violations
+
+
+def test_angle_assignment_rejects_non_finite_values():
+    _, _, assignment = _fixture()
+    bad = assignment.values.copy()
+    bad[1, 2] = np.inf
+    with pytest.raises(ValueError, match="must be finite"):
+        AngleAssignment(bad)
+    doc = assignment.to_json()
+    doc["values"][0][0] = float("nan")
+    with pytest.raises(ValueError, match="must be finite"):
+        AngleAssignment.from_json(json.loads(json.dumps(doc)))
+
+
+def _stub_linprog(status, x=None):
+    def linprog(*args, **kwargs):
+        return SimpleNamespace(status=status, x=x, message=f"stub status {status}")
+
+    return linprog
+
+
+def test_find_interior_reads_the_lp_status(monkeypatch):
+    T, k, _ = _fixture()
+    monkeypatch.setattr(hyptet.structures, "linprog", _stub_linprog(2))
+    fr = find_interior(T, k)
+    assert fr.status is FeasibilityStatus.INFEASIBLE
+    assert fr.witness is None and fr.min_slack == -np.inf
+    monkeypatch.setattr(hyptet.structures, "linprog", _stub_linprog(4))
+    with pytest.raises(LpFailure, match="LP solver failed: stub status 4"):
+        find_interior(T, k)
+
+
+def test_find_interior_rejects_a_witness_substitution_refutes(monkeypatch):
+    # t* = 0.3 with s = 0: every free angle 0.3, off the edge equations
+    T, k, _ = _fixture()
+    x = np.zeros(3 * T.n_tetrahedra + 1)
+    x[-1] = 0.3
+    monkeypatch.setattr(hyptet.structures, "linprog", _stub_linprog(0, x))
+    with pytest.raises(LpFailure, match="substitution disagrees"):
+        find_interior(T, k)
 
 
 def test_find_interior_on_fixture():
