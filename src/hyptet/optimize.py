@@ -5,10 +5,15 @@ for a cone target ``k`` (a strictly concave problem on the free-variable
 chart) by a log-barrier interior-point method.  The volume Hessian in the
 free chart is closed form, because the Lobachevsky function has second
 derivative ``-cot``, so the barrier Hessian is block diagonal with one
-3x3 block per tetrahedron.  Newton steps on the sparse edge equations are
-range-space (Schur-complement) steps: a sparse LU of the E x E matrix
-``A B^-1 A^T``, bordered by the gauge matrix, replaces any basis of the
-null space of ``A`` (Nocedal & Wright, *Numerical Optimization*, ch. 16).
+3x3 block per tetrahedron, inverted in closed form.  Newton steps on the
+sparse edge equations are range-space (Schur-complement) steps: a sparse
+LU of the E x E matrix ``A B^-1 A^T``, bordered by the gauge matrix,
+replaces any basis of the null space of ``A`` (Nocedal & Wright,
+*Numerical Optimization*, ch. 16).  Every LU of a solve reuses the one
+symmetric fill-reducing order its ``_range_solver`` fixed, with
+thresholded pivoting, so a step costs one numeric factorization; the
+transpose of ``A``, the null-space projector and the cell terms of the
+last point evaluated are held for the whole solve (``_Barrier``).
 The same step, with the edge-equation residual on its right-hand side,
 carries a start that is only inside the inequalities onto the edge
 equations (an infeasible-start phase one), so the feasibility LP runs only
@@ -71,6 +76,11 @@ _PHASE_ONE = 20
 _INNER = 150
 #: Newton steps of ``solve_cone_angles`` (a boundary-only run took 483)
 _DUAL_STEPS = 1000
+#: ``(C kron C)^T`` (``C = SLOT_COEF``), (9, 36): a 3x3 block ``X``
+#: flattened row by row, times it, is ``C X C^T`` flattened
+_SLOT_KRON = np.ascontiguousarray(np.kron(SLOT_COEF, SLOT_COEF).T)
+#: the six distinct entries of a symmetric 3x3, spread over its rows
+_SYM3 = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
 
 @dataclass
@@ -224,51 +234,117 @@ def _newton(x, oracle, tol, max_iter, max_step=None):
     return _Run(x, f, res, it, trace)
 
 
-def _barrier_oracle(cs, mu, factor, project):
-    """Oracle of ``-(vol + mu * sum log c)`` over the edge equations.
+def _sym3_inverse(B):
+    """Inverses of the symmetric 3x3 blocks ``B`` (n, 3, 3) in closed form,
+    flattened row by row to (n, 9).
 
-    ``factor`` is ``_range_solver(T)`` and ``project`` maps a gradient onto
-    the null space of ``a_eq``.  The Newton direction is the range-space
-    step ``dx = -B^-1 (g + A^T lam)`` with ``A B^-1 A^T lam = r - A B^-1 g``,
-    for the block-diagonal barrier Hessian ``B`` (one positive definite 3x3
-    block per tetrahedron) and the edge-equation residual
-    ``r = A u - b_eq``, so that ``A dx = -r``: on the equations it is the
-    feasible Newton step, off them the infeasible-start one.
+    ``B = L D L^T`` with ``L`` unit lower triangular (``p, q, r`` below its
+    diagonal) and ``D = diag(d1, d2, d3)``, so ``B^-1 = sum_k l_k l_k^T / d_k``
+    over the rows ``l_k`` of ``L^-1``.  Without pivoting this is backward
+    stable for positive definite blocks, as the barrier's are; the adjugate
+    is not, and loses ``cond(B)^2 eps`` near the apex wall, where a barrier
+    block is a large multiple of ``1 1^T`` plus a small part.  A block with
+    a pivot of 0 or not finite (determinant ``d1 d2 d3``) raises
+    ``LinAlgError``, as ``np.linalg.inv`` does for a singular matrix, and
+    warns of nothing.
     """
-    n = cs.n_tetrahedra
-    a_eq = cs.a_eq
-    eye3 = np.eye(3)
-
-    def blockmul(M, v):
-        return np.einsum("tij,tj->ti", M, v.reshape(n, 3)).ravel()
-
-    def oracle(u_vec):
-        c = cs.constraint_values(u_vec)
-        slack = c[3 * n :]
-        A = cs.expand(u_vec).values
-        f = -0.5 * float(volume2_batch(A).sum()) - mu * float(np.sum(np.log(c)))
-        g = -volume_gradient_batch(A).ravel() - mu * (
-            1.0 / u_vec - np.repeat(1.0 / slack, 3)
-        )
-        pg = project(g)
-
-        def step():
-            B = -_volume_hessian(A) + mu * (
-                eye3 / u_vec.reshape(n, 3, 1) ** 2 + 1.0 / slack[:, None, None] ** 2
-            )
-            inv = np.linalg.inv(B)
-            solve = factor(SLOT_COEF @ inv @ SLOT_COEF.T)
-            w = blockmul(inv, g)
-            r = a_eq @ u_vec - cs.b_eq
-            return blockmul(inv, a_eq.T @ solve(a_eq @ w - r)) - w
-
-        return f, pg, float(np.max(np.abs(pg))), step
-
-    return oracle
+    a, b, c = B[:, 0, 0], B[:, 0, 1], B[:, 0, 2]
+    d, e, f = B[:, 1, 1], B[:, 1, 2], B[:, 2, 2]
+    with np.errstate(all="ignore"):
+        p, q = b / a, c / a
+        d2 = d - p * b
+        r = (e - q * b) / d2
+        d3 = f - q * c - r * (e - q * b)
+        w = p * r - q
+        i1, i2, i3 = 1.0 / a, 1.0 / d2, 1.0 / d3
+        inv = np.stack(
+            [i1 + p * p * i2 + w * w * i3, -p * i2 - w * r * i3, w * i3,
+             i2 + r * r * i3, -r * i3, i3],
+            axis=1,
+        )[:, _SYM3]
+    pivots = np.concatenate([a, d2, d3])
+    if not (np.all(np.isfinite(pivots) & (pivots != 0.0)) and np.all(np.isfinite(inv))):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return inv
 
 
-def _equation_oracle(cs, barrier):
-    """Oracle of ``|a_eq u - b_eq|^2 / 2`` whose step is ``barrier``'s.
+def _barrier_hessian(A, c, mu):
+    """Hessian blocks (n, 3, 3) of ``-(vol + mu * sum log c)`` in the free
+    chart, at slot angles ``A`` and constraint values ``c`` (the 3n free
+    angles, then the n apex slacks)."""
+    n = A.shape[0]
+    u, slack = c[: 3 * n].reshape(n, 3, 1), c[3 * n :, None, None]
+    return -_volume_hessian(A) + mu * (np.eye(3) / u**2 + 1.0 / slack**2)
+
+
+def _blockmul(inv, v):
+    """``B^-1 v`` for the flattened block inverses ``inv`` (n, 9), ``v`` (3n,)."""
+    return np.einsum("tij,tj->ti", inv.reshape(-1, 3, 3), v.reshape(-1, 3)).ravel()
+
+
+class _Barrier:
+    """The log-barrier problems ``-(vol + mu * sum log c)`` of one primal
+    solve, over the edge equations, one oracle per barrier weight ``mu``.
+
+    What no weight changes is built once per solve: the transpose of
+    ``a_eq``, the projector ``project`` onto its null space (``factor`` with
+    ``B = I``), and the cell terms of the last point evaluated -- the slot
+    angles, twice the volume and its gradient -- which a new weight's start
+    and the volume trace read again instead of recomputing.
+    """
+
+    def __init__(self, cs, factor):
+        self.cs = cs
+        self.factor = factor
+        self.a_eq_t = cs.a_eq.T.tocsr()
+        self._solve_eye = factor(SLOT_COEF @ SLOT_COEF.T)
+        self._last = None
+
+    def project(self, g):
+        return g - self.a_eq_t @ self._solve_eye(self.cs.a_eq @ g)
+
+    def cells(self, u):
+        """Slot angles, twice the volume and its gradient (3n,) at ``u``."""
+        if self._last is None or not np.array_equal(self._last[0], u):
+            A = self.cs.expand(u).values
+            vol2 = float(volume2_batch(A).sum())
+            self._last = u.copy(), A, vol2, volume_gradient_batch(A).ravel()
+        return self._last[1:]
+
+    def oracle(self, mu):
+        """Oracle of the weight ``mu``.
+
+        The Newton direction is the range-space step
+        ``dx = -B^-1 (g + A^T lam)`` with ``A B^-1 A^T lam = r - A B^-1 g``,
+        for the block-diagonal barrier Hessian ``B`` (one positive definite
+        3x3 block per tetrahedron) and the edge-equation residual
+        ``r = A u - b_eq``, so that ``A dx = -r``: on the equations it is the
+        feasible Newton step, off them the infeasible-start one.
+        ``A B^-1 A^T`` is ``factor`` of the slot blocks ``C B^-1 C^T``.
+        """
+        cs, a_eq, a_eq_t = self.cs, self.cs.a_eq, self.a_eq_t
+
+        def oracle(u_vec):
+            c = cs.constraint_values(u_vec)
+            A, vol2, grad = self.cells(u_vec)
+            f = -0.5 * vol2 - mu * float(np.sum(np.log(c)))
+            g = -grad - mu * (1.0 / u_vec - np.repeat(1.0 / c[u_vec.size :], 3))
+            pg = self.project(g)
+
+            def step():
+                inv = _sym3_inverse(_barrier_hessian(A, c, mu))
+                solve = self.factor((inv @ _SLOT_KRON).reshape(-1, 6, 6))
+                w = _blockmul(inv, g)
+                r = a_eq @ u_vec - cs.b_eq
+                return _blockmul(inv, a_eq_t @ solve(a_eq @ w - r)) - w
+
+            return f, pg, float(np.max(np.abs(pg))), step
+
+        return oracle
+
+
+def _equation_oracle(barrier, mu):
+    """Oracle of ``|a_eq u - b_eq|^2 / 2`` whose step is ``barrier``'s at ``mu``.
 
     From ``u`` strictly inside the inequalities, the barrier oracle's Newton
     direction also cancels the edge-equation residual ``r``, so a run cut by
@@ -277,16 +353,17 @@ def _equation_oracle(cs, barrier):
     Optimization*, sec. 10.3).  The residual is ``max|r|``.  A point on the
     boundary to rounding raises ``_Stop``: the barrier would divide by 0.
     """
-    a_eq = cs.a_eq
+    cs = barrier.cs
+    newton = barrier.oracle(mu)
 
     def oracle(u_vec):
-        r = a_eq @ u_vec - cs.b_eq
+        r = cs.a_eq @ u_vec - cs.b_eq
         f = 0.5 * float(r @ r)
         res = float(np.max(np.abs(r)))
         edge = min(np.min(cs.constraint_values(u_vec)), np.min(cs.expand(u_vec).values))
         if edge <= 0.0:
             raise _Stop(u_vec, f, res)
-        return f, a_eq.T @ r, res, lambda: barrier(u_vec)[3]()
+        return f, barrier.a_eq_t @ r, res, lambda: newton(u_vec)[3]()
 
     return oracle
 
@@ -313,12 +390,7 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
     cs = assemble(T, k)
     n = T.n_tetrahedra
     a_eq = cs.a_eq
-    factor = _range_solver(T)
-    # B = I: the orthogonal projector onto the null space of the edge equations
-    solve_eye = factor(SLOT_COEF @ SLOT_COEF.T)
-
-    def project(g):
-        return g - a_eq.T @ solve_eye(a_eq @ g)
+    barrier = _Barrier(cs, _range_solver(T))
 
     if u0 is not None:
         u = np.asarray(u0, dtype=np.float64).reshape(3 * n).copy()
@@ -346,8 +418,7 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
         m *= 0.1
     mus.append(mu_final)
 
-    barrier = _barrier_oracle(cs, mus[0], factor, project)
-    run = _newton(u, _equation_oracle(cs, barrier), 1e-8, _PHASE_ONE, max_step)
+    run = _newton(u, _equation_oracle(barrier, mus[0]), 1e-8, _PHASE_ONE, max_step)
     u, iterations = run.x, run.iterations
     if is_member(T, cs.expand(u), cs.cone, tol=1e-8)[0] is not Membership.INTERIOR:
         fr = find_interior(T, k)
@@ -357,11 +428,10 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
 
     trace = []
     for mu in mus:
-        oracle = _barrier_oracle(cs, mu, factor, project)
-        run = _newton(u, oracle, max(0.1 * mu, 1e-13), _INNER, max_step)
+        run = _newton(u, barrier.oracle(mu), max(0.1 * mu, 1e-13), _INNER, max_step)
         u = run.x
         iterations += run.iterations
-        trace.append(0.5 * float(volume2_batch(cs.expand(u).values).sum()))
+        trace.append(0.5 * barrier.cells(u)[1])
 
     kkt = max(run.res, mu_final)
     if kkt > tol:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import tetra
@@ -64,6 +64,10 @@ _PAIR_ENDS = np.array(PAIRS) - 1
 TWO_PI = 2.0 * np.pi
 #: admissibility tolerance, relative to the largest cone target value
 ADMISSIBILITY_TOL = 1e-9
+#: SuperLU's threshold for keeping a diagonal pivot of ``_range_solver``'s
+#: symmetric bordered matrices, and the options that make it prefer them
+_PIVOT_THRESH = 0.1
+_LU_OPTIONS = {"SymmetricMode": True}
 
 
 def face_vertices(face):
@@ -410,15 +414,35 @@ def _range_solver(T):
     ``factor(blocks, s=0.0)`` refills the CSC pattern built once here and
     returns ``r -> x`` for ``r`` of shape (E,) or (E, k); a singular LU
     raises ``LinAlgError``.
+
+    The pattern is stored in one symmetric fill-reducing order (reverse
+    Cuthill-McKee), computed here once per solver, so each LU keeps that
+    order instead of ordering the same pattern again.  The matrix is
+    symmetric and its zero border diagonal still needs row exchanges, so
+    pivoting is thresholded (``_PIVOT_THRESH``): SuperLU keeps a diagonal
+    pivot unless it is below that share of its column's largest entry,
+    which keeps the fill near the pattern's own (George & Liu, *Computer
+    Solution of Large Sparse Positive Definite Systems*).
     """
     W = T.gauge_matrix.tocoo()
     (E, m), we, wc = W.shape, W.row, W.col
-    sc, diag = T.slot_class, np.arange(E)
+    N, sc, diag = E + m, T.slot_class, np.arange(E)
     # block entry (t, i, j) sits at (slot_class[t, i], slot_class[t, j])
     rows = np.concatenate([np.repeat(sc, 6, axis=1).ravel(), diag, we, E + wc])
     cols = np.concatenate([np.tile(sc, 6).ravel(), diag, E + wc, we])
-    keys, slot = np.unique(cols * (E + m) + rows, return_inverse=True)
-    pattern = keys % (E + m), np.searchsorted(keys, np.arange(E + m + 1) * (E + m))
+    keys, slot = np.unique(cols * N + rows, return_inverse=True)
+    graph = sparse.csc_matrix(
+        (np.ones(keys.size), keys % N, np.searchsorted(keys, np.arange(N + 1) * N)),
+        shape=(N, N),
+    )
+    order = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    # entry (i, j) of the bordered matrix is entry (at[i], at[j]) of the stored one
+    at = np.empty(N, dtype=np.intp)
+    at[order] = np.arange(N)
+    keys = at[keys // N] * N + at[keys % N]
+    sort = np.argsort(keys)
+    keys, slot = keys[sort], np.argsort(sort)[slot]
+    pattern = keys % N, np.searchsorted(keys, np.arange(N + 1) * N)
     border = np.tile(W.data, 2)
 
     def factor(blocks, s=0.0):
@@ -426,10 +450,20 @@ def _range_solver(T):
         weights = np.concatenate([blocks.ravel(), np.full(E, s), border])
         data = np.bincount(slot, weights=weights, minlength=keys.size)
         try:
-            lu = splu(sparse.csc_matrix((data, *pattern), shape=(E + m, E + m)))
+            lu = splu(
+                sparse.csc_matrix((data, *pattern), shape=(N, N)),
+                permc_spec="NATURAL",
+                diag_pivot_thresh=_PIVOT_THRESH,
+                options=_LU_OPTIONS,
+            )
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(str(exc)) from exc
-        return lambda r: lu.solve(np.concatenate([r, np.zeros((m, *r.shape[1:]))]))[:E]
+
+        def solve(r):
+            rhs = np.concatenate([r, np.zeros((m, *r.shape[1:]))])
+            return lu.solve(rhs[order])[at[:E]]
+
+        return solve
 
     return factor
 

@@ -1,4 +1,7 @@
-"""Hessian oracles of the shared Newton core and its iteration counts."""
+"""Hessian oracles of the shared Newton core, its linear algebra and its
+iteration and work counts."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from conftest import (
     snake_document,
 )
 from scipy.linalg import block_diag, null_space
+from scipy.sparse.linalg import splu
 
 from hyptet import (
     AngleAssignment,
@@ -26,8 +30,20 @@ from hyptet import (
     solve_cone_angles,
     validate,
 )
-from hyptet._kernels import extended_angles_batch, phi_batch, volume_gradient_batch
-from hyptet.optimize import _barrier_oracle, _newton
+from hyptet import optimize, triangulation
+from hyptet._kernels import (
+    extended_angles_batch,
+    phi_batch,
+    volume2_batch,
+    volume_gradient_batch,
+)
+from hyptet.optimize import (
+    _SLOT_KRON,
+    _Barrier,
+    _barrier_hessian,
+    _newton,
+    _sym3_inverse,
+)
 from hyptet.selftest import sample_interior_angles
 from hyptet.structures import SLOT_COEF, SLOT_CONST, FeasibilityStatus
 from hyptet.tetra import GAUGE_VECTORS, _covolume_hessian, _volume_hessian
@@ -60,13 +76,24 @@ def _fd_covolume_hessian(lengths, h):
     return 0.5 * (hess + hess.transpose(0, 2, 1))
 
 
+def _slot_sum(T, blocks):
+    """``S`` of ``_range_solver``: slot blocks (n, 6, 6) summed densely over
+    the edge classes, (E, E)."""
+    S = np.zeros((T.n_edge_classes, T.n_edge_classes))
+    sc = T.slot_class
+    np.add.at(S, (sc[:, :, None], sc[:, None, :]), blocks)
+    return S
+
+
 def _dense_dual_hessian(T, L):
     """The dual Hessian over the edge classes, (E, E), summed densely."""
-    H = np.zeros((T.n_edge_classes, T.n_edge_classes))
-    sc = T.slot_class
-    blocks = _covolume_hessian(extended_angles_batch(L))
-    np.add.at(H, (sc[:, :, None], sc[:, None, :]), blocks)
-    return H
+    return _slot_sum(T, _covolume_hessian(extended_angles_batch(L)))
+
+
+def _primal_blocks(cs, u, mu):
+    """The primal step's slot blocks ``C B^-1 C^T`` at ``u`` and weight ``mu``."""
+    B = _barrier_hessian(cs.expand(u).values, cs.constraint_values(u), mu)
+    return (_sym3_inverse(B) @ _SLOT_KRON).reshape(-1, 6, 6)
 
 
 def test_volume_hessian_matches_fd_of_gradient():
@@ -293,13 +320,8 @@ def test_sparse_primal_step_matches_dense_null_space_step(name):
         angles, k = _interior_target(T, rng)
         cs = assemble(T, k)
         a_eq = cs.a_eq
-        solve_eye = factor(np.broadcast_to(SLOT_COEF @ SLOT_COEF.T, (n, 6, 6)))
-
-        def project(g):
-            return g - a_eq.T @ solve_eye(a_eq @ g)
-
         u = angles[:, :3].ravel()
-        _, pg, res, step = _barrier_oracle(cs, mu, factor, project)(u)
+        _, pg, res, step = _Barrier(cs, factor).oracle(mu)(u)
         dx = step()
 
         # dense oracle: Newton step in an orthonormal null-space basis
@@ -332,3 +354,128 @@ def test_maximize_cover512_solves():
     dual = solve_cone_angles(T, k, tol=1e-6)
     assert dual.residual <= 1e-6 and not dual.diverged
     assert np.max(np.abs(curvature(T, dual.metric) - (2.0 * np.pi - k.values))) <= 1e-5
+
+
+def _solver_systems(T, rng):
+    """(label, blocks, s) of every kind of system the solvers factor: primal
+    blocks at the start and at the last iterate of a barrier run, the dual's
+    co-volume blocks with its shift ``min(res, 1)``, at cells inside and
+    clamped by a wide draw, and the projector's zero blocks."""
+    angles, k = _interior_target(T, rng)
+    cs = assemble(T, k)
+    last = maximize_volume(T, k, tol=1e-8).maximizer.values[:, :3].ravel()
+    out = [
+        ("primal start", _primal_blocks(cs, angles[:, :3].ravel(), 1e-1), 0.0),
+        ("primal last", _primal_blocks(cs, last, 1e-9), 0.0),
+        ("projector", 0.0, 1.0),
+    ]
+    for spread in (0.4, 3.0):
+        x = rng.uniform(-spread, spread, T.n_edge_classes)
+        A = extended_angles_batch(x[T.slot_class])
+        res = float(np.max(np.abs(T.edge_sums(A) - k.values)))
+        out.append((f"dual {spread}", _covolume_hessian(A), min(res, 1.0)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_bordered_solve_residual(name):
+    # for W^T r = 0 the bordered solve is the x with (S + s I) x = r and
+    # W^T x = 0; thresholded pivoting must keep it accurate on every kind of
+    # block the solvers pass, each checked against its own S
+    T = validate(FIXTURES[name]())
+    rng = np.random.default_rng(83)
+    factor = _range_solver(T)
+    W = T.gauge_matrix.toarray()
+    P = np.eye(T.n_edge_classes) - W @ np.linalg.solve(W.T @ W, W.T)
+    for label, blocks, s in _solver_systems(T, rng):
+        S = _slot_sum(T, np.broadcast_to(blocks, (T.n_tetrahedra, 6, 6)))
+        r = P @ rng.standard_normal(T.n_edge_classes)
+        x = factor(blocks, s)(r)
+        scale = float(np.max(np.abs(r)))
+        assert np.max(np.abs(S @ x + s * x - r)) <= 1e-10 * scale, label
+        assert np.max(np.abs(W.T @ x)) <= 1e-10 * float(np.max(np.abs(x))), label
+
+
+def _barrier_blocks(rng, n, mu, apex=None, gap=None):
+    """Barrier Hessian blocks at ``n`` seeded interior cells; ``apex`` and
+    ``gap``, ranges of log10 distances, put each cell's a12 or its apex
+    slack that close to 0."""
+    U = sample_interior_angles(rng, n)[:, :3].copy()
+    if apex is not None:
+        U[:, 0] = 10.0 ** rng.uniform(*apex, n)
+    if gap is not None:
+        U[:, 2] = np.pi - U[:, :2].sum(axis=1) - 10.0 ** rng.uniform(*gap, n)
+    c = np.concatenate([U.ravel(), np.pi - U.sum(axis=1)])
+    assert np.all(c > 0.0)
+    return _barrier_hessian(U @ SLOT_COEF.T + SLOT_CONST, c, mu)
+
+
+def test_block_inverse_matches_linalg_inv():
+    rng = np.random.default_rng(84)
+    for mu in (1e-1, 1e-6, 1e-13):
+        B = np.concatenate([
+            _barrier_blocks(rng, 300, mu), _barrier_blocks(rng, 300, mu, apex=(-14, -4))
+        ])
+        ref = np.linalg.inv(B).reshape(-1, 9)
+        err = np.max(np.abs(_sym3_inverse(B) - ref), axis=1)
+        assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=1))
+    # near the apex-sum wall a block is a large multiple of 1 1^T plus a small
+    # part, and two inverses agree only to cond(B) eps (np.linalg.inv's
+    # included): there the closed form must be as backward stable as an LU
+    for mu, gap in ((1e-1, (-3, -2)), (1e-6, (-7, -2)), (1e-13, (-12, -2))):
+        B = _barrier_blocks(rng, 600, mu, gap=gap)
+        X = _sym3_inverse(B).reshape(-1, 3, 3)
+        scale = np.max(np.abs(B), axis=(1, 2)) * np.max(np.abs(X), axis=(1, 2))
+        assert np.all(np.max(np.abs(B @ X - np.eye(3)), axis=(1, 2)) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [np.zeros((3, 3)), np.ones((3, 3)), np.diag([1.0, np.nan, 1.0]),
+     np.diag([1.0, np.inf, 1.0])],
+    ids=["zero", "rank-one", "nan", "inf"],
+)
+def test_block_inverse_rejects_singular_blocks(block):
+    # as np.linalg.inv does, and without a warning: _newton then takes the
+    # gradient step, as on the boundary targets maximize_volume must reject
+    B = np.stack([np.eye(3), block, 2.0 * np.eye(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+            _sym3_inverse(B)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [lambda: cover_document(64), random_gluing_document],
+    ids=["cover64", "random16"],
+)
+def test_solver_work_counts(doc, monkeypatch):
+    # one LU per Newton step plus the projector's, and the cell kernels once
+    # per distinct point: recomputation or per-trial factoring fails here
+    T = validate(doc())
+    _, k = _interior_target(T, np.random.default_rng(85))
+    lus, volumes, gradients = [], [], []
+
+    def counted_splu(*args, **kwargs):
+        lus.append(None)
+        return splu(*args, **kwargs)
+
+    def counted(kernel, points):
+        def run(A):
+            points.append(A.tobytes())
+            return kernel(A)
+
+        return run
+
+    monkeypatch.setattr(triangulation, "splu", counted_splu)
+    monkeypatch.setattr(optimize, "volume2_batch", counted(volume2_batch, volumes))
+    monkeypatch.setattr(
+        optimize, "volume_gradient_batch", counted(volume_gradient_batch, gradients)
+    )
+    rep = maximize_volume(T, k, tol=1e-8)
+    assert len(lus) == rep.iterations + 1
+    assert len(volumes) == len(set(volumes)) and gradients == volumes
+    lus.clear()
+    dual = solve_cone_angles(T, k, tol=1e-8)
+    assert len(lus) == dual.iterations + 1
