@@ -9,8 +9,8 @@ derivative ``-cot``, so the barrier Hessian is block diagonal with one
 sparse edge equations are range-space (Schur-complement) steps: a sparse
 LU of the E x E matrix ``A B^-1 A^T``, bordered by the gauge matrix,
 replaces any basis of the null space of ``A`` (Nocedal & Wright,
-*Numerical Optimization*, ch. 16).  Every LU of a solve reuses the one
-symmetric fill-reducing order its ``_range_solver`` fixed, with
+*Numerical Optimization*, ch. 16).  Every LU is ``T.factor``'s, which the
+triangulation builds once with one symmetric fill-reducing order and
 thresholded pivoting, so a step costs one numeric factorization; the
 transpose of ``A``, the null-space projector and the cell terms of the
 last point evaluated are held for the whole solve (``_Barrier``).
@@ -23,10 +23,11 @@ Dual: minimize the convex C^1 energy ``sum_tet covolume - <k, l>`` over
 metrics in the orthogonal complement of the gauge; its gradient is
 ``cone_angles(extended angles) - k`` and its Hessian is the sum of the
 per-tetrahedron co-volume Hessians ``C (-2 H)^-1 C^T`` (Schlaefli, ``H`` the
-volume Hessian), PSD with the gauge as kernel, factored by the primal's
-bordered sparse LU.  The energy is unbounded below exactly when no closed
-angle assignment has cone angles ``k``, and the dual stops at the first
-point it evaluates that certifies this (a Farkas vector).
+volume Hessian), PSD with the gauge as kernel, factored by ``T.factor``
+too and projected by ``T.project``, also built once per triangulation.
+The energy is unbounded below exactly when no closed angle assignment has
+cone angles ``k``, and the dual stops at the first point it evaluates
+that certifies this (a Farkas vector).
 
 Both problems run the same damped Newton iteration, ``_newton``.  They
 meet through a Legendre-type identity: the dual minimum equals twice the
@@ -58,12 +59,7 @@ from .tetra import (
     _near_flat,
     _volume_hessian,
 )
-from .triangulation import (
-    AngleAssignment,
-    GeneralizedMetric,
-    _range_solver,
-    admissible_cone_values,
-)
+from .triangulation import AngleAssignment, GeneralizedMetric, admissible_cone_values
 
 PI = math.pi
 _EPS = float(np.finfo(np.float64).eps)
@@ -182,6 +178,11 @@ class _Stop(Exception):
     """Raised by an oracle with ``(x, f, res)`` at a point that ends the run."""
 
 
+def _check_tol(tol):
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite number")
+
+
 def _newton(x, oracle, tol, max_iter, max_step=None):
     """Damped Newton descent on a smooth convex objective over an affine set.
 
@@ -287,17 +288,17 @@ class _Barrier:
     solve, over the edge equations, one oracle per barrier weight ``mu``.
 
     What no weight changes is built once per solve: the transpose of
-    ``a_eq``, the projector ``project`` onto its null space (``factor`` with
-    ``B = I``), and the cell terms of the last point evaluated -- the slot
-    angles, twice the volume and its gradient -- which a new weight's start
-    and the volume trace read again instead of recomputing.
+    ``a_eq``, the projector ``project`` onto its null space (``T.factor``
+    with ``B = I``), and the cell terms of the last point evaluated -- the
+    slot angles, twice the volume and its gradient -- which a new weight's
+    start and the volume trace read again instead of recomputing.
     """
 
-    def __init__(self, cs, factor):
+    def __init__(self, cs):
         self.cs = cs
-        self.factor = factor
+        self.factor = cs.triangulation.factor
         self.a_eq_t = cs.a_eq.T.tocsr()
-        self._solve_eye = factor(SLOT_COEF @ SLOT_COEF.T)
+        self._solve_eye = self.factor(SLOT_COEF @ SLOT_COEF.T)
         self._last = None
 
     def project(self, g):
@@ -320,7 +321,7 @@ class _Barrier:
         3x3 block per tetrahedron) and the edge-equation residual
         ``r = A u - b_eq``, so that ``A dx = -r``: on the equations it is the
         feasible Newton step, off them the infeasible-start one.
-        ``A B^-1 A^T`` is ``factor`` of the slot blocks ``C B^-1 C^T``.
+        ``A B^-1 A^T`` is ``T.factor`` of the slot blocks ``C B^-1 C^T``.
         """
         cs, a_eq, a_eq_t = self.cs, self.cs.a_eq, self.a_eq_t
 
@@ -380,17 +381,18 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
     certificate of ``find_interior``'s witness; only when it fails does the
     max-slack feasibility LP (``find_interior``) supply the start or the
     verdict.  Each barrier weight then runs at most ``_INNER`` range-space
-    Newton steps on the closed-form free-chart Hessian (see
-    ``_range_solver``); no dense matrix over the 3n free angles is formed.
-    On success the KKT residual -- the max of the stationarity residual
-    ``max|P g|`` (``P`` the orthogonal projector onto the null space of the
-    edge equations, ``g`` the barrier gradient) and the final barrier
-    weight (= complementarity) -- is at most ``tol``.
+    Newton steps on the closed-form free-chart Hessian (see ``T.factor``);
+    no dense matrix over the 3n free angles is formed.  On success the KKT
+    residual -- the max of the stationarity residual ``max|P g|`` (``P`` the
+    orthogonal projector onto the null space of the edge equations, ``g``
+    the barrier gradient) and the final barrier weight (= complementarity)
+    -- is at most ``tol``.
     """
+    _check_tol(tol)
     cs = assemble(T, k)
     n = T.n_tetrahedra
     a_eq = cs.a_eq
-    barrier = _Barrier(cs, _range_solver(T))
+    barrier = _Barrier(cs)
 
     if u0 is not None:
         u = np.asarray(u0, dtype=np.float64).reshape(3 * n).copy()
@@ -454,10 +456,9 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None):
 
     Damped Newton steps in the orthogonal complement of the gauge, from
     ``x0`` projected there; each solves ``(H + s I) dx = -P g`` there by
-    ``_range_solver``, ``H`` the summed co-volume blocks, ``s = min(res, 1)``;
-    the projector ``P`` onto that complement is the same solver with zero
-    blocks and ``s = 1``.  Succeeds when the cone angles match ``k`` to
-    ``tol`` in max norm.
+    ``T.factor``, ``H`` the summed co-volume blocks, ``s = min(res, 1)``;
+    the projector ``P`` onto that complement is ``T.project``.  Succeeds
+    when the cone angles match ``k`` to ``tol`` in max norm.
 
     Every point the run evaluates, line-search trial points included, is a
     candidate Farkas vector: with ``L = x[slot_class]`` and ``v`` over the
@@ -468,11 +469,11 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None):
     by the rounding margin ``1e-9 (1 + k . |x| + pi sum |L|)`` the run stops
     with that point as a report flagged ``diverged``, never as a solution.
     """
+    _check_tol(tol)
     k_vals = admissible_cone_values(T, k)
     slot_class = T.slot_class
     n_edges = T.n_edge_classes
-    factor = _range_solver(T)
-    project = factor(0.0, 1.0)
+    factor, project = T.factor, T.project
 
     def oracle(x):
         L = np.ascontiguousarray(x[slot_class])
@@ -522,6 +523,7 @@ def duality_gap(T, k, tol=1e-8):
     raw signed difference certifies the conjugacy of the two problems;
     ``relative_gap`` scales it by ``1 + |2 * volume|``.
     """
+    _check_tol(tol)
     primal = maximize_volume(T, k, tol=tol)
     dual = solve_cone_angles(T, k, tol=tol)
     gap = dual.objective - 2.0 * primal.volume
@@ -536,6 +538,7 @@ def rigidity_check(T, k, n_starts=5, tol=1e-6, seed=0):
     max pairwise distance stays within ``tol``.  A start that certifies
     the target infeasible raises ``MaxIterations``: no start can converge.
     """
+    _check_tol(tol)
     if n_starts < 2:
         raise ValueError("rigidity check needs at least two starts")
     rng = np.random.default_rng(seed)

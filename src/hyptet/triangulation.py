@@ -17,8 +17,9 @@ and corner, classes numbered in the order of their least member, and
 The decoration (horosphere rescaling) action on metrics acts along one
 gauge vector per cusped vertex class, the columns of the sparse
 ``Triangulation.gauge_matrix``; curvature and dihedral angles are
-invariant under it.  ``_range_solver`` factors every linear system the
-solvers need, the projector onto the gauge complement included.
+invariant under it.  ``Triangulation.factor`` factors every linear system
+the solvers need, and ``Triangulation.project`` is its projector onto the
+gauge complement; each is built once per triangulation and cached on it.
 
 Document format (JSON)::
 
@@ -36,6 +37,7 @@ its lexicographically least ``(tet, vertex-pair)`` slot, written
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -64,7 +66,7 @@ _PAIR_ENDS = np.array(PAIRS) - 1
 TWO_PI = 2.0 * np.pi
 #: admissibility tolerance, relative to the largest cone target value
 ADMISSIBILITY_TOL = 1e-9
-#: SuperLU's threshold for keeping a diagonal pivot of ``_range_solver``'s
+#: SuperLU's threshold for keeping a diagonal pivot of ``Triangulation.factor``'s
 #: symmetric bordered matrices, and the options that make it prefer them
 _PIVOT_THRESH = 0.1
 _LU_OPTIONS = {"SymmetricMode": True}
@@ -126,10 +128,81 @@ class Triangulation:
             shape=(self.n_edge_classes, self.n_vertex_classes),
         )[:, self.ideal_classes]
 
+    @cached_property
+    def factor(self):
+        """Sparse LUs of ``[[S + s I, W], [W^T, 0]]``, ``W = gauge_matrix``.
+
+        ``S`` sums per-tetrahedron (n, 6, 6) slot blocks through
+        ``slot_class``; a scalar is broadcast to every block.  ``C B^-1 C^T``
+        (``C = SLOT_COEF``) give the primal's ``A B^-1 A^T``, the co-volume
+        blocks the dual Hessian.  Both have ``S W = 0`` (``W^T A = 0``), so
+        for ``W^T r = 0`` the solution of ``[r; 0]`` is the ``x`` with
+        ``W^T x = 0`` and ``(S + s I) x = r``; it is unique for ``s > 0``
+        and, as ``rank A = E - cusps``, for the primal.  Zero blocks with
+        ``s = 1`` give ``project``.  ``factor(blocks, s=0.0)`` refills the
+        CSC pattern built here, once per triangulation, and returns
+        ``r -> x`` for ``r`` of shape (E,) or (E, k); a singular LU raises
+        ``LinAlgError``.
+
+        The pattern is stored in one symmetric fill-reducing order (reverse
+        Cuthill-McKee), so each LU keeps that order instead of ordering the
+        same pattern again.  The matrix is symmetric and its zero border
+        diagonal still needs row exchanges, so pivoting is thresholded
+        (``_PIVOT_THRESH``): SuperLU keeps a diagonal pivot unless it is
+        below that share of its column's largest entry, which keeps the
+        fill near the pattern's own (George & Liu, *Computer Solution of
+        Large Sparse Positive Definite Systems*).  The closure holds sizes
+        and arrays, not ``self``, so a used triangulation is still freed by
+        its reference count.
+        """
+        W = self.gauge_matrix.tocoo()
+        n, (E, m), we, wc = self.n_tetrahedra, W.shape, W.row, W.col
+        N, sc, diag = E + m, self.slot_class, np.arange(E)
+        # block entry (t, i, j) sits at (slot_class[t, i], slot_class[t, j])
+        rows = np.concatenate([np.repeat(sc, 6, axis=1).ravel(), diag, we, E + wc])
+        cols = np.concatenate([np.tile(sc, 6).ravel(), diag, E + wc, we])
+        graph = sparse.csc_matrix((np.ones(rows.size), (rows, cols)), shape=(N, N))
+        order = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        # entry (i, j) of the bordered matrix is entry (at[i], at[j]) of the stored one
+        at = np.empty(N, dtype=np.intp)
+        at[order] = np.arange(N)
+        keys, slot = np.unique(at[cols] * N + at[rows], return_inverse=True)
+        pattern = keys % N, np.searchsorted(keys, np.arange(N + 1) * N)
+        border = np.tile(W.data, 2)
+
+        def factor(blocks, s=0.0):
+            blocks = np.broadcast_to(blocks, (n, 6, 6))
+            weights = np.concatenate([blocks.ravel(), np.full(E, s), border])
+            data = np.bincount(slot, weights=weights, minlength=keys.size)
+            try:
+                lu = splu(
+                    sparse.csc_matrix((data, *pattern), shape=(N, N)),
+                    permc_spec="NATURAL",
+                    diag_pivot_thresh=_PIVOT_THRESH,
+                    options=_LU_OPTIONS,
+                )
+            except RuntimeError as exc:
+                raise np.linalg.LinAlgError(str(exc)) from exc
+
+            def solve(r):
+                rhs = np.concatenate([r, np.zeros((m, *r.shape[1:]))])
+                return lu.solve(rhs[order])[at[:E]]
+
+            return solve
+
+        return factor
+
+    @cached_property
+    def project(self):
+        """``r -> r - W (W^T W)^-1 W^T r`` for ``r`` of shape (E,) or (E, k),
+        the orthogonal projector onto the gauge complement: ``factor`` of
+        zero blocks with ``s = 1``, factored once per triangulation."""
+        return self.factor(0.0, 1.0)
+
     @property
     def gauge_projector(self):
         """Orthogonal projector onto the complement of the gauge subspace."""
-        return _range_solver(self)(0.0, 1.0)(np.eye(self.n_edge_classes))
+        return self.project(np.eye(self.n_edge_classes))
 
     def edge_sums(self, per_slot):
         """Sum a per-slot array of shape (n, 6) over each edge class."""
@@ -386,10 +459,18 @@ def cone_angles(T, assignment):
     return ConeTarget(T.edge_sums(vals))
 
 
+def _edge_vector(T, values, what):
+    """``values`` as a float array, which must hold one value per edge class."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.shape != (T.n_edge_classes,):
+        raise ValueError(f"{what} length does not match edge classes")
+    return x
+
+
 def assignment_from_metric(T, metric):
     """Extended dihedral angles of the per-edge-class length vector."""
     vals = metric.values if isinstance(metric, GeneralizedMetric) else metric
-    L = np.asarray(vals, dtype=np.float64)[T.slot_class]
+    L = _edge_vector(T, vals, "metric")[T.slot_class]
     return AngleAssignment(extended_angles_batch(np.ascontiguousarray(L)))
 
 
@@ -399,80 +480,10 @@ def curvature(T, metric):
     return TWO_PI - k.values
 
 
-def _range_solver(T):
-    """Sparse LUs of ``[[S + s I, W], [W^T, 0]]``, ``W = T.gauge_matrix``.
-
-    ``S`` sums per-tetrahedron (n, 6, 6) slot blocks through ``slot_class``;
-    a scalar is broadcast to every block.  ``C B^-1 C^T`` (``C =
-    SLOT_COEF``) give the primal's ``A B^-1 A^T``, the co-volume blocks the
-    dual Hessian.  Both have ``S W = 0`` (``W^T A = 0``), so for
-    ``W^T r = 0`` the solution of ``[r; 0]`` is the ``x`` with ``W^T x = 0``
-    and ``(S + s I) x = r``; it is unique for ``s > 0`` and, as
-    ``rank A = E - cusps``, for the primal.  Zero blocks with ``s = 1`` give
-    ``x = r - W (W^T W)^-1 W^T r`` for every ``r``: the orthogonal projector
-    onto the complement of the gauge, whose columns are independent.
-    ``factor(blocks, s=0.0)`` refills the CSC pattern built once here and
-    returns ``r -> x`` for ``r`` of shape (E,) or (E, k); a singular LU
-    raises ``LinAlgError``.
-
-    The pattern is stored in one symmetric fill-reducing order (reverse
-    Cuthill-McKee), computed here once per solver, so each LU keeps that
-    order instead of ordering the same pattern again.  The matrix is
-    symmetric and its zero border diagonal still needs row exchanges, so
-    pivoting is thresholded (``_PIVOT_THRESH``): SuperLU keeps a diagonal
-    pivot unless it is below that share of its column's largest entry,
-    which keeps the fill near the pattern's own (George & Liu, *Computer
-    Solution of Large Sparse Positive Definite Systems*).
-    """
-    W = T.gauge_matrix.tocoo()
-    (E, m), we, wc = W.shape, W.row, W.col
-    N, sc, diag = E + m, T.slot_class, np.arange(E)
-    # block entry (t, i, j) sits at (slot_class[t, i], slot_class[t, j])
-    rows = np.concatenate([np.repeat(sc, 6, axis=1).ravel(), diag, we, E + wc])
-    cols = np.concatenate([np.tile(sc, 6).ravel(), diag, E + wc, we])
-    keys, slot = np.unique(cols * N + rows, return_inverse=True)
-    graph = sparse.csc_matrix(
-        (np.ones(keys.size), keys % N, np.searchsorted(keys, np.arange(N + 1) * N)),
-        shape=(N, N),
-    )
-    order = reverse_cuthill_mckee(graph, symmetric_mode=True)
-    # entry (i, j) of the bordered matrix is entry (at[i], at[j]) of the stored one
-    at = np.empty(N, dtype=np.intp)
-    at[order] = np.arange(N)
-    keys = at[keys // N] * N + at[keys % N]
-    sort = np.argsort(keys)
-    keys, slot = keys[sort], np.argsort(sort)[slot]
-    pattern = keys % N, np.searchsorted(keys, np.arange(N + 1) * N)
-    border = np.tile(W.data, 2)
-
-    def factor(blocks, s=0.0):
-        blocks = np.broadcast_to(blocks, (T.n_tetrahedra, 6, 6))
-        weights = np.concatenate([blocks.ravel(), np.full(E, s), border])
-        data = np.bincount(slot, weights=weights, minlength=keys.size)
-        try:
-            lu = splu(
-                sparse.csc_matrix((data, *pattern), shape=(N, N)),
-                permc_spec="NATURAL",
-                diag_pivot_thresh=_PIVOT_THRESH,
-                options=_LU_OPTIONS,
-            )
-        except RuntimeError as exc:
-            raise np.linalg.LinAlgError(str(exc)) from exc
-
-        def solve(r):
-            rhs = np.concatenate([r, np.zeros((m, *r.shape[1:]))])
-            return lu.solve(rhs[order])[at[:E]]
-
-        return solve
-
-    return factor
-
-
 def gauge_project(T, metric):
     """Project a metric onto the orthogonal complement of the gauge span."""
     vals = metric.values if isinstance(metric, GeneralizedMetric) else metric
-    project = _range_solver(T)(0.0, 1.0)
-    return GeneralizedMetric(project(np.asarray(vals, dtype=np.float64)))
+    return GeneralizedMetric(T.project(_edge_vector(T, vals, "metric")))
 
 
 def admissibility_residual(T, cone_values):
@@ -497,9 +508,8 @@ def admissible_cone_values(T, k):
     than ``ADMISSIBILITY_TOL`` relative to the largest value, which makes
     the edge equations provably inconsistent.
     """
-    k_vals = k.values if isinstance(k, ConeTarget) else np.asarray(k, dtype=np.float64)
-    if k_vals.shape != (T.n_edge_classes,):
-        raise ValueError("cone target length does not match edge classes")
+    vals = k.values if isinstance(k, ConeTarget) else k
+    k_vals = _edge_vector(T, vals, "cone target")
     resid = admissibility_residual(T, k_vals)
     if resid > ADMISSIBILITY_TOL * max(1.0, float(np.max(np.abs(k_vals)))):
         raise InadmissibleTarget(

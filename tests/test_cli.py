@@ -147,6 +147,20 @@ def test_infeasible_target_solve_and_rigidity(tmp_path, capsys):
     assert "certified infeasible" in payload["message"]
 
 
+def test_bad_tolerance_gives_error_object(tmp_path, capsys):
+    out_dir = str(tmp_path / "fx7")
+    run_cli(["fixture", "double", "--l", "0.1,-0.2,0.3,0.5,0.4,0.6",
+             "--out-dir", out_dir], capsys)
+    code, out, err = run_cli(
+        ["solve", f"{out_dir}/tri.json", "--k", f"{out_dir}/k.json", "--tol", "nan"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError", "message": "tol must be a positive finite number"
+    }
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     out_dir = str(tmp_path / "fx3")
     run_cli(["fixture", "double", "--l", "0,0,0,0,0,0", "--out-dir", out_dir],

@@ -1,7 +1,9 @@
 """Hessian oracles of the shared Newton core, its linear algebra and its
 iteration and work counts."""
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from conftest import (
     snake_document,
 )
 from scipy.linalg import block_diag, null_space
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from hyptet import (
@@ -24,9 +27,12 @@ from hyptet import (
     cone_angles,
     covolume_hessian,
     curvature,
+    duality_gap,
     find_interior,
+    gauge_project,
     is_member,
     maximize_volume,
+    rigidity_check,
     solve_cone_angles,
     validate,
 )
@@ -47,7 +53,7 @@ from hyptet.optimize import (
 from hyptet.selftest import sample_interior_angles
 from hyptet.structures import SLOT_COEF, SLOT_CONST, FeasibilityStatus
 from hyptet.tetra import GAUGE_VECTORS, _covolume_hessian, _volume_hessian
-from hyptet.triangulation import _range_solver, double_document
+from hyptet.triangulation import double_document
 
 FIXTURES = {
     "cover4": lambda: cover_document(4),
@@ -77,7 +83,7 @@ def _fd_covolume_hessian(lengths, h):
 
 
 def _slot_sum(T, blocks):
-    """``S`` of ``_range_solver``: slot blocks (n, 6, 6) summed densely over
+    """``S`` of ``T.factor``: slot blocks (n, 6, 6) summed densely over
     the edge classes, (E, E)."""
     S = np.zeros((T.n_edge_classes, T.n_edge_classes))
     sc = T.slot_class
@@ -192,8 +198,7 @@ def test_covolume_hessian_is_the_dual_block(name):
 def test_bordered_dual_step_matches_dense_gauge_complement_step(name):
     T = validate(FIXTURES[name]())
     rng = np.random.default_rng(79)
-    factor = _range_solver(T)
-    project = factor(0.0, 1.0)
+    factor, project = T.factor, T.project
     # dense oracles: the projector I - W (W^T W)^-1 W^T and an orthonormal
     # basis of the gauge complement
     W = T.gauge_matrix.toarray()
@@ -219,7 +224,7 @@ def test_range_solver_raises_on_a_singular_matrix():
     # zero blocks and s = 0 leave only the gauge border: singular
     T = validate(double_document())
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        _range_solver(T)(0.0, 0.0)
+        T.factor(0.0, 0.0)
 
 
 def test_newton_stalls_on_a_step_of_float_noise():
@@ -315,13 +320,12 @@ def test_sparse_primal_step_matches_dense_null_space_step(name):
     T = validate(FIXTURES[name]())
     n = T.n_tetrahedra
     rng = np.random.default_rng(75)
-    factor = _range_solver(T)
     for mu in (1e-1, 1e-3, 1e-6):
         angles, k = _interior_target(T, rng)
         cs = assemble(T, k)
         a_eq = cs.a_eq
         u = angles[:, :3].ravel()
-        _, pg, res, step = _Barrier(cs, factor).oracle(mu)(u)
+        _, pg, res, step = _Barrier(cs).oracle(mu)(u)
         dx = step()
 
         # dense oracle: Newton step in an orthonormal null-space basis
@@ -384,13 +388,12 @@ def test_bordered_solve_residual(name):
     # block the solvers pass, each checked against its own S
     T = validate(FIXTURES[name]())
     rng = np.random.default_rng(83)
-    factor = _range_solver(T)
     W = T.gauge_matrix.toarray()
     P = np.eye(T.n_edge_classes) - W @ np.linalg.solve(W.T @ W, W.T)
     for label, blocks, s in _solver_systems(T, rng):
         S = _slot_sum(T, np.broadcast_to(blocks, (T.n_tetrahedra, 6, 6)))
         r = P @ rng.standard_normal(T.n_edge_classes)
-        x = factor(blocks, s)(r)
+        x = T.factor(blocks, s)(r)
         scale = float(np.max(np.abs(r)))
         assert np.max(np.abs(S @ x + s * x - r)) <= 1e-10 * scale, label
         assert np.max(np.abs(W.T @ x)) <= 1e-10 * float(np.max(np.abs(x))), label
@@ -479,3 +482,50 @@ def test_solver_work_counts(doc, monkeypatch):
     lus.clear()
     dual = solve_cone_angles(T, k, tol=1e-8)
     assert len(lus) == dual.iterations + 1
+
+
+def test_one_build_per_triangulation(monkeypatch):
+    # the bordered pattern, its order and the projector's LU belong to the
+    # triangulation: every mix of solves, starts and projections shares them
+    T = validate(cover_document(64))
+    _, k = _interior_target(T, np.random.default_rng(86))
+    orders, lus = [], []
+
+    def counted(fn, calls):
+        def run(*args, **kwargs):
+            calls.append(None)
+            return fn(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(
+        triangulation, "reverse_cuthill_mckee", counted(reverse_cuthill_mckee, orders)
+    )
+    monkeypatch.setattr(triangulation, "splu", counted(splu, lus))
+    maximize_volume(T, k, tol=1e-8)
+    solve_cone_angles(T, k, tol=1e-8)
+    rigidity_check(T, k, n_starts=3)
+    duality_gap(T, k, tol=1e-8)
+    gauge_project(T, np.ones(T.n_edge_classes))
+    assert T.gauge_projector.shape == (T.n_edge_classes, T.n_edge_classes)
+    assert len(orders) == 1
+    lus.clear()
+    dual = solve_cone_angles(T, k, tol=1e-8)
+    assert len(lus) == dual.iterations
+
+
+def test_used_triangulation_is_freed_by_refcount():
+    # the cached solver and projector hold sizes and arrays, never the
+    # triangulation: a closure over it would be a cycle only gc frees
+    T = validate(cover_document(64))
+    _, k = _interior_target(T, np.random.default_rng(87))
+    gc.disable()
+    try:
+        maximize_volume(T, k, tol=1e-8)
+        solve_cone_angles(T, k, tol=1e-8)
+        assert {"factor", "project"} <= vars(T).keys()
+        ref = weakref.ref(T)
+        del T
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -301,6 +301,21 @@ def test_dual_rejects_wrong_length_target():
         solve_cone_angles(T, np.append(k.values, 1.0))
 
 
+@pytest.mark.parametrize(
+    "tol", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+)
+@pytest.mark.parametrize(
+    "solver",
+    [maximize_volume, solve_cone_angles, duality_gap, rigidity_check],
+    ids=["maximize", "solve", "gap", "rigidity"],
+)
+def test_solvers_reject_bad_tolerances(solver, tol):
+    # checked before any work: the target's wrong length is not reached
+    T, k, _ = doubled_fixture([0.1, -0.2, 0.3, 0.5, 0.4, 0.6])
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        solver(T, np.append(k.values, 1.0), tol=tol)
+
+
 def test_dual_never_false_success_on_boundary_only_target():
     # admissible, but only boundary assignments exist: the infimum is not
     # attained, and the target is feasible, so no Farkas certificate exists;

@@ -353,6 +353,16 @@ def test_gauge_project_properties():
     assert np.max(np.abs(gauge_project(T, g).values)) <= 1e-12
 
 
+@pytest.mark.parametrize("size", [7, 5], ids=["longer", "shorter"])
+@pytest.mark.parametrize("fn", [curvature, gauge_project], ids=["curvature", "project"])
+def test_metric_of_wrong_length_is_rejected(fn, size):
+    # one value per edge class: no tail dropped, no bare IndexError
+    T = _double()
+    assert T.n_edge_classes == 6
+    with pytest.raises(ValueError, match="metric length does not match edge classes"):
+        fn(T, np.zeros(size))
+
+
 @pytest.mark.parametrize(
     "doc",
     [double_document, snake_document, lambda: cover_document(4)],
