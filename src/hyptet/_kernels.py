@@ -25,7 +25,6 @@ only the sign can matter.
 import math
 
 import numpy as np
-from scipy.special import zeta
 
 PI = math.pi
 _LN2 = math.log(2.0)
@@ -34,7 +33,20 @@ _EXP_CLAMP = 700.0
 
 # Log-split series on [0, pi/2]: value(x) = x*(1 - ln 2x) + x*q*P(q), q = (x/pi)^2,
 # P by Horner from c_m = zeta(2m) / (m*(2m+1)), m = 22..1; the tail is < 3e-17.
-_SERIES_COEF = np.array([zeta(2 * m) / (m * (2 * m + 1)) for m in range(22, 0, -1)])
+# The table holds the repr of scipy.special.zeta's values of that formula, so
+# importing the kernels does not load scipy.special.
+_SERIES_COEF = np.array(
+    [
+        0.0010101010101010676, 0.0011074197120711266, 0.0012195121951230604,
+        0.0013495276653220486, 0.0015015015015233512, 0.0016806722690053911,
+        0.001893939394380362, 0.002150537636411457, 0.002463054196367818,
+        0.002849002891457421, 0.0033333335320272967, 0.00395257011245258,
+        0.004761909304581114, 0.0058479755397266965, 0.007353053546025064,
+        0.009524392839381512, 0.012823667776324462, 0.018199901365960326,
+        0.027891037672165123, 0.048444907713545204, 0.10823232337111381,
+        0.5483113556160755,
+    ]
+)
 
 #: the volume's arguments in the apex angles (a12, a13, a14): half the apex
 #: gap, then the cusp-sum chart of the six slot angles (``tetra.SLOT_COEF``)

@@ -11,6 +11,7 @@ object on stderr), 2 usage error.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -161,7 +162,12 @@ def _cmd_selftest(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The ``hyptet`` parser, built once per process; ``main`` reuses it.
+
+    Parsing leaves the parser unchanged, so one instance serves every call.
+    """
     parser = argparse.ArgumentParser(
         prog="hyptet",
         description=(

@@ -10,7 +10,6 @@ directly with adaptive quadrature and is used only as an independent check.
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _kernels
 from .errors import SingularArgument
@@ -57,8 +56,11 @@ def _quarter_integral(x, tol):
     """-int_0^x ln(2 sin t) dt for x in [0, pi/2].
 
     The endpoint log singularity is split off in closed form; the smooth
-    remainder ln(sin t / t) is integrated adaptively.
+    remainder ln(sin t / t) is integrated adaptively.  scipy.integrate is
+    imported here, its only user, so the series path does not load it.
     """
+    from scipy.integrate import quad
+
     if x <= 0.0:
         return 0.0
 

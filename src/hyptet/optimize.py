@@ -12,7 +12,8 @@ replaces any basis of the null space of ``A`` (Nocedal & Wright,
 *Numerical Optimization*, ch. 16).  Every LU is ``T.factor``'s, which the
 triangulation builds once with one symmetric fill-reducing order and
 thresholded pivoting, so a step costs one numeric factorization; the
-transpose of ``A``, the null-space projector and the cell terms of the
+null-space projector's LU is ``T.solve_eye``, built once per
+triangulation too, and the transpose of ``A`` and the cell terms of the
 last point evaluated are held for the whole solve (``_Barrier``).
 The same step, with the edge-equation residual on its right-hand side,
 carries a start that is only inside the inequalities onto the edge
@@ -288,17 +289,18 @@ class _Barrier:
     solve, over the edge equations, one oracle per barrier weight ``mu``.
 
     What no weight changes is built once per solve: the transpose of
-    ``a_eq``, the projector ``project`` onto its null space (``T.factor``
-    with ``B = I``), and the cell terms of the last point evaluated -- the
-    slot angles, twice the volume and its gradient -- which a new weight's
-    start and the volume trace read again instead of recomputing.
+    ``a_eq`` and the cell terms of the last point evaluated -- the slot
+    angles, twice the volume and its gradient -- which a new weight's start
+    and the volume trace read again instead of recomputing.  The LU of the
+    projector ``project`` onto the null space of ``a_eq`` is
+    ``T.solve_eye``, built once per triangulation.
     """
 
     def __init__(self, cs):
         self.cs = cs
         self.factor = cs.triangulation.factor
         self.a_eq_t = cs.a_eq.T.tocsr()
-        self._solve_eye = self.factor(SLOT_COEF @ SLOT_COEF.T)
+        self._solve_eye = cs.triangulation.solve_eye
         self._last = None
 
     def project(self, g):
@@ -541,6 +543,9 @@ def rigidity_check(T, k, n_starts=5, tol=1e-6, seed=0):
     _check_tol(tol)
     if n_starts < 2:
         raise ValueError("rigidity check needs at least two starts")
+    # the starts solve 100x tighter; the least subnormal keeps that positive
+    # where ``tol * 1e-2`` underflows
+    inner_tol = max(tol * 1e-2, math.ulp(0.0))
     rng = np.random.default_rng(seed)
     solutions = []
     failed = []
@@ -548,7 +553,7 @@ def rigidity_check(T, k, n_starts=5, tol=1e-6, seed=0):
     for s in range(n_starts):
         x0 = rng.uniform(-1.0, 1.0, T.n_edge_classes)
         try:
-            rep = solve_cone_angles(T, k, tol=tol * 1e-2, x0=x0)
+            rep = solve_cone_angles(T, k, tol=inner_tol, x0=x0)
         except MaxIterations as exc:
             failed.append(s)
             last_error = exc

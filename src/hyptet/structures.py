@@ -25,7 +25,6 @@ from enum import Enum
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import InadmissibleTarget, LpFailure
 from .tetra import SLOT_COEF, SLOT_CONST, _cusp_sums
@@ -39,6 +38,18 @@ PI = math.pi
 #: ``find_interior`` reports an interior point when the optimal slack
 #: exceeds this, a boundary point when it is at least its negative
 FEASIBILITY_TOL = 1e-7
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first LP.
+
+    Loading scipy.optimize takes about a third of a second on a 2-CPU
+    host, and only ``find_interior`` needs it.  ``find_interior`` calls this module-level
+    name, so a wrapper set on ``structures.linprog`` sees every LP.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 class Membership(Enum):

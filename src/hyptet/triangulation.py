@@ -199,6 +199,16 @@ class Triangulation:
         zero blocks with ``s = 1``, factored once per triangulation."""
         return self.factor(0.0, 1.0)
 
+    @cached_property
+    def solve_eye(self):
+        """``r -> (A A^T)^-1 r`` for ``r`` with ``W^T r = 0``, ``A`` the edge
+        equations (``structures.assemble``'s ``a_eq``, which reads only
+        ``slot_class``, so every cone target shares it): ``factor`` of the
+        blocks ``C C^T`` (``C = SLOT_COEF``), factored once per
+        triangulation.  The primal projects onto the null space of ``A`` by
+        ``g - A^T solve_eye(A g)``."""
+        return self.factor(tetra.SLOT_COEF @ tetra.SLOT_COEF.T)
+
     @property
     def gauge_projector(self):
         """Orthogonal projector onto the complement of the gauge subspace."""

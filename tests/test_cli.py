@@ -16,6 +16,7 @@ from hyptet import (
     validate,
     volume_from_angles,
 )
+from hyptet import cli
 from hyptet.cli import main
 from hyptet.structures import SLOT_COEF, SLOT_CONST
 
@@ -200,6 +201,43 @@ def test_error_object_and_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(["validate", str(tmp_path / "missing.json")], capsys)
     assert code == 1
     assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+# one process's mix of calls: a query, a usage error, an unknown verb, and a
+# cell 3e-7 past the X1 wall, which the default band calls Omega1 and
+# --tol 1e-6 calls X1
+PARSER_CALLS = [
+    ["tetra", "covolume", "--l", "0,0,0,0,0,10"],
+    ["tetra", "classify", "--l", "1,2"],
+    ["nonsense-verb"],
+    ["tetra", "classify", "--l", "0,0,0,0,0,2.07944169", "--tol", "1e-6"],
+    ["tetra", "classify", "--l", "0,0,0,0,0,2.07944169"],
+]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    shared = [_outcome(argv, capsys) for argv in PARSER_CALLS]
+    fresh_parser = cli.build_parser.__wrapped__
+    monkeypatch.setattr(cli, "build_parser", fresh_parser)
+    fresh = [_outcome(argv, capsys) for argv in PARSER_CALLS]
+    assert shared == fresh
+    assert [s[0] for s in shared] == [0, 2, ("exit", 2), 0, 0]
+    assert [s[1] for s in shared[3:]] == ["X1\n", "Omega1\n"]
+    # an option given on one call leaves the next call's default alone
+    for argv in (["tetra", "classify"], ["rigidity", "tri.json", "--k", "k.json"]):
+        assert vars(parser.parse_args(argv)) == vars(fresh_parser().parse_args(argv))
+    assert parser.parse_args(["tetra", "classify"]).tol == 1e-9
 
 
 def test_usage_error_exit_code_subprocess():

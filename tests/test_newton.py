@@ -485,7 +485,7 @@ def test_solver_work_counts(doc, monkeypatch):
 
 
 def test_one_build_per_triangulation(monkeypatch):
-    # the bordered pattern, its order and the projector's LU belong to the
+    # the bordered pattern, its order and the projectors' LUs belong to the
     # triangulation: every mix of solves, starts and projections shares them
     T = validate(cover_document(64))
     _, k = _interior_target(T, np.random.default_rng(86))
@@ -512,6 +512,10 @@ def test_one_build_per_triangulation(monkeypatch):
     lus.clear()
     dual = solve_cone_angles(T, k, tol=1e-8)
     assert len(lus) == dual.iterations
+    # one LU per Newton step, phase one included; ``T.solve_eye`` is reused
+    lus.clear()
+    primal = maximize_volume(T, k, tol=1e-8)
+    assert len(lus) == primal.iterations
 
 
 def test_used_triangulation_is_freed_by_refcount():
@@ -523,7 +527,7 @@ def test_used_triangulation_is_freed_by_refcount():
     try:
         maximize_volume(T, k, tol=1e-8)
         solve_cone_angles(T, k, tol=1e-8)
-        assert {"factor", "project"} <= vars(T).keys()
+        assert {"factor", "project", "solve_eye"} <= vars(T).keys()
         ref = weakref.ref(T)
         del T
         assert ref() is None

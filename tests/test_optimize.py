@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -314,6 +315,17 @@ def test_solvers_reject_bad_tolerances(solver, tol):
     T, k, _ = doubled_fixture([0.1, -0.2, 0.3, 0.5, 0.4, 0.6])
     with pytest.raises(ValueError, match="tol must be a positive finite number"):
         solver(T, np.append(k.values, 1.0), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-322, 5e-324])
+def test_rigidity_accepts_every_positive_tolerance(tol):
+    # the starts solve at tol / 100, which underflows to 0 below ~5e-322;
+    # a tolerance no solve can reach stalls, quickly, and is never rejected
+    T, k, _ = doubled_fixture([0.1, -0.2, 0.3, 0.5, 0.4, 0.6])
+    t0 = time.perf_counter()
+    with pytest.raises(MaxIterations, match="stalled"):
+        rigidity_check(T, k, tol=tol)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_dual_never_false_success_on_boundary_only_target():

@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.special import zeta
 
-from hyptet import _kernels
+from hyptet import _kernels, lobachevsky
 from hyptet.selftest import sample_interior_angles
 from hyptet.tetra import (
     CELL_VERTICES,
@@ -134,6 +134,26 @@ def test_horner_series_matches_the_32_term_loop():
     theta = np.random.default_rng(81).uniform(-10.0, 10.0, 1_000_000)
     dev = np.abs(_kernels.lobachevsky_batch(theta) - _lobachevsky_loop(theta))
     assert np.max(dev) <= 1e-15
+
+
+def test_series_table_is_the_zeta_formula(monkeypatch):
+    # the literal table is the repr of scipy's values, bit for bit, so the
+    # Lobachevsky grids of test_lobachevsky evaluate as with the formula
+    formula = np.array([zeta(2 * m) / (m * (2 * m + 1)) for m in range(22, 0, -1)])
+    assert _kernels._SERIES_COEF.tobytes() == formula.tobytes()
+    rng = np.random.default_rng
+    grids = [
+        np.array([0.0, PI / 6.0, PI / 2.0, PI, 1e-3, PI - 1e-3]),
+        np.linspace(0.0, PI, 102)[1:-1],
+        rng(7).uniform(-10.0, 10.0, 10_000),
+        rng(8).uniform(1e-9, PI - 1e-9, 10_000),
+        rng(9).uniform(-10.0 * PI, 10.0 * PI, 200),
+        rng(10).uniform(0.1, PI - 0.1, 2_000),
+    ]
+    literal = [lobachevsky(g) for g in grids]
+    monkeypatch.setattr(_kernels, "_SERIES_COEF", formula)
+    for grid, want in zip(grids, literal):
+        assert lobachevsky(grid).tobytes() == want.tobytes()
 
 
 def test_gradient_matches_the_hand_expanded_chart():
