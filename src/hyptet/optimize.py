@@ -9,12 +9,12 @@ derivative ``-cot``, so the barrier Hessian is block diagonal with one
 sparse edge equations are range-space (Schur-complement) steps: a sparse
 LU of the E x E matrix ``A B^-1 A^T``, bordered by the gauge matrix,
 replaces any basis of the null space of ``A`` (Nocedal & Wright,
-*Numerical Optimization*, ch. 16).  Every LU is ``T.factor``'s, which the
-triangulation builds once with one symmetric fill-reducing order and
-thresholded pivoting, so a step costs one numeric factorization; the
-null-space projector's LU is ``T.solve_eye``, built once per
-triangulation too, and the transpose of ``A`` and the cell terms of the
-last point evaluated are held for the whole solve (``_Barrier``).
+*Numerical Optimization*, ch. 16).  The triangulation owns ``A`` (``T.a_eq``
+and its view ``T.a_eq_t``) and every LU: ``T.factor`` has one symmetric
+fill-reducing order and thresholded pivots, so a step costs one numeric
+factorization, and ``T.solve_eye`` is the null-space projector's LU; each
+is built once per triangulation.  ``_Barrier`` holds only the cell terms
+of the last point evaluated.
 The same step, with the edge-equation residual on its right-hand side,
 carries a start that is only inside the inequalities onto the edge
 equations (an infeasible-start phase one), so the feasibility LP runs only
@@ -288,23 +288,14 @@ class _Barrier:
     """The log-barrier problems ``-(vol + mu * sum log c)`` of one primal
     solve, over the edge equations, one oracle per barrier weight ``mu``.
 
-    What no weight changes is built once per solve: the transpose of
-    ``a_eq`` and the cell terms of the last point evaluated -- the slot
-    angles, twice the volume and its gradient -- which a new weight's start
-    and the volume trace read again instead of recomputing.  The LU of the
-    projector ``project`` onto the null space of ``a_eq`` is
-    ``T.solve_eye``, built once per triangulation.
+    It holds the cell terms of the last point evaluated -- the slot angles,
+    twice the volume and its gradient -- which a new weight's start and the
+    volume trace read again instead of recomputing.
     """
 
     def __init__(self, cs):
         self.cs = cs
-        self.factor = cs.triangulation.factor
-        self.a_eq_t = cs.a_eq.T.tocsr()
-        self._solve_eye = cs.triangulation.solve_eye
         self._last = None
-
-    def project(self, g):
-        return g - self.a_eq_t @ self._solve_eye(self.cs.a_eq @ g)
 
     def cells(self, u):
         """Slot angles, twice the volume and its gradient (3n,) at ``u``."""
@@ -325,21 +316,21 @@ class _Barrier:
         feasible Newton step, off them the infeasible-start one.
         ``A B^-1 A^T`` is ``T.factor`` of the slot blocks ``C B^-1 C^T``.
         """
-        cs, a_eq, a_eq_t = self.cs, self.cs.a_eq, self.a_eq_t
+        cs, T = self.cs, self.cs.triangulation
 
         def oracle(u_vec):
             c = cs.constraint_values(u_vec)
             A, vol2, grad = self.cells(u_vec)
             f = -0.5 * vol2 - mu * float(np.sum(np.log(c)))
             g = -grad - mu * (1.0 / u_vec - np.repeat(1.0 / c[u_vec.size :], 3))
-            pg = self.project(g)
+            pg = g - T.a_eq_t @ T.solve_eye(T.a_eq @ g)
 
             def step():
                 inv = _sym3_inverse(_barrier_hessian(A, c, mu))
-                solve = self.factor((inv @ _SLOT_KRON).reshape(-1, 6, 6))
+                solve = T.factor((inv @ _SLOT_KRON).reshape(-1, 6, 6))
                 w = _blockmul(inv, g)
-                r = a_eq @ u_vec - cs.b_eq
-                return _blockmul(inv, a_eq_t @ solve(a_eq @ w - r)) - w
+                r = T.a_eq @ u_vec - cs.b_eq
+                return _blockmul(inv, T.a_eq_t @ solve(T.a_eq @ w - r)) - w
 
             return f, pg, float(np.max(np.abs(pg))), step
 
@@ -356,17 +347,17 @@ def _equation_oracle(barrier, mu):
     Optimization*, sec. 10.3).  The residual is ``max|r|``.  A point on the
     boundary to rounding raises ``_Stop``: the barrier would divide by 0.
     """
-    cs = barrier.cs
+    cs, T = barrier.cs, barrier.cs.triangulation
     newton = barrier.oracle(mu)
 
     def oracle(u_vec):
-        r = cs.a_eq @ u_vec - cs.b_eq
+        r = T.a_eq @ u_vec - cs.b_eq
         f = 0.5 * float(r @ r)
         res = float(np.max(np.abs(r)))
         edge = min(np.min(cs.constraint_values(u_vec)), np.min(cs.expand(u_vec).values))
         if edge <= 0.0:
             raise _Stop(u_vec, f, res)
-        return f, barrier.a_eq_t @ r, res, lambda: newton(u_vec)[3]()
+        return f, T.a_eq_t @ r, res, lambda: newton(u_vec)[3]()
 
     return oracle
 
@@ -393,12 +384,15 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
     _check_tol(tol)
     cs = assemble(T, k)
     n = T.n_tetrahedra
-    a_eq = cs.a_eq
     barrier = _Barrier(cs)
 
     if u0 is not None:
-        u = np.asarray(u0, dtype=np.float64).reshape(3 * n).copy()
-        if float(np.max(np.abs(a_eq @ u - cs.b_eq))) > 1e-8:
+        u = np.array(u0, dtype=np.float64).reshape(-1)
+        if u.size != 3 * n or not np.all(np.isfinite(u)):
+            raise ValueError(
+                "u0 must be a finite vector of three free angles per tetrahedron"
+            )
+        if float(np.max(np.abs(T.a_eq @ u - cs.b_eq))) > 1e-8:
             raise NoInteriorStart("u0 violates the edge equations")
         if np.any(cs.constraint_values(u) <= 0.0):
             raise NoInteriorStart("u0 is not strictly interior")

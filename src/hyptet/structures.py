@@ -9,7 +9,8 @@ so every slot angle is affine in the free vector ``u`` (the chart
 ``SLOT_COEF`` / ``SLOT_CONST``, defined in ``tetra`` with the rest of the
 cell's math).  With ``u >= 0`` and the per-tetrahedron sum at most pi, all
 six slot angles automatically land in [0, pi].  Edge equations "slot
-angles over a class sum to k(e)" become affine equalities in ``u``.
+angles over a class sum to k(e)" become ``T.a_eq u = b_eq``: the matrix is
+the triangulation's, built once, and only ``b_eq`` reads the target.
 
 ``find_interior`` solves the max-min-slack LP (a Chebyshev-style interior
 point) "maximize t subject to u >= t, pi - sum_tet u >= t and the edge
@@ -31,6 +32,7 @@ from .tetra import SLOT_COEF, SLOT_CONST, _cusp_sums
 from .triangulation import (
     AngleAssignment,
     ConeTarget,
+    _edge_vector,
     admissible_cone_values,
 )
 
@@ -84,7 +86,6 @@ class ConstraintSystem:
 
     triangulation: object
     cone: np.ndarray
-    a_eq: sparse.csr_matrix
     b_eq: np.ndarray
 
     @property
@@ -107,25 +108,14 @@ class ConstraintSystem:
 
 
 def assemble(T, k):
-    """Build the equality system for cone target ``k`` on ``T``.
+    """The right-hand side ``b_eq`` of ``T.a_eq u = b_eq`` for cone target ``k``.
 
-    ``a_eq`` is sparse (E, 3n): row ``e`` sums the slot coefficient rows of
-    every slot in edge class ``e``.  Raises InadmissibleTarget when the
-    per-cusp counting identity fails, which makes the equality system
-    provably inconsistent.
+    Raises InadmissibleTarget when the per-cusp counting identity fails,
+    which makes the equality system provably inconsistent.
     """
     k_vals = admissible_cone_values(T, k)
-    n = T.n_tetrahedra
-    E = T.n_edge_classes
-    rows = np.repeat(T.slot_class, 3, axis=1)
-    cols = np.tile(3 * np.arange(n)[:, None] + np.arange(3), (1, 6))
-    coef = np.broadcast_to(SLOT_COEF.ravel(), rows.shape)
-    a_eq = sparse.csr_matrix(
-        (coef.ravel(), (rows.ravel(), cols.ravel())), shape=(E, 3 * n)
-    )
-    a_eq.eliminate_zeros()
-    consts = T.edge_sums(np.tile(SLOT_CONST, n))
-    return ConstraintSystem(T, k_vals, a_eq, k_vals - consts)
+    consts = T.edge_sums(np.tile(SLOT_CONST, T.n_tetrahedra))
+    return ConstraintSystem(T, k_vals, k_vals - consts)
 
 
 def is_member(T, assignment, k, tol=1e-9):
@@ -134,16 +124,15 @@ def is_member(T, assignment, k, tol=1e-9):
     Returns ``(Membership, violations)`` where violations lists every
     failed check.  Interior requires strict slack beyond ``tol`` in all
     inequality constraints.  Raises ValueError when ``k`` does not have one
-    value per edge class.
+    finite value per edge class.
     """
     A = assignment.values if isinstance(assignment, AngleAssignment) else None
     if A is None:
         A = np.asarray(assignment, dtype=np.float64)
-    k_vals = k.values if isinstance(k, ConeTarget) else np.asarray(k, dtype=np.float64)
+    vals = k.values if isinstance(k, ConeTarget) else k
+    k_vals = _edge_vector(T, vals, "cone target")
     # summed directly: a negative slot angle is a violation, not a bad target
     cone = T.edge_sums(A)
-    if k_vals.shape != cone.shape:
-        raise ValueError("cone target length does not match edge classes")
     violations = [
         f"edge {T.edge_keys[e]}: cone angle {cone[e]:.12g} != {k_vals[e]:.12g}"
         for e in np.flatnonzero(np.abs(cone - k_vals) > tol)
@@ -176,7 +165,7 @@ def find_interior(T, k):
 
     In the slack variables ``u = s + t 1`` the LP is: maximize ``t`` over
     ``s >= 0`` and ``-4 pi <= t <= pi`` with ``sum_tet s + 4 t <= pi`` per
-    tetrahedron and ``a_eq s + (a_eq 1) t = b_eq``; the witness is
+    tetrahedron and ``A s + (A 1) t = b_eq``, ``A = T.a_eq``; the witness is
     ``u = s + t* 1``.  InteriorFound verdicts carry a witness that is
     re-verified by substitution at ``FEASIBILITY_TOL / 10``; a mismatch
     raises LpFailure rather than returning a wrong verdict.  An
@@ -196,7 +185,7 @@ def find_interior(T, k):
         [sparse.kron(sparse.identity(n), np.ones((1, 3))), np.full((n, 1), 4.0)],
         format="csr",
     )
-    a_eq = sparse.hstack([cs.a_eq, cs.a_eq.sum(axis=1)], format="csr")
+    a_eq = sparse.hstack([T.a_eq, T.a_eq.sum(axis=1)], format="csr")
     res = linprog(
         c,
         A_ub=a_ub,

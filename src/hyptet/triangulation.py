@@ -17,9 +17,10 @@ and corner, classes numbered in the order of their least member, and
 The decoration (horosphere rescaling) action on metrics acts along one
 gauge vector per cusped vertex class, the columns of the sparse
 ``Triangulation.gauge_matrix``; curvature and dihedral angles are
-invariant under it.  ``Triangulation.factor`` factors every linear system
-the solvers need, and ``Triangulation.project`` is its projector onto the
-gauge complement; each is built once per triangulation and cached on it.
+invariant under it.  ``Triangulation.a_eq`` holds the edge equations,
+``Triangulation.factor`` factors every linear system the solvers need and
+``Triangulation.project`` is its projector onto the gauge complement; each
+is built once per triangulation and cached on it.
 
 Document format (JSON)::
 
@@ -200,13 +201,33 @@ class Triangulation:
         return self.factor(0.0, 1.0)
 
     @cached_property
+    def a_eq(self):
+        """The edge equations in the free chart, CSR (E, 3n): row ``e`` sums
+        the ``SLOT_COEF`` rows of edge class ``e``'s slots at their cells' free
+        angles.  It reads ``slot_class`` alone, so every cone target shares it."""
+        n = self.n_tetrahedra
+        rows = np.repeat(self.slot_class, 3, axis=1)
+        cols = np.tile(3 * np.arange(n)[:, None] + np.arange(3), (1, 6))
+        coef = np.broadcast_to(tetra.SLOT_COEF.ravel(), rows.shape)
+        a_eq = sparse.csr_matrix(
+            (coef.ravel(), (rows.ravel(), cols.ravel())),
+            shape=(self.n_edge_classes, 3 * n),
+        )
+        a_eq.eliminate_zeros()
+        return a_eq
+
+    @cached_property
+    def a_eq_t(self):
+        """``a_eq.T``, a CSC view of ``a_eq``'s arrays, taken once: on a small
+        triangulation a view costs more than a product with it."""
+        return self.a_eq.T
+
+    @cached_property
     def solve_eye(self):
-        """``r -> (A A^T)^-1 r`` for ``r`` with ``W^T r = 0``, ``A`` the edge
-        equations (``structures.assemble``'s ``a_eq``, which reads only
-        ``slot_class``, so every cone target shares it): ``factor`` of the
-        blocks ``C C^T`` (``C = SLOT_COEF``), factored once per
-        triangulation.  The primal projects onto the null space of ``A`` by
-        ``g - A^T solve_eye(A g)``."""
+        """``r -> (A A^T)^-1 r`` for ``r`` with ``W^T r = 0``, ``A = a_eq``:
+        ``factor`` of the blocks ``C C^T`` (``C = SLOT_COEF``), factored once
+        per triangulation.  The primal projects onto the null space of ``A``
+        by ``g - A^T solve_eye(A g)``."""
         return self.factor(tetra.SLOT_COEF @ tetra.SLOT_COEF.T)
 
     @property
@@ -470,10 +491,13 @@ def cone_angles(T, assignment):
 
 
 def _edge_vector(T, values, what):
-    """``values`` as a float array, which must hold one value per edge class."""
+    """``values`` as a float array, which must hold one finite value per edge
+    class: a NaN passes every comparison the solvers make by failing it."""
     x = np.asarray(values, dtype=np.float64)
     if x.shape != (T.n_edge_classes,):
         raise ValueError(f"{what} length does not match edge classes")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} must be finite")
     return x
 
 

@@ -1,6 +1,20 @@
 """Shared builders for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
+
+
+def subprocess_env():
+    """``os.environ`` with the directory of the imported ``hyptet`` first on
+    ``PYTHONPATH``, so that a fresh ``python`` process imports the same
+    package as this run, whatever put it on this run's path."""
+    import hyptet
+
+    src = str(Path(hyptet.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
 
 
 def snake_document():

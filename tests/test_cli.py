@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import subprocess_env
 
 from hyptet import (
     AngleAssignment,
@@ -245,6 +246,7 @@ def test_usage_error_exit_code_subprocess():
         [sys.executable, "-m", "hyptet.cli", "nonsense-verb"],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 2
 
@@ -265,6 +267,7 @@ def test_huge_target_gives_one_error_object(tmp_path, capsys, verb):
         [sys.executable, "-m", "hyptet.cli", verb, f"{out_dir}/tri.json", "--k", kp],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 1 and proc.stdout == ""
     lines = proc.stderr.splitlines()

@@ -307,12 +307,30 @@ def test_dual_certifies_infeasible_target(name):
 def test_gauge_borders_the_edge_equations(name):
     # the range-space step relies on W^T a_eq = 0 and rank a_eq = E - cusps
     T = validate(FIXTURES[name]())
-    _, k = _interior_target(T, np.random.default_rng(74))
-    a_eq = assemble(T, k).a_eq.toarray()
+    a_eq = T.a_eq.toarray()
     W = T.gauge_matrix.toarray()
     assert np.max(np.abs(W.T @ a_eq)) == 0.0
     assert np.linalg.matrix_rank(W) == W.shape[1]
     assert np.linalg.matrix_rank(a_eq) == T.n_edge_classes - W.shape[1]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_edge_equations_summed_slot_by_slot(name):
+    # each slot adds its chart row at its cell's three free angles to the row
+    # of its edge class; no stored zero survives the sums
+    T = validate(FIXTURES[name]())
+    n = T.n_tetrahedra
+    dense = np.zeros((T.n_edge_classes, 3 * n))
+    for t in range(n):
+        for j in range(6):
+            dense[T.slot_class[t, j], 3 * t : 3 * t + 3] += SLOT_COEF[j]
+    assert T.a_eq.format == "csr"
+    assert np.array_equal(T.a_eq.toarray(), dense)
+    assert T.a_eq.nnz == np.count_nonzero(dense)
+    # the transpose is a view: no second copy of the matrix is kept
+    assert T.a_eq_t.format == "csc"
+    assert np.array_equal(T.a_eq_t.toarray(), dense.T)
+    assert np.shares_memory(T.a_eq_t.data, T.a_eq.data)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -323,7 +341,6 @@ def test_sparse_primal_step_matches_dense_null_space_step(name):
     for mu in (1e-1, 1e-3, 1e-6):
         angles, k = _interior_target(T, rng)
         cs = assemble(T, k)
-        a_eq = cs.a_eq
         u = angles[:, :3].ravel()
         _, pg, res, step = _Barrier(cs).oracle(mu)(u)
         dx = step()
@@ -339,7 +356,7 @@ def test_sparse_primal_step_matches_dense_null_space_step(name):
                 + 1.0 / slack[:, None, None] ** 2
             ))
         )
-        Z = null_space(a_eq.toarray())
+        Z = null_space(T.a_eq.toarray())
         dense = -Z @ np.linalg.solve(Z.T @ B @ Z, Z.T @ g)
         assert np.max(np.abs(dx - dense)) <= 1e-10 * np.max(np.abs(dense))
         assert np.max(np.abs(pg - Z @ (Z.T @ g))) <= 1e-10 * np.max(np.abs(g))
@@ -485,10 +502,13 @@ def test_solver_work_counts(doc, monkeypatch):
 
 
 def test_one_build_per_triangulation(monkeypatch):
-    # the bordered pattern, its order and the projectors' LUs belong to the
-    # triangulation: every mix of solves, starts and projections shares them
+    # the edge equations, the bordered pattern, its order and the projectors'
+    # LUs belong to the triangulation: every mix of targets, solves, starts
+    # and projections shares them
     T = validate(cover_document(64))
     _, k = _interior_target(T, np.random.default_rng(86))
+    _, k2 = _interior_target(T, np.random.default_rng(88))
+    a_eq, a_eq_t = T.a_eq, T.a_eq_t
     orders, lus = [], []
 
     def counted(fn, calls):
@@ -502,6 +522,8 @@ def test_one_build_per_triangulation(monkeypatch):
         triangulation, "reverse_cuthill_mckee", counted(reverse_cuthill_mckee, orders)
     )
     monkeypatch.setattr(triangulation, "splu", counted(splu, lus))
+    assert not np.array_equal(assemble(T, k).b_eq, assemble(T, k2).b_eq)
+    assert find_interior(T, k2).status is FeasibilityStatus.INTERIOR_FOUND
     maximize_volume(T, k, tol=1e-8)
     solve_cone_angles(T, k, tol=1e-8)
     rigidity_check(T, k, n_starts=3)
@@ -509,6 +531,7 @@ def test_one_build_per_triangulation(monkeypatch):
     gauge_project(T, np.ones(T.n_edge_classes))
     assert T.gauge_projector.shape == (T.n_edge_classes, T.n_edge_classes)
     assert len(orders) == 1
+    assert vars(T)["a_eq"] is a_eq and vars(T)["a_eq_t"] is a_eq_t
     lus.clear()
     dual = solve_cone_angles(T, k, tol=1e-8)
     assert len(lus) == dual.iterations
@@ -519,7 +542,7 @@ def test_one_build_per_triangulation(monkeypatch):
 
 
 def test_used_triangulation_is_freed_by_refcount():
-    # the cached solver and projector hold sizes and arrays, never the
+    # the cached matrix, solver and projectors hold sizes and arrays, never the
     # triangulation: a closure over it would be a cycle only gc frees
     T = validate(cover_document(64))
     _, k = _interior_target(T, np.random.default_rng(87))
@@ -527,7 +550,7 @@ def test_used_triangulation_is_freed_by_refcount():
     try:
         maximize_volume(T, k, tol=1e-8)
         solve_cone_angles(T, k, tol=1e-8)
-        assert {"factor", "project", "solve_eye"} <= vars(T).keys()
+        assert {"a_eq", "a_eq_t", "factor", "project", "solve_eye"} <= vars(T).keys()
         ref = weakref.ref(T)
         del T
         assert ref() is None

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -21,14 +22,17 @@ from hyptet import (
     ConeTarget,
     GeneralizedMetric,
     RegionLabel,
+    assemble,
     assignment_from_metric,
     classify,
     classify_angles,
     cone_angles,
+    curvature,
     doubled_fixture,
     duality_gap,
     find_interior,
     gauge_project,
+    is_member,
     maximize_volume,
     rigidity_check,
     solve_cone_angles,
@@ -90,7 +94,7 @@ def test_maximize_multistart_uniqueness():
     T, k, _ = doubled_fixture(l0)
     cs = assemble(T, k)
     witness = find_interior(T, k).witness.values[:, :3].ravel()
-    Z = null_space(cs.a_eq.toarray())
+    Z = null_space(T.a_eq.toarray())
     reps = []
     while len(reps) < 5:
         u0 = witness + Z @ rng.uniform(-0.5, 0.5, Z.shape[1])
@@ -201,6 +205,44 @@ def test_maximize_rejects_bad_u0():
     k_out = cone_angles(T, hyptet.structures.assemble(T, k).expand(outside))
     with pytest.raises(NoInteriorStart, match="u0 is not strictly interior"):
         maximize_volume(T, k_out, u0=outside)
+    # a NaN would pass the edge check by failing its comparison
+    message = "u0 must be a finite vector of three free angles per tetrahedron"
+    for bad in (np.full_like(u0, np.nan), np.r_[np.inf, u0[1:]], u0[:5]):
+        with pytest.raises(ValueError, match=message):
+            maximize_volume(T, k, u0=bad)
+
+
+#: every entry point that reads a cone target or a metric as a plain array,
+#: called on the double with its assignment ``A`` and the vector ``v``
+_EDGE_VECTOR_CALLS = {
+    "assemble": (lambda T, A, v: assemble(T, v), "cone target"),
+    "find_interior": (lambda T, A, v: find_interior(T, v), "cone target"),
+    "maximize_volume": (lambda T, A, v: maximize_volume(T, v), "cone target"),
+    "solve_cone_angles": (lambda T, A, v: solve_cone_angles(T, v), "cone target"),
+    "duality_gap": (lambda T, A, v: duality_gap(T, v), "cone target"),
+    "rigidity_check": (lambda T, A, v: rigidity_check(T, v, n_starts=3), "cone target"),
+    "is_member": (lambda T, A, v: is_member(T, A, v), "cone target"),
+    "curvature": (lambda T, A, v: curvature(T, v), "metric"),
+    "gauge_project": (lambda T, A, v: gauge_project(T, v), "metric"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", sorted(_EDGE_VECTOR_CALLS))
+def test_non_finite_edge_vector_is_rejected(name, bad):
+    # a NaN passes every comparison by failing it, and an inf overflows the
+    # counting identity: both stop where the vector enters, without a warning
+    T, k, assignment = doubled_fixture(
+        _interior_lengths(np.random.default_rng(90))
+    )
+    call, what = _EDGE_VECTOR_CALLS[name]
+    one_bad = k.values.copy()
+    one_bad[2] = bad
+    for v in ([bad] * T.n_edge_classes, one_bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+                call(T, assignment, v)
 
 
 def test_start_on_the_equations_takes_no_phase_step(monkeypatch):

@@ -8,12 +8,10 @@ need them.  The check runs in a fresh interpreter, since this pytest run
 has long loaded all three.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-import hyptet
+from conftest import subprocess_env
 
 SCRIPT = """
 import sys
@@ -46,14 +44,11 @@ print("ok")
 
 
 def test_fresh_process_loads_lp_and_quadrature_on_first_use():
-    src = str(Path(hyptet.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT],
         capture_output=True,
         text=True,
-        env=env,
+        env=subprocess_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

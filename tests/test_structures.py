@@ -54,9 +54,9 @@ def test_slot_affine_map_respects_bounds():
 def test_assemble_shapes_and_rank():
     T, k, _ = _fixture()
     cs = assemble(T, k)
-    assert cs.a_eq.shape == (6, 6)
+    assert T.a_eq.shape == (6, 6)
     assert cs.n_free == 6
-    assert np.linalg.matrix_rank(cs.a_eq.toarray()) == 3
+    assert np.linalg.matrix_rank(T.a_eq.toarray()) == 3
 
 
 def test_assemble_feasible_point_reproduces_target():
@@ -293,7 +293,7 @@ def _reference_lp(T, k):
     n, nf = T.n_tetrahedra, cs.n_free
     c = np.zeros(nf + 1)
     c[-1] = -1.0
-    a_eq = sparse.hstack([cs.a_eq, sparse.csr_matrix((cs.a_eq.shape[0], 1))])
+    a_eq = sparse.hstack([T.a_eq, sparse.csr_matrix((T.n_edge_classes, 1))])
     i = np.arange(nf)
     rows = np.concatenate([i, i, nf + i // 3, nf + np.arange(n)])
     cols = np.concatenate([i, np.full(nf, nf), i, np.full(n, nf)])
