@@ -13,6 +13,10 @@ The volume formula is written once: twice a cell's volume is Lobachevsky
 summed over the seven ``volume_args``, affine in the apex angles by
 ``VOLUME_CHART``; its gradient and ``tetra``'s Hessians read them too.
 
+``np_phi_batch`` takes all six slots through one (4, 6, rows) exponent
+block per fixed block of rows; each operation keeps the operands and order
+of the slot-by-slot formula, so the output is bitwise that formula's.
+
 Conventions: float64 throughout; length/angle batches are ``(n, 6)`` arrays
 in slot order (12, 13, 14, 23, 24, 34), vertex 1 being the truncated
 vertex and vertices 2, 3, 4 the cusped ones.  All exponentials are taken
@@ -91,43 +95,46 @@ def volume_args(angles):
     return np.column_stack(((PI - (A[:, 0] + A[:, 1] + A[:, 2])) / 2.0, A))
 
 
+# operand rows of L.T; (u, v, w) of the truncated-vertex slots in
+# (a23, a24, a34); (p, q) of the cusp slots in (X, Y, Z)
+_PHI_TAKE = np.array([[3, 4, 5], [0, 0, 1], [1, 2, 2], [2, 1, 0], [4, 3, 3], [5, 5, 4]])
+_UVW = np.array([[0, 0, 1], [1, 2, 2], [2, 1, 0]])
+_PQ = np.array([[1, 0, 0], [2, 2, 1]])
+_PHI_BLOCK = 512  # keeps each temporary under glibc's 128 KiB mmap threshold
+
+
+def _phi_block(L, out):
+    g = L.T.take(_PHI_TAKE, axis=0)
+    a = g[0] - g[1] - g[2]  # exponents of the three cusp-to-cusp quad ratios
+    xyz = g[3] + g[0]  # X = l14 + l23, Y = l13 + l24, Z = l12 + l34
+    s = g[4] + g[5] - g[0] - 2.0 * g[3]
+    del g  # keeps the block's peak low
+    # exponent rows (u+v, u, v, w) at the truncated vertex, (p, q, -inf, 0)
+    # between cusps, where the gauge cancels before any transcendental is
+    # taken; the -inf term adds an exact 0
+    e = np.empty((4, 6, L.shape[0]))
+    e[1:, :3] = a.take(_UVW, axis=0)
+    np.add(e[1, :3], e[2, :3], out=e[0, :3])
+    np.subtract(xyz.take(_PQ, axis=0), xyz, out=e[:2, 3:])
+    e[2, 3:] = -np.inf
+    e[3, 3:] = 0.0
+    m = np.maximum(np.maximum(e[0], e[3]), np.maximum(e[1], e[2]))
+    sp = _np_softplus(a).take(_UVW[:2], axis=0)
+    ln_den = np.empty_like(m)
+    ln_den[:3] = _LN2 + 0.5 * e[0, :3] + 0.5 * (sp[0] + sp[1])
+    ln_den[3:] = _LN2 + 0.5 * np.logaddexp(e[0, 3:] + e[1, 3:], s)
+    x = np.exp(np.subtract(e, m, out=e), out=e)
+    x[0, :3] *= 2.0
+    num = x[0] + x[1] + x[2] - x[3]
+    np.multiply(num, np.exp(np.minimum(m - ln_den, _EXP_CLAMP)), out=out.T)
+
+
 def np_phi_batch(lengths):
     """Cosine-extension functions of the six dihedral angles, (n,6)->(n,6)."""
     L = np.asarray(lengths, dtype=np.float64)
-    l12, l13, l14, l23, l24, l34 = (L[:, j] for j in range(6))
-    out = np.empty_like(L)
-
-    # slots at the truncated vertex: exponents of the three cusp-to-cusp
-    # quad ratios
-    a23 = l23 - l12 - l13
-    a24 = l24 - l12 - l14
-    a34 = l34 - l13 - l14
-    for idx, au, av, aw in ((0, a23, a24, a34), (1, a23, a34, a24), (2, a24, a34, a23)):
-        m = np.maximum(np.maximum(au + av, aw), np.maximum(au, av))
-        num = (
-            2.0 * np.exp(au + av - m)
-            + np.exp(au - m)
-            + np.exp(av - m)
-            - np.exp(aw - m)
-        )
-        ln_den = _LN2 + 0.5 * (au + av) + 0.5 * (_np_softplus(au) + _np_softplus(av))
-        out[:, idx] = num * np.exp(np.minimum(m - ln_den, _EXP_CLAMP))
-
-    # slots between two cusped vertices, written in decoration-invariant
-    # exponent differences so the gauge action cancels before any
-    # transcendental is taken
-    X = l14 + l23
-    Y = l13 + l24
-    Z = l12 + l34
-    for idx, p_, q_, s_ in (
-        (3, Y - X, Z - X, l24 + l34 - l23 - 2.0 * l14),
-        (4, X - Y, Z - Y, l23 + l34 - l24 - 2.0 * l13),
-        (5, X - Z, Y - Z, l23 + l24 - l34 - 2.0 * l12),
-    ):
-        m = np.maximum(np.maximum(p_, q_), 0.0)
-        num = np.exp(p_ - m) + np.exp(q_ - m) - np.exp(-m)
-        ln_den = _LN2 + 0.5 * np.logaddexp(p_ + q_, s_)
-        out[:, idx] = num * np.exp(np.minimum(m - ln_den, _EXP_CLAMP))
+    out = np.empty((L.shape[0], 6))
+    for i in range(0, L.shape[0], _PHI_BLOCK):
+        _phi_block(L[i : i + _PHI_BLOCK], out[i : i + _PHI_BLOCK])
     return out
 
 

@@ -27,7 +27,7 @@ def lobachevsky(theta):
     arr = np.asarray(theta, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("theta must be finite")
-    out = _kernels.lobachevsky_batch(np.ascontiguousarray(arr.reshape(-1)))
+    out = _kernels.lobachevsky_batch(arr.reshape(-1))
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)

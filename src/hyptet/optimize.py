@@ -472,7 +472,7 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None):
     factor, project = T.factor, T.project
 
     def oracle(x):
-        L = np.ascontiguousarray(x[slot_class])
+        L = x[slot_class]
         A = extended_angles_batch(L)
         kx = float(k_vals @ x)
         obj = float(volume2_batch(A).sum() + np.sum(A * L)) - kx

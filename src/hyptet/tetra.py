@@ -148,7 +148,7 @@ def theta_table(lengths):
     """Vertex-triangle and horosphere-section lengths for any length vector."""
     arr = _as6(lengths, "lengths")
     row = _kernels.theta_batch(arr.reshape(1, 6))[0]
-    return ThetaTable(*(float(v) for v in row))
+    return ThetaTable(*row.tolist())
 
 
 def classify(lengths, tol=1e-9):
@@ -188,7 +188,7 @@ def extended_angles(lengths):
     """
     arr = _as6(lengths, "lengths")
     row = _kernels.extended_angles_batch(arr.reshape(1, 6))[0]
-    return DihedralAngles(*(float(v) for v in row))
+    return DihedralAngles(*row.tolist())
 
 
 def apply_decoration(lengths, w):
@@ -200,7 +200,7 @@ def apply_decoration(lengths, w):
     if not np.all(np.isfinite(shift)):
         raise ValueError("decoration must be finite")
     out = arr + shift @ GAUGE_VECTORS
-    return DecoratedLengths(*(float(v) for v in out))
+    return DecoratedLengths(*out.tolist())
 
 
 def _cusp_sums(A):

@@ -505,7 +505,7 @@ def assignment_from_metric(T, metric):
     """Extended dihedral angles of the per-edge-class length vector."""
     vals = metric.values if isinstance(metric, GeneralizedMetric) else metric
     L = _edge_vector(T, vals, "metric")[T.slot_class]
-    return AngleAssignment(extended_angles_batch(np.ascontiguousarray(L)))
+    return AngleAssignment(extended_angles_batch(L))
 
 
 def curvature(T, metric):
@@ -525,8 +525,10 @@ def admissibility_residual(T, cone_values):
 
     Any cone target realized by an angle assignment satisfies, for every
     cusped vertex class v, sum_e mult_v(e) * k(e) = pi * corners(v).
+    Raises ValueError unless ``cone_values`` holds one finite value per edge
+    class.
     """
-    k = np.asarray(cone_values, dtype=np.float64)
+    k = _edge_vector(T, cone_values, "cone target")
     # summed at scale max(1, max|k|): values near the float limit overflow
     scale = max(1.0, float(np.max(np.abs(k))))
     lhs = T.gauge_matrix.T @ (k / scale)

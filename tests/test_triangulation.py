@@ -279,6 +279,20 @@ def test_admissibility_identity_holds_for_assignments():
     assert admissibility_residual(T, k.values) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([math.inf] * 6, "cone target must be finite"),
+        ([math.nan] * 6, "cone target must be finite"),
+        ([PI] * 5, "cone target length does not match edge classes"),
+    ],
+    ids=["inf", "nan", "short"],
+)
+def test_admissibility_residual_rejects_bad_vectors(values, message):
+    with pytest.raises(ValueError, match=message):
+        admissibility_residual(_double(), values)
+
+
 def test_cone_target_requires_nonnegative():
     with pytest.raises(ValueError):
         ConeTarget(np.array([1.0, -0.1, 1, 1, 1, 1]))
