@@ -67,10 +67,6 @@ VOLUME_CHART = np.array(
 )
 
 
-def _np_softplus(x):
-    return np.logaddexp(0.0, x)
-
-
 def np_lobachevsky_batch(theta):
     """Clausen-type volume integrand primitive, vectorized."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -119,7 +115,7 @@ def _phi_block(L, out):
     e[2, 3:] = -np.inf
     e[3, 3:] = 0.0
     m = np.maximum(np.maximum(e[0], e[3]), np.maximum(e[1], e[2]))
-    sp = _np_softplus(a).take(_UVW[:2], axis=0)
+    sp = np.logaddexp(0.0, a).take(_UVW[:2], axis=0)  # softplus of u and v
     ln_den = np.empty_like(m)
     ln_den[:3] = _LN2 + 0.5 * e[0, :3] + 0.5 * (sp[0] + sp[1])
     ln_den[3:] = _LN2 + 0.5 * np.logaddexp(e[0, 3:] + e[1, 3:], s)
