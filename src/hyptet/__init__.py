@@ -65,7 +65,6 @@ from .triangulation import (
     validate,
 )
 from .structures import (
-    ConstraintSystem,
     FeasibilityReport,
     FeasibilityStatus,
     Membership,

@@ -80,12 +80,6 @@ def _parse_six(text, name, degrees=False):
     return vals
 
 
-def _load_problem(args):
-    T = triangulation.validate(_load_json(args.triangulation))
-    k = triangulation.ConeTarget.from_json(T, _load_json(args.k))
-    return T, k
-
-
 def _cmd_validate(args):
     T = triangulation.validate(_load_json(args.triangulation))
     _emit(T.summary())
@@ -114,32 +108,21 @@ def _cmd_tetra(args):
     return 0
 
 
-def _cmd_maximize(args):
-    T, k = _load_problem(args)
-    report = optimize.maximize_volume(T, k, tol=args.tol)
-    _emit(report.to_json())
-    return 0
+#: the solver verbs: each maps ``(T, k, args)`` to its report's JSON
+_SOLVERS = {
+    "maximize": lambda T, k, a: optimize.maximize_volume(T, k, tol=a.tol).to_json(),
+    "solve": lambda T, k, a: optimize.solve_cone_angles(T, k, tol=a.tol).to_json(T),
+    "gap": lambda T, k, a: optimize.duality_gap(T, k, tol=a.tol).to_json(),
+    "rigidity": lambda T, k, a: optimize.rigidity_check(
+        T, k, n_starts=a.starts, tol=a.tol, seed=a.seed
+    ).to_json(),
+}
 
 
-def _cmd_solve(args):
-    T, k = _load_problem(args)
-    report = optimize.solve_cone_angles(T, k, tol=args.tol)
-    _emit(report.to_json(T))
-    return 0
-
-
-def _cmd_gap(args):
-    T, k = _load_problem(args)
-    _emit(optimize.duality_gap(T, k, tol=args.tol).to_json())
-    return 0
-
-
-def _cmd_rigidity(args):
-    T, k = _load_problem(args)
-    report = optimize.rigidity_check(
-        T, k, n_starts=args.starts, tol=args.tol, seed=args.seed
-    )
-    _emit(report.to_json())
+def _cmd_solver(args):
+    T = triangulation.validate(_load_json(args.triangulation))
+    k = triangulation.ConeTarget.from_json(T, _load_json(args.k))
+    _emit(_SOLVERS[args.verb](T, k, args))
     return 0
 
 
@@ -204,23 +187,17 @@ def build_parser():
     )
     p.set_defaults(func=_cmd_tetra)
 
-    for verb, func, extra in (
-        ("maximize", _cmd_maximize, ()),
-        ("solve", _cmd_solve, ()),
-        ("gap", _cmd_gap, ()),
-        ("rigidity", _cmd_rigidity, ("starts", "seed")),
-    ):
+    for verb in _SOLVERS:
         p = sub.add_parser(verb)
         p.add_argument("triangulation")
         p.add_argument("--k", required=True, help="cone target JSON file")
         p.add_argument(
             "--tol", type=float, default=1e-6 if verb == "rigidity" else 1e-8
         )
-        if "starts" in extra:
+        if verb == "rigidity":
             p.add_argument("--starts", type=int, default=5)
-        if "seed" in extra:
             p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_solver)
 
     p = sub.add_parser("fixture", help="emit a ready-made problem instance")
     p.add_argument("kind", choices=["double"])

@@ -49,6 +49,7 @@ from .errors import MaxIterations, NoInteriorStart
 from .structures import (
     FeasibilityStatus,
     Membership,
+    _check_tol,
     assemble,
     find_interior,
     is_member,
@@ -56,8 +57,10 @@ from .structures import (
 from .tetra import (
     CELL_VERTICES,
     SLOT_COEF,
+    _cell_slacks,
     _covolume_hessian,
     _near_flat,
+    _slot_angles,
     _volume_hessian,
 )
 from .triangulation import AngleAssignment, GeneralizedMetric, admissible_cone_values
@@ -179,11 +182,6 @@ class _Stop(Exception):
     """Raised by an oracle with ``(x, f, res)`` at a point that ends the run."""
 
 
-def _check_tol(tol):
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be a positive finite number")
-
-
 def _newton(x, oracle, tol, max_iter, max_step=None):
     """Damped Newton descent on a smooth convex objective over an affine set.
 
@@ -286,21 +284,22 @@ def _blockmul(inv, v):
 
 class _Barrier:
     """The log-barrier problems ``-(vol + mu * sum log c)`` of one primal
-    solve, over the edge equations, one oracle per barrier weight ``mu``.
+    solve, over the edge equations ``T.a_eq u = b_eq``, one oracle per
+    barrier weight ``mu``.
 
     It holds the cell terms of the last point evaluated -- the slot angles,
     twice the volume and its gradient -- which a new weight's start and the
     volume trace read again instead of recomputing.
     """
 
-    def __init__(self, cs):
-        self.cs = cs
+    def __init__(self, T, b_eq):
+        self.T, self.b_eq = T, b_eq
         self._last = None
 
     def cells(self, u):
         """Slot angles, twice the volume and its gradient (3n,) at ``u``."""
         if self._last is None or not np.array_equal(self._last[0], u):
-            A = self.cs.expand(u).values
+            A = _slot_angles(u)
             vol2 = float(volume2_batch(A).sum())
             self._last = u.copy(), A, vol2, volume_gradient_batch(A).ravel()
         return self._last[1:]
@@ -316,10 +315,10 @@ class _Barrier:
         feasible Newton step, off them the infeasible-start one.
         ``A B^-1 A^T`` is ``T.factor`` of the slot blocks ``C B^-1 C^T``.
         """
-        cs, T = self.cs, self.cs.triangulation
+        T, b_eq = self.T, self.b_eq
 
         def oracle(u_vec):
-            c = cs.constraint_values(u_vec)
+            c = _cell_slacks(u_vec)
             A, vol2, grad = self.cells(u_vec)
             f = -0.5 * vol2 - mu * float(np.sum(np.log(c)))
             g = -grad - mu * (1.0 / u_vec - np.repeat(1.0 / c[u_vec.size :], 3))
@@ -329,7 +328,7 @@ class _Barrier:
                 inv = _sym3_inverse(_barrier_hessian(A, c, mu))
                 solve = T.factor((inv @ _SLOT_KRON).reshape(-1, 6, 6))
                 w = _blockmul(inv, g)
-                r = T.a_eq @ u_vec - cs.b_eq
+                r = T.a_eq @ u_vec - b_eq
                 return _blockmul(inv, T.a_eq_t @ solve(T.a_eq @ w - r)) - w
 
             return f, pg, float(np.max(np.abs(pg))), step
@@ -347,14 +346,14 @@ def _equation_oracle(barrier, mu):
     Optimization*, sec. 10.3).  The residual is ``max|r|``.  A point on the
     boundary to rounding raises ``_Stop``: the barrier would divide by 0.
     """
-    cs, T = barrier.cs, barrier.cs.triangulation
+    T, b_eq = barrier.T, barrier.b_eq
     newton = barrier.oracle(mu)
 
     def oracle(u_vec):
-        r = T.a_eq @ u_vec - cs.b_eq
+        r = T.a_eq @ u_vec - b_eq
         f = 0.5 * float(r @ r)
         res = float(np.max(np.abs(r)))
-        edge = min(np.min(cs.constraint_values(u_vec)), np.min(cs.expand(u_vec).values))
+        edge = min(np.min(_cell_slacks(u_vec)), np.min(_slot_angles(u_vec)))
         if edge <= 0.0:
             raise _Stop(u_vec, f, res)
         return f, T.a_eq_t @ r, res, lambda: newton(u_vec)[3]()
@@ -382,9 +381,9 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
     -- is at most ``tol``.
     """
     _check_tol(tol)
-    cs = assemble(T, k)
+    b_eq = assemble(T, k)
     n = T.n_tetrahedra
-    barrier = _Barrier(cs)
+    barrier = _Barrier(T, b_eq)
 
     if u0 is not None:
         u = np.array(u0, dtype=np.float64).reshape(-1)
@@ -392,9 +391,9 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
             raise ValueError(
                 "u0 must be a finite vector of three free angles per tetrahedron"
             )
-        if float(np.max(np.abs(T.a_eq @ u - cs.b_eq))) > 1e-8:
+        if float(np.max(np.abs(T.a_eq @ u - b_eq))) > 1e-8:
             raise NoInteriorStart("u0 violates the edge equations")
-        if np.any(cs.constraint_values(u) <= 0.0):
+        if np.any(_cell_slacks(u) <= 0.0):
             raise NoInteriorStart("u0 is not strictly interior")
     else:
         u = np.full(3 * n, PI / 4.0)
@@ -405,7 +404,7 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
         shrink = dc < 0.0
         if not np.any(shrink):
             return 1.0
-        c = cs.constraint_values(u_vec)
+        c = _cell_slacks(u_vec)
         return min(1.0, float(np.min(0.995 * c[shrink] / -dc[shrink])))
 
     mu_final = max(tol / 10.0, 1e-13)
@@ -418,7 +417,7 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
 
     run = _newton(u, _equation_oracle(barrier, mus[0]), 1e-8, _PHASE_ONE, max_step)
     u, iterations = run.x, run.iterations
-    if is_member(T, cs.expand(u), cs.cone, tol=1e-8)[0] is not Membership.INTERIOR:
+    if is_member(T, _slot_angles(u), k, tol=1e-8)[0] is not Membership.INTERIOR:
         fr = find_interior(T, k)
         if fr.status is not FeasibilityStatus.INTERIOR_FOUND:
             raise NoInteriorStart(f"feasibility status: {fr.status.value}")
@@ -436,12 +435,12 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
         raise MaxIterations(
             f"barrier maximization stalled at residual {kkt:.3e}", residual=kkt
         )
-    ang = cs.expand(u)
+    A = _slot_angles(u)
     return PrimalReport(
-        ang,
+        AngleAssignment(A),
         trace[-1],
         kkt,
-        _near_flat(ang.values, 1e-6).tolist(),
+        _near_flat(A, 1e-6).tolist(),
         iterations,
         trace,
     )

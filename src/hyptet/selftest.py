@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _kernels, tetra
 from .lobachevsky import lobachevsky, lobachevsky_derivative, lobachevsky_reference
-from .tetra import SLOT_COEF, SLOT_CONST
+from .tetra import SLOT_COEF, _slot_angles
 
 PI = math.pi
 
@@ -216,8 +216,7 @@ def schlafli_suite(seed=0, n=100, tol=1e-6):
             dn = row[:3].copy()
             up[d] += h
             dn[d] -= h
-            rows = SLOT_CONST + np.stack([up, dn]) @ SLOT_COEF.T
-            v2 = _kernels.volume2_batch(rows)
+            v2 = _kernels.volume2_batch(_slot_angles(np.stack([up, dn])))
             fd = (v2[0] - v2[1]) / (2.0 * h)
             dev = abs(fd - expected[d])
             checked += 1

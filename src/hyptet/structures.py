@@ -6,11 +6,13 @@ the cusp-sum relations force
     a23 = pi/2 - (a12 + a13 - a14)/2   (and cyclic),
 
 so every slot angle is affine in the free vector ``u`` (the chart
-``SLOT_COEF`` / ``SLOT_CONST``, defined in ``tetra`` with the rest of the
-cell's math).  With ``u >= 0`` and the per-tetrahedron sum at most pi, all
-six slot angles automatically land in [0, pi].  Edge equations "slot
-angles over a class sum to k(e)" become ``T.a_eq u = b_eq``: the matrix is
-the triangulation's, built once, and only ``b_eq`` reads the target.
+``SLOT_COEF`` / ``SLOT_CONST`` and its maps ``_slot_angles`` and
+``_cell_slacks``, defined in ``tetra`` with the rest of the cell's math).
+With ``u >= 0`` and the per-tetrahedron sum at most pi, all six slot angles
+automatically land in [0, pi].  Edge equations "slot angles over a class
+sum to k(e)" become ``T.a_eq u = b_eq``: the matrix is the triangulation's,
+built once, and ``assemble(T, k)`` gives ``b_eq``, the only part that reads
+the target.
 
 ``find_interior`` solves the max-min-slack LP (a Chebyshev-style interior
 point) "maximize t subject to u >= t, pi - sum_tet u >= t and the edge
@@ -28,11 +30,11 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InadmissibleTarget, LpFailure
-from .tetra import SLOT_COEF, SLOT_CONST, _cusp_sums
+from .tetra import SLOT_CONST, _cell_slacks, _cusp_sums, _slot_angles
 from .triangulation import (
     AngleAssignment,
-    ConeTarget,
     _edge_vector,
+    _slot_rows,
     admissible_cone_values,
 )
 
@@ -80,31 +82,9 @@ class FeasibilityReport:
         }
 
 
-@dataclass
-class ConstraintSystem:
-    """Affine encoding of the assignment polytope in the free variables."""
-
-    triangulation: object
-    cone: np.ndarray
-    b_eq: np.ndarray
-
-    @property
-    def n_tetrahedra(self):
-        return self.triangulation.n_tetrahedra
-
-    @property
-    def n_free(self):
-        return 3 * self.n_tetrahedra
-
-    def expand(self, u):
-        """Slot angles (n, 6) of a free vector u (3n,)."""
-        U = np.asarray(u, dtype=np.float64).reshape(self.n_tetrahedra, 3)
-        return AngleAssignment(U @ SLOT_COEF.T + SLOT_CONST)
-
-    def constraint_values(self, u):
-        """All inequality slacks: the 3n bounds, then the n sum slacks."""
-        U = np.asarray(u, dtype=np.float64).reshape(self.n_tetrahedra, 3)
-        return np.concatenate([U.ravel(), PI - U.sum(axis=1)])
+def _check_tol(tol):
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite number")
 
 
 def assemble(T, k):
@@ -114,8 +94,7 @@ def assemble(T, k):
     which makes the equality system provably inconsistent.
     """
     k_vals = admissible_cone_values(T, k)
-    consts = T.edge_sums(np.tile(SLOT_CONST, T.n_tetrahedra))
-    return ConstraintSystem(T, k_vals, k_vals - consts)
+    return k_vals - T.edge_sums(np.tile(SLOT_CONST, T.n_tetrahedra))
 
 
 def is_member(T, assignment, k, tol=1e-9):
@@ -123,14 +102,13 @@ def is_member(T, assignment, k, tol=1e-9):
 
     Returns ``(Membership, violations)`` where violations lists every
     failed check.  Interior requires strict slack beyond ``tol`` in all
-    inequality constraints.  Raises ValueError when ``k`` does not have one
-    finite value per edge class.
+    inequality constraints.  Raises ValueError when ``tol`` is not positive
+    and finite, when the assignment does not have one row of six angles per
+    tetrahedron, or when ``k`` does not have one finite value per edge class.
     """
-    A = assignment.values if isinstance(assignment, AngleAssignment) else None
-    if A is None:
-        A = np.asarray(assignment, dtype=np.float64)
-    vals = k.values if isinstance(k, ConeTarget) else k
-    k_vals = _edge_vector(T, vals, "cone target")
+    _check_tol(tol)
+    A = _slot_rows(T, assignment)
+    k_vals = _edge_vector(T, k, "cone target")
     # summed directly: a negative slot angle is a violation, not a bad target
     cone = T.edge_sums(A)
     violations = [
@@ -172,12 +150,12 @@ def find_interior(T, k):
     inadmissible target is provably infeasible and reported as such.
     """
     try:
-        cs = assemble(T, k)
+        b_eq = assemble(T, k)
     except InadmissibleTarget:
         return FeasibilityReport(FeasibilityStatus.INFEASIBLE, None, -np.inf)
 
     n = T.n_tetrahedra
-    nf = cs.n_free
+    nf = 3 * n
     # variables z = (s, t); maximize t
     c = np.zeros(nf + 1)
     c[-1] = -1.0
@@ -191,7 +169,7 @@ def find_interior(T, k):
         A_ub=a_ub,
         b_ub=np.full(n, PI),
         A_eq=a_eq,
-        b_eq=cs.b_eq,
+        b_eq=b_eq,
         bounds=[(0.0, None)] * nf + [(-4.0 * PI, PI)],
         method="highs",
     )
@@ -202,9 +180,9 @@ def find_interior(T, k):
 
     t_star = float(res.x[-1])
     u = res.x[:-1] + t_star
-    witness = cs.expand(u)
+    witness = AngleAssignment(_slot_angles(u))
     # report the slack the witness actually achieves, not the LP's claim
-    slack = float(np.min(cs.constraint_values(u)))
+    slack = float(np.min(_cell_slacks(u)))
     if t_star > FEASIBILITY_TOL:
         verdict, violations = is_member(T, witness, k, tol=FEASIBILITY_TOL / 10.0)
         if verdict is not Membership.INTERIOR:

@@ -20,7 +20,11 @@ The central objects:
 * ``SLOT_COEF`` / ``SLOT_CONST`` -- the cusp-sum chart: every slot angle is
   affine in the three apex-slot angles (a12, a13, a14).  It lives in
   ``_kernels.VOLUME_CHART`` with the volume formula; ``FLAT_PATTERNS`` and
-  ``CELL_VERTICES`` (the closed angle polytope's vertices) follow from it;
+  ``CELL_VERTICES`` (the closed angle polytope's vertices) follow from it.
+  ``_slot_angles`` maps a free vector of 3n apex angles to its (n, 6) slot
+  angles and ``_cell_slacks`` to the polytope's inequality slacks, so the
+  angle polytope of a cone target ``k`` is ``T.a_eq u = assemble(T, k)``
+  with ``_cell_slacks(u) >= 0``;
 * ``_volume_hessian`` / ``_covolume_hessian`` -- the closed-form volume
   Hessian in the chart and, through the Schlaefli identity, the co-volume
   Hessian ``C (-2 H)^-1 C^T``, batched over cells for the solvers.
@@ -66,6 +70,20 @@ SLOT_CONST = np.array([0.0, 0.0, 0.0, PI / 2.0, PI / 2.0, PI / 2.0])
 #: vertices of a cell's closed angle polytope (u >= 0, sum u <= pi), (6, 4)
 FLAT_PATTERNS = np.ascontiguousarray(SLOT_CONST + PI * SLOT_COEF.T)
 CELL_VERTICES = np.vstack([SLOT_CONST, FLAT_PATTERNS]).T
+
+
+def _slot_angles(u):
+    """Slot angles (n, 6) of a free vector ``u`` (3n,) in the chart."""
+    U = np.asarray(u, dtype=np.float64).reshape(-1, 3)
+    return U @ SLOT_COEF.T + SLOT_CONST
+
+
+def _cell_slacks(u):
+    """The angle polytope's inequality slacks at a free vector ``u`` (3n,):
+    the 3n free angles, then the n apex slacks ``pi - sum_tet u``."""
+    U = np.asarray(u, dtype=np.float64).reshape(-1, 3)
+    return np.concatenate([U.ravel(), PI - U.sum(axis=1)])
+
 
 #: outer products c_k c_k^T of the volume chart rows, flattened to (7, 9)
 _CHART_OUTER = np.einsum("kp,kq->kpq", VOLUME_CHART, VOLUME_CHART).reshape(7, 9)
@@ -390,9 +408,11 @@ def hyperbolic_triangle_sides(A, B, C):
     """Side lengths (a, b, c) of the hyperbolic triangle with angles (A, B, C).
 
     Dual cosine law: cosh a = (cos A + cos B cos C) / (sin B sin C), and
-    cyclic.  Requires positive angles with sum strictly below pi.
+    cyclic.  Requires finite positive angles with sum strictly below pi.
     """
     ang = np.array([float(A), float(B), float(C)])
+    if not np.all(np.isfinite(ang)):
+        raise ValueError("angles must be finite")
     if np.any(ang <= 0.0):
         raise ValueError("angles must be positive")
     if ang.sum() >= PI:

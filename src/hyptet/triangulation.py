@@ -486,14 +486,25 @@ class AngleAssignment:
 
 def cone_angles(T, assignment):
     """Sum the slot angles over each edge class."""
-    vals = assignment.values if isinstance(assignment, AngleAssignment) else assignment
-    return ConeTarget(T.edge_sums(vals))
+    return ConeTarget(T.edge_sums(_slot_rows(T, assignment)))
+
+
+def _slot_rows(T, assignment):
+    """``assignment`` (an ``AngleAssignment`` or an array) as a float array,
+    which must hold one row of six slot angles per tetrahedron of ``T``."""
+    A = np.asarray(getattr(assignment, "values", assignment), dtype=np.float64)
+    if A.shape != (T.n_tetrahedra, 6):
+        raise ValueError(
+            f"assignment must have shape ({T.n_tetrahedra}, 6), got {A.shape}"
+        )
+    return A
 
 
 def _edge_vector(T, values, what):
-    """``values`` as a float array, which must hold one finite value per edge
-    class: a NaN passes every comparison the solvers make by failing it."""
-    x = np.asarray(values, dtype=np.float64)
+    """``values`` (a ``ConeTarget``, a ``GeneralizedMetric`` or an array) as
+    a float array, which must hold one finite value per edge class: a NaN
+    passes every comparison the solvers make by failing it."""
+    x = np.asarray(getattr(values, "values", values), dtype=np.float64)
     if x.shape != (T.n_edge_classes,):
         raise ValueError(f"{what} length does not match edge classes")
     if not np.all(np.isfinite(x)):
@@ -503,8 +514,7 @@ def _edge_vector(T, values, what):
 
 def assignment_from_metric(T, metric):
     """Extended dihedral angles of the per-edge-class length vector."""
-    vals = metric.values if isinstance(metric, GeneralizedMetric) else metric
-    L = _edge_vector(T, vals, "metric")[T.slot_class]
+    L = _edge_vector(T, metric, "metric")[T.slot_class]
     return AngleAssignment(extended_angles_batch(L))
 
 
@@ -516,8 +526,7 @@ def curvature(T, metric):
 
 def gauge_project(T, metric):
     """Project a metric onto the orthogonal complement of the gauge span."""
-    vals = metric.values if isinstance(metric, GeneralizedMetric) else metric
-    return GeneralizedMetric(T.project(_edge_vector(T, vals, "metric")))
+    return GeneralizedMetric(T.project(_edge_vector(T, metric, "metric")))
 
 
 def admissibility_residual(T, cone_values):
@@ -544,8 +553,7 @@ def admissible_cone_values(T, k):
     than ``ADMISSIBILITY_TOL`` relative to the largest value, which makes
     the edge equations provably inconsistent.
     """
-    vals = k.values if isinstance(k, ConeTarget) else k
-    k_vals = _edge_vector(T, vals, "cone target")
+    k_vals = _edge_vector(T, k, "cone target")
     resid = admissibility_residual(T, k_vals)
     if resid > ADMISSIBILITY_TOL * max(1.0, float(np.max(np.abs(k_vals)))):
         raise InadmissibleTarget(

@@ -2,7 +2,9 @@
 
 ``perfbench/tracing.py`` looks up layer entry points and a few foreign names
 (``optimize.null_space``, ``structures.linprog``) by name; a package change
-that drops one of them breaks ``perfbench/run.py --trace 1``.
+that drops one of them breaks ``perfbench/run.py --trace 1``.  The workloads
+also count a ``None`` return as a failed operation, so an entry point they
+time must keep returning a value.
 """
 
 import importlib.util
@@ -10,6 +12,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from hyptet import assemble, doubled_fixture
+from hyptet.tetra import SLOT_CONST
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -73,3 +78,13 @@ def test_layer_metrics_read_only_traced_span_names():
         "triangulation.gauge_projector",
     }
     assert expected <= set(read)
+
+
+def test_assemble_returns_the_right_hand_side():
+    # primal-scale times ``structures.assemble`` through ``Pass.call``, which
+    # counts a None return as a failed operation and lowers ``ok_frac``
+    T, k, _ = doubled_fixture([0.3, -0.2, 0.1, 0.25, -0.15, 0.4])
+    b_eq = assemble(T, k)
+    expected = k.values - T.edge_sums(np.tile(SLOT_CONST, T.n_tetrahedra))
+    assert isinstance(b_eq, np.ndarray)
+    assert np.array_equal(b_eq, expected)

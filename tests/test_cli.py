@@ -19,7 +19,7 @@ from hyptet import (
 )
 from hyptet import cli
 from hyptet.cli import main
-from hyptet.structures import SLOT_COEF, SLOT_CONST
+from hyptet.tetra import SLOT_COEF, SLOT_CONST
 
 PI = math.pi
 

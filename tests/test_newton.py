@@ -51,8 +51,16 @@ from hyptet.optimize import (
     _sym3_inverse,
 )
 from hyptet.selftest import sample_interior_angles
-from hyptet.structures import SLOT_COEF, SLOT_CONST, FeasibilityStatus
-from hyptet.tetra import GAUGE_VECTORS, _covolume_hessian, _volume_hessian
+from hyptet.structures import FeasibilityStatus
+from hyptet.tetra import (
+    GAUGE_VECTORS,
+    SLOT_COEF,
+    SLOT_CONST,
+    _cell_slacks,
+    _covolume_hessian,
+    _slot_angles,
+    _volume_hessian,
+)
 from hyptet.triangulation import double_document
 
 FIXTURES = {
@@ -96,9 +104,9 @@ def _dense_dual_hessian(T, L):
     return _slot_sum(T, _covolume_hessian(extended_angles_batch(L)))
 
 
-def _primal_blocks(cs, u, mu):
+def _primal_blocks(u, mu):
     """The primal step's slot blocks ``C B^-1 C^T`` at ``u`` and weight ``mu``."""
-    B = _barrier_hessian(cs.expand(u).values, cs.constraint_values(u), mu)
+    B = _barrier_hessian(_slot_angles(u), _cell_slacks(u), mu)
     return (_sym3_inverse(B) @ _SLOT_KRON).reshape(-1, 6, 6)
 
 
@@ -340,9 +348,8 @@ def test_sparse_primal_step_matches_dense_null_space_step(name):
     rng = np.random.default_rng(75)
     for mu in (1e-1, 1e-3, 1e-6):
         angles, k = _interior_target(T, rng)
-        cs = assemble(T, k)
         u = angles[:, :3].ravel()
-        _, pg, res, step = _Barrier(cs).oracle(mu)(u)
+        _, pg, res, step = _Barrier(T, assemble(T, k)).oracle(mu)(u)
         dx = step()
 
         # dense oracle: Newton step in an orthonormal null-space basis
@@ -383,11 +390,10 @@ def _solver_systems(T, rng):
     co-volume blocks with its shift ``min(res, 1)``, at cells inside and
     clamped by a wide draw, and the projector's zero blocks."""
     angles, k = _interior_target(T, rng)
-    cs = assemble(T, k)
     last = maximize_volume(T, k, tol=1e-8).maximizer.values[:, :3].ravel()
     out = [
-        ("primal start", _primal_blocks(cs, angles[:, :3].ravel(), 1e-1), 0.0),
-        ("primal last", _primal_blocks(cs, last, 1e-9), 0.0),
+        ("primal start", _primal_blocks(angles[:, :3].ravel(), 1e-1), 0.0),
+        ("primal last", _primal_blocks(last, 1e-9), 0.0),
         ("projector", 0.0, 1.0),
     ]
     for spread in (0.4, 3.0):
@@ -522,7 +528,7 @@ def test_one_build_per_triangulation(monkeypatch):
         triangulation, "reverse_cuthill_mckee", counted(reverse_cuthill_mckee, orders)
     )
     monkeypatch.setattr(triangulation, "splu", counted(splu, lus))
-    assert not np.array_equal(assemble(T, k).b_eq, assemble(T, k2).b_eq)
+    assert not np.array_equal(assemble(T, k), assemble(T, k2))
     assert find_interior(T, k2).status is FeasibilityStatus.INTERIOR_FOUND
     maximize_volume(T, k, tol=1e-8)
     solve_cone_angles(T, k, tol=1e-8)

@@ -40,8 +40,14 @@ from hyptet import (
 )
 from hyptet.errors import InadmissibleTarget, MaxIterations, NoInteriorStart
 from hyptet.selftest import sample_interior_angles
-from hyptet.structures import SLOT_COEF, SLOT_CONST
-from hyptet.tetra import FLAT_PATTERNS, _near_flat
+from hyptet.tetra import (
+    FLAT_PATTERNS,
+    SLOT_COEF,
+    SLOT_CONST,
+    _cell_slacks,
+    _near_flat,
+    _slot_angles,
+)
 from hyptet.triangulation import PAIR_INDEX, double_document, validate
 
 PI = math.pi
@@ -87,18 +93,17 @@ def test_maximize_symmetric_zero_lengths():
 def test_maximize_multistart_uniqueness():
     from scipy.linalg import null_space
 
-    from hyptet import assemble, find_interior
+    from hyptet import find_interior
 
     rng = np.random.default_rng(51)
     l0 = _interior_lengths(rng)
     T, k, _ = doubled_fixture(l0)
-    cs = assemble(T, k)
     witness = find_interior(T, k).witness.values[:, :3].ravel()
     Z = null_space(T.a_eq.toarray())
     reps = []
     while len(reps) < 5:
         u0 = witness + Z @ rng.uniform(-0.5, 0.5, Z.shape[1])
-        if np.any(cs.constraint_values(u0) <= 1e-3):
+        if np.any(_cell_slacks(u0) <= 1e-3):
             continue
         reps.append(maximize_volume(T, k, u0=u0))
     for a in reps:
@@ -202,7 +207,7 @@ def test_maximize_rejects_bad_u0():
     # on the edge equations of its own cone angles, but with one free angle 0
     outside = u0.copy()
     outside[0] = 0.0
-    k_out = cone_angles(T, hyptet.structures.assemble(T, k).expand(outside))
+    k_out = cone_angles(T, _slot_angles(outside))
     with pytest.raises(NoInteriorStart, match="u0 is not strictly interior"):
         maximize_volume(T, k_out, u0=outside)
     # a NaN would pass the edge check by failing its comparison
@@ -349,11 +354,19 @@ def test_dual_rejects_wrong_length_target():
 )
 @pytest.mark.parametrize(
     "solver",
-    [maximize_volume, solve_cone_angles, duality_gap, rigidity_check],
-    ids=["maximize", "solve", "gap", "rigidity"],
+    [
+        maximize_volume,
+        solve_cone_angles,
+        duality_gap,
+        rigidity_check,
+        lambda T, k, tol: is_member(T, np.zeros((2, 6)), k, tol=tol),
+    ],
+    ids=["maximize", "solve", "gap", "rigidity", "is_member"],
 )
 def test_solvers_reject_bad_tolerances(solver, tol):
-    # checked before any work: the target's wrong length is not reached
+    # checked before any work: the target's wrong length is not reached.  An
+    # is_member tol of -1 would judge an exact maximizer Outside, and one of
+    # inf a negative slot angle a boundary point
     T, k, _ = doubled_fixture([0.1, -0.2, 0.3, 0.5, 0.4, 0.6])
     with pytest.raises(ValueError, match="tol must be a positive finite number"):
         solver(T, np.append(k.values, 1.0), tol=tol)

@@ -29,7 +29,8 @@ from hyptet import (
 )
 from hyptet.errors import InadmissibleTarget, LpFailure
 from hyptet.selftest import sample_interior_angles
-from hyptet.structures import FEASIBILITY_TOL, SLOT_COEF, SLOT_CONST
+from hyptet.structures import FEASIBILITY_TOL
+from hyptet.tetra import SLOT_COEF, SLOT_CONST, _cell_slacks, _slot_angles
 from hyptet.triangulation import PAIR_INDEX, double_document, validate
 
 PI = math.pi
@@ -53,17 +54,19 @@ def test_slot_affine_map_respects_bounds():
 
 def test_assemble_shapes_and_rank():
     T, k, _ = _fixture()
-    cs = assemble(T, k)
+    b_eq = assemble(T, k)
     assert T.a_eq.shape == (6, 6)
-    assert cs.n_free == 6
+    assert isinstance(b_eq, np.ndarray) and b_eq.shape == (6,)
+    assert _cell_slacks(np.zeros(6)).shape == (8,)
     assert np.linalg.matrix_rank(T.a_eq.toarray()) == 3
 
 
 def test_assemble_feasible_point_reproduces_target():
     T, k, assignment = _fixture()
     u = assignment.values[:, :3].ravel()
-    back = cone_angles(T, assemble(T, k).expand(u)).values
+    back = cone_angles(T, _slot_angles(u)).values
     assert np.max(np.abs(back - k.values)) <= 1e-12
+    assert np.max(np.abs(T.a_eq @ u - assemble(T, k))) <= 1e-12
 
 
 def test_assemble_rejects_inadmissible():
@@ -85,7 +88,7 @@ def test_zero_cone_edge_forces_zero_slots():
     a = AngleAssignment(np.stack([boundary, boundary]))
     k = cone_angles(T, a)
     assert k.values[T.slot_class[0, PAIR_INDEX[(1, 2)]]] == 0.0
-    cs = assemble(T, k)
+    assemble(T, k)
     verdict, _ = is_member(T, a, k)
     assert verdict is Membership.BOUNDARY
     fr = find_interior(T, k)
@@ -176,6 +179,21 @@ def test_is_member_rejects_nan_slot_angle():
     verdict, violations = is_member(T, A, k)
     assert verdict is Membership.OUTSIDE
     assert "slot angles leave [0, pi]" in violations
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_assignment_rows_must_match_tetrahedra(rows):
+    T, k, _ = _fixture()
+    A = np.full((rows, 6), PI / 4.0)
+    message = r"assignment must have shape \(2, 6\), got \(%d, 6\)" % rows
+    with pytest.raises(ValueError, match=message):
+        cone_angles(T, A)
+    with pytest.raises(ValueError, match=message):
+        cone_angles(T, AngleAssignment(A))
+    with pytest.raises(ValueError, match=message):
+        is_member(T, A, k)
+    with pytest.raises(ValueError, match=message):
+        is_member(T, AngleAssignment(A), k)
 
 
 def test_angle_assignment_rejects_non_finite_values():
@@ -274,10 +292,9 @@ def test_membership_convex_midpoints():
 
 def test_expand_round_trip_membership():
     T, k, _ = _fixture()
-    cs = assemble(T, k)
     fr = find_interior(T, k)
     u = fr.witness.values[:, :3].ravel()
-    verdict, _ = is_member(T, cs.expand(u), k, tol=1e-8)
+    verdict, _ = is_member(T, _slot_angles(u), k, tol=1e-8)
     assert verdict is not Membership.OUTSIDE
 
 
@@ -287,10 +304,11 @@ def _reference_lp(T, k):
     ``sum_tet u + t <= pi`` per tetrahedron, and the box ``|u_i| <= 4 pi``;
     -inf when the LP or the target is infeasible."""
     try:
-        cs = assemble(T, k)
+        b_eq = assemble(T, k)
     except InadmissibleTarget:
         return -np.inf
-    n, nf = T.n_tetrahedra, cs.n_free
+    n = T.n_tetrahedra
+    nf = 3 * n
     c = np.zeros(nf + 1)
     c[-1] = -1.0
     a_eq = sparse.hstack([T.a_eq, sparse.csr_matrix((T.n_edge_classes, 1))])
@@ -301,7 +319,7 @@ def _reference_lp(T, k):
     a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(nf + n, nf + 1))
     b_ub = np.concatenate([np.zeros(nf), np.full(n, PI)])
     bounds = [(-4.0 * PI, 4.0 * PI)] * nf + [(-4.0 * PI, PI)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=cs.b_eq,
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
     if res.status == 2:
         return -np.inf

@@ -370,6 +370,15 @@ def test_triangle_identity_random():
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs) + abs(rhs))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_triangle_sides_reject_non_finite_angles(bad):
+    for i in range(3):
+        ang = [0.5, 0.5, 0.5]
+        ang[i] = bad
+        with pytest.raises(ValueError, match="angles must be finite"):
+            hyperbolic_triangle_sides(*ang)
+
+
 def test_triangle_euclidean_limit():
     a, b, c = hyperbolic_triangle_sides(1.0, 1.0, PI - 2.0 - 1e-7)
     assert max(a, b, c) <= 1e-3
