@@ -86,25 +86,28 @@ def _cmd_validate(args):
     return 0
 
 
+def _alpha(args):
+    return _parse_six(args.alpha, "--alpha", degrees=args.degrees)
+
+
+def _lengths(args):
+    return _parse_six(args.l, "--l")
+
+
+#: the tetra queries: each maps ``args`` to its JSON object, or to the plain
+#: line that ``classify`` prints
+_TETRA_QUERIES = {
+    "angles-to-lengths": lambda a: {"l": list(tetra.angles_to_lengths(_alpha(a)))},
+    "lengths-to-angles": lambda a: {"alpha": list(tetra.extended_angles(_lengths(a)))},
+    "classify": lambda a: tetra.classify(_lengths(a), tol=a.tol).value,
+    "volume": lambda a: {"volume": tetra.volume_from_angles(_alpha(a))},
+    "covolume": lambda a: {"covolume": tetra.covolume(_lengths(a))},
+}
+
+
 def _cmd_tetra(args):
-    deg = args.degrees
-    if args.query == "angles-to-lengths":
-        alpha = _parse_six(args.alpha, "--alpha", degrees=deg)
-        _emit({"l": list(tetra.angles_to_lengths(alpha))})
-    elif args.query == "lengths-to-angles":
-        lengths = _parse_six(args.l, "--l")
-        _emit({"alpha": list(tetra.extended_angles(lengths))})
-    elif args.query == "classify":
-        lengths = _parse_six(args.l, "--l")
-        sys.stdout.write(tetra.classify(lengths, tol=args.tol).value + "\n")
-    elif args.query == "volume":
-        alpha = _parse_six(args.alpha, "--alpha", degrees=deg)
-        _emit({"volume": tetra.volume_from_angles(alpha)})
-    elif args.query == "covolume":
-        lengths = _parse_six(args.l, "--l")
-        _emit({"covolume": tetra.covolume(lengths)})
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown tetra query {args.query}")
+    out = _TETRA_QUERIES[args.query](args)
+    sys.stdout.write((out if isinstance(out, str) else _render(out)) + "\n")
     return 0
 
 
@@ -127,8 +130,7 @@ def _cmd_solver(args):
 
 
 def _cmd_fixture(args):
-    lengths = _parse_six(args.l, "--l")
-    T, k, assignment = triangulation.doubled_fixture(lengths)
+    T, k, assignment = triangulation.doubled_fixture(_lengths(args))
     os.makedirs(args.out_dir, exist_ok=True)
     tri_path = os.path.join(args.out_dir, "tri.json")
     k_path = os.path.join(args.out_dir, "k.json")
@@ -167,16 +169,7 @@ def build_parser():
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("tetra", help="single-tetrahedron queries")
-    p.add_argument(
-        "query",
-        choices=[
-            "angles-to-lengths",
-            "lengths-to-angles",
-            "classify",
-            "volume",
-            "covolume",
-        ],
-    )
+    p.add_argument("query", choices=list(_TETRA_QUERIES))
     p.add_argument("--alpha", help="six angles, comma separated")
     p.add_argument("--l", help="six signed lengths, comma separated")
     p.add_argument("--tol", type=float, default=1e-9)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InadmissibleTarget, LpFailure
-from .tetra import SLOT_CONST, _cell_slacks, _cusp_sums, _slot_angles
+from .tetra import SLOT_CONST, _cell_slacks, _judge_cells, _slot_angles
 from .triangulation import (
     AngleAssignment,
     _edge_vector,
@@ -101,9 +101,11 @@ def is_member(T, assignment, k, tol=1e-9):
     """Verdict for an assignment against the polytope for target ``k``.
 
     Returns ``(Membership, violations)`` where violations lists every
-    failed check.  Interior requires strict slack beyond ``tol`` in all
-    inequality constraints.  Raises ValueError when ``tol`` is not positive
-    and finite, when the assignment does not have one row of six angles per
+    failed check: the edge equations, then ``tetra._judge_cells`` over all
+    rows.  Interior requires strict slack beyond ``tol`` in all inequality
+    constraints; a row with a NaN or infinite angle fails only its cell's
+    range test.  Raises ValueError when ``tol`` is not positive and finite,
+    when the assignment does not have one row of six angles per
     tetrahedron, or when ``k`` does not have one finite value per edge class.
     """
     _check_tol(tol)
@@ -115,27 +117,22 @@ def is_member(T, assignment, k, tol=1e-9):
         f"edge {T.edge_keys[e]}: cone angle {cone[e]:.12g} != {k_vals[e]:.12g}"
         for e in np.flatnonzero(np.abs(cone - k_vals) > tol)
     ]
-    sums = _cusp_sums(A)
-    apex = A[:, 0] + A[:, 1] + A[:, 2]
-    bad_sum = np.abs(sums - PI) > tol
-    bad_apex = apex > PI + tol
+    cell = _judge_cells(A, tol)
     # messages only for failing tetrahedra, in tetrahedron order
-    for t in np.flatnonzero(bad_sum.any(axis=1) | bad_apex):
-        for j in np.flatnonzero(bad_sum[t]):
+    for t in np.flatnonzero(cell.cusp.any(axis=1) | cell.apex):
+        for j in np.flatnonzero(cell.cusp[t]):
             violations.append(
-                f"tet {t}: cusp {j + 2} angle sum {sums[t, j]:.12g} != pi"
+                f"tet {t}: cusp {j + 2} angle sum {cell.cusp_sums[t, j]:.12g} != pi"
             )
-        if bad_apex[t]:
-            violations.append(f"tet {t}: apex angle sum {apex[t]:.12g} > pi")
-    if not np.all((A >= -tol) & (A <= PI + tol)):
+        if cell.apex[t]:
+            violations.append(f"tet {t}: apex angle sum {cell.apex_sums[t]:.12g} > pi")
+    if cell.range.any():
         violations.append("slot angles leave [0, pi]")
     if violations:
         return Membership.OUTSIDE, violations
-
-    apex_slack = PI - apex
-    if np.all(A > tol) and np.all(apex_slack > tol):
-        return Membership.INTERIOR, []
-    return Membership.BOUNDARY, []
+    if cell.angle_wall.any() or cell.apex_wall.any():
+        return Membership.BOUNDARY, []
+    return Membership.INTERIOR, []
 
 
 def find_interior(T, k):

@@ -25,12 +25,17 @@ The central objects:
   angles and ``_cell_slacks`` to the polytope's inequality slacks, so the
   angle polytope of a cone target ``k`` is ``T.a_eq u = assemble(T, k)``
   with ``_cell_slacks(u) >= 0``;
+* ``_judge_cells`` -- the one test of slot-angle rows against a cell's
+  closed angle polytope (angles in [0, pi], apex sum at most pi, cusp sums
+  pi) and its open interior; ``classify_angles``, ``volume_from_angles``,
+  ``angles_to_lengths``, ``volume_gradient`` and ``is_member`` read it;
 * ``_volume_hessian`` / ``_covolume_hessian`` -- the closed-form volume
   Hessian in the chart and, through the Schlaefli identity, the co-volume
   Hessian ``C (-2 H)^-1 C^T``, batched over cells for the solvers.
 """
 
 import math
+from collections import namedtuple
 from enum import Enum
 from typing import NamedTuple
 
@@ -70,6 +75,8 @@ SLOT_CONST = np.array([0.0, 0.0, 0.0, PI / 2.0, PI / 2.0, PI / 2.0])
 #: vertices of a cell's closed angle polytope (u >= 0, sum u <= pi), (6, 4)
 FLAT_PATTERNS = np.ascontiguousarray(SLOT_CONST + PI * SLOT_COEF.T)
 CELL_VERTICES = np.vstack([SLOT_CONST, FLAT_PATTERNS]).T
+#: the three slots at each cusped vertex 2, 3, 4
+_CUSP_SLOTS = np.array([[0, 3, 4], [1, 3, 5], [2, 4, 5]])
 
 
 def _slot_angles(u):
@@ -147,26 +154,29 @@ class AngleRegionLabel(Enum):
     OUTSIDE = "Outside"
 
 
-def _as6(x, name):
+def _row(x, name):
+    """``x`` as one finite row of six, shape (1, 6), as the batch code reads it."""
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
     if arr.shape != (6,):
         raise ValueError(f"{name} must have six entries, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
-    return arr
+    return arr.reshape(1, 6)
+
+
+def _check_band(tol):
+    if not (0.0 < tol <= 1e-6):
+        raise ValueError("tol must lie in (0, 1e-6]")
 
 
 def phi(lengths):
     """Cosine-extension values for all six slots, as a (6,) array."""
-    arr = _as6(lengths, "lengths")
-    return _kernels.phi_batch(arr.reshape(1, 6))[0]
+    return _kernels.phi_batch(_row(lengths, "lengths"))[0]
 
 
 def theta_table(lengths):
     """Vertex-triangle and horosphere-section lengths for any length vector."""
-    arr = _as6(lengths, "lengths")
-    row = _kernels.theta_batch(arr.reshape(1, 6))[0]
-    return ThetaTable(*row.tolist())
+    return ThetaTable(*_kernels.theta_batch(_row(lengths, "lengths"))[0].tolist())
 
 
 def classify(lengths, tol=1e-9):
@@ -176,8 +186,7 @@ def classify(lengths, tol=1e-9):
     inequality failed), or one of the separating walls, decided from the
     three apex-slot cosine extensions with tolerance band ``tol``.
     """
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError("tol must lie in (0, 1e-6]")
+    _check_band(tol)
     p = phi(lengths)
     apex = p[:3]
 
@@ -204,14 +213,13 @@ def extended_angles(lengths):
     arccos of the cosine extension clipped to [-1, 1]; on each degenerate
     region the result is exactly the corresponding flat pattern.
     """
-    arr = _as6(lengths, "lengths")
-    row = _kernels.extended_angles_batch(arr.reshape(1, 6))[0]
+    row = _kernels.extended_angles_batch(_row(lengths, "lengths"))[0]
     return DihedralAngles(*row.tolist())
 
 
 def apply_decoration(lengths, w):
     """Shift the horosphere at each cusped vertex; angles are unchanged."""
-    arr = _as6(lengths, "lengths")
+    arr = _row(lengths, "lengths")[0]
     shift = np.asarray(w, dtype=np.float64).reshape(-1)
     if shift.shape != (3,):
         raise ValueError("decoration must have three entries (w2, w3, w4)")
@@ -221,51 +229,63 @@ def apply_decoration(lengths, w):
     return DecoratedLengths(*out.tolist())
 
 
-def _cusp_sums(A):
-    """Angle sums at the cusped vertices 2, 3, 4 of each row, (..., 3)."""
-    return A[..., [0, 1, 2]] + A[..., [3, 3, 4]] + A[..., [4, 5, 5]]
-
-
 def _near_flat(A, tol):
     """Per row, whether the slot angles lie within ``tol`` of a flat
     pattern in max norm, (...,) bool."""
     return np.abs(A[..., None, :] - FLAT_PATTERNS).max(axis=-1).min(axis=-1) <= tol
 
 
-def _check_closure_membership(a, tol):
-    """Return None if ``a`` lies in the closed angle polytope, else a reason."""
-    if np.any(a < -tol) or np.any(a > PI + tol):
-        return "entries outside [0, pi]"
-    if a[0] + a[1] + a[2] > PI + tol:
-        return "apex angle sum exceeds pi"
-    bad = np.abs(_cusp_sums(a) - PI) > tol
-    if np.any(bad):
-        return "cusp angle sums differ from pi"
-    return None
+_Cells = namedtuple("_Cells", "range apex cusp angle_wall apex_wall apex_sums cusp_sums")
+
+
+def _judge_cells(A, tol, wall=None):
+    """The cell conditions of slot-angle rows ``A`` (n, 6), tested at once.
+
+    The closed angle polytope, widened by ``tol``: ``range`` (n, 6) marks
+    the angles outside [-tol, pi + tol], ``apex`` (n,) an apex sum above
+    pi + tol, ``cusp`` (n, 3) a cusp sum off pi by more than ``tol``.  Its
+    interior, narrowed by ``wall`` (default ``tol``): ``angle_wall`` (n, 6)
+    marks the angles not in (wall, pi - wall), ``apex_wall`` (n,) an apex
+    sum within ``wall`` of pi or above.  ``apex_sums`` (n,) and
+    ``cusp_sums`` (n, 3), at the cusped vertices 2, 3, 4, are the sums.  A
+    row with a NaN or infinite angle fails ``range`` and ``angle_wall``
+    only: its sums are NaN, so no sum over it warns.
+    """
+    wall = tol if wall is None else wall
+    if not np.isfinite(A).all():
+        A = np.where(np.isfinite(A).all(axis=1, keepdims=True), A, np.nan)
+    apex = A[:, 0] + A[:, 1] + A[:, 2]
+    at_cusps = A[:, _CUSP_SLOTS]
+    cusp = at_cusps[..., 0] + at_cusps[..., 1] + at_cusps[..., 2]
+    return _Cells(
+        ~((A >= -tol) & (A <= PI + tol)), apex > PI + tol, np.abs(cusp - PI) > tol,
+        ~((A > wall) & (A < PI - wall)), PI - apex <= wall, apex, cusp,
+    )
 
 
 def classify_angles(alpha, tol=1e-9):
     """Place an angle vector in the closed angle polytope decomposition."""
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError("tol must lie in (0, 1e-6]")
-    a = _as6(alpha, "alpha")
-    if _check_closure_membership(a, tol) is not None:
+    _check_band(tol)
+    a = _row(alpha, "alpha")
+    cell = _judge_cells(a, tol)
+    if cell.range.any() or cell.apex.any() or cell.cusp.any():
         return AngleRegionLabel.OUTSIDE
-    if a[0] + a[1] + a[2] < PI - tol:
-        if np.all(a > tol):
-            return AngleRegionLabel.B
+    if cell.apex_wall.any():
+        return AngleRegionLabel.B_II if _near_flat(a, tol)[0] else AngleRegionLabel.B_III
+    if cell.angle_wall.any():
         return AngleRegionLabel.B_I_BOUNDARY
-    if _near_flat(a, tol):
-        return AngleRegionLabel.B_II
-    return AngleRegionLabel.B_III
+    return AngleRegionLabel.B
 
 
-def _require_interior_angles(a):
-    if np.any(a <= 0.0) or np.any(a >= PI):
+def _require_open_cell(a):
+    """Raise NotInteriorAngle unless ``a`` lies in the open angle polytope:
+    angles in (0, pi), apex sum below pi, cusp sums pi within 1e-9."""
+    cell = _judge_cells(a, 1e-9, wall=0.0)
+    if cell.angle_wall.any():
         raise NotInteriorAngle("all six angles must lie strictly in (0, pi)")
-    if a[0] + a[1] + a[2] >= PI:
+    if cell.apex_wall.any():
         raise NotInteriorAngle("apex angle sum must be strictly below pi")
-    if np.any(np.abs(_cusp_sums(a) - PI) > 1e-9):
+    if cell.cusp.any():
         raise NotInteriorAngle("cusp angle sums must equal pi within 1e-9")
 
 
@@ -275,10 +295,10 @@ def angles_to_lengths(alpha):
     Uses the gauge with the three apex-slot lengths set to zero; inverse of
     ``extended_angles`` on the interior, up to that normalization.
     """
-    a = _as6(alpha, "alpha")
-    _require_interior_angles(a)
-    c = np.cos(a[:3])
-    s = np.sin(a[:3])
+    a = _row(alpha, "alpha")
+    _require_open_cell(a)
+    c = np.cos(a[0, :3])
+    s = np.sin(a[0, :3])
 
     def edge(i, j, k):
         return math.log(0.5 * ((c[k] + c[i] * c[j]) / (s[i] * s[j]) - 1.0))
@@ -295,11 +315,15 @@ def volume_from_angles(alpha):
     the flat patterns.  Raises InvalidAngles outside the polytope
     (tolerance 1e-9 on the linear relations).
     """
-    a = _as6(alpha, "alpha")
-    reason = _check_closure_membership(a, 1e-9)
-    if reason is not None:
-        raise InvalidAngles(reason)
-    v = 0.5 * float(_kernels.volume2_batch(a.reshape(1, 6))[0])
+    a = _row(alpha, "alpha")
+    cell = _judge_cells(a, 1e-9)
+    if cell.range.any():
+        raise InvalidAngles("entries outside [0, pi]")
+    if cell.apex.any():
+        raise InvalidAngles("apex angle sum exceeds pi")
+    if cell.cusp.any():
+        raise InvalidAngles("cusp angle sums differ from pi")
+    v = 0.5 * float(_kernels.volume2_batch(a)[0])
     return v if v > 0.0 else 0.0
 
 
@@ -309,15 +333,15 @@ def volume_gradient(alpha):
     Raises BoundaryGradient when any log-derivative argument is within
     1e-9 of a multiple of pi (the gradient diverges there).
     """
-    a = _as6(alpha, "alpha")
-    _require_interior_angles(a)
-    args = _kernels.volume_args(a.reshape(1, 6))
+    a = _row(alpha, "alpha")
+    _require_open_cell(a)
+    args = _kernels.volume_args(a)
     dist = np.abs(args - PI * np.round(args / PI))
     if np.any(dist <= 1e-9):
         raise BoundaryGradient(
             "a log-derivative argument is within 1e-9 of a multiple of pi"
         )
-    return _kernels.volume_gradient_batch(a.reshape(1, 6))[0]
+    return _kernels.volume_gradient_batch(a)[0]
 
 
 def covolume(lengths):
@@ -326,14 +350,12 @@ def covolume(lengths):
     C^1 everywhere with gradient equal to ``extended_angles``; linear with
     slope pi along the two surviving slots on each degenerate region.
     """
-    arr = _as6(lengths, "lengths")
-    return float(_kernels.covolume_batch(arr.reshape(1, 6))[0])
+    return float(_kernels.covolume_batch(_row(lengths, "lengths"))[0])
 
 
 def covolume_gradient(lengths):
     """Gradient of ``covolume``: exactly the extended angles, as (6,)."""
-    arr = _as6(lengths, "lengths")
-    return _kernels.extended_angles_batch(arr.reshape(1, 6))[0]
+    return _kernels.extended_angles_batch(_row(lengths, "lengths"))[0]
 
 
 def covolume_hessian(lengths):
@@ -342,10 +364,10 @@ def covolume_hessian(lengths):
     Positive semidefinite with rank 3; the gauge directions span the
     kernel.  Only defined at interior points.
     """
-    arr = _as6(lengths, "lengths")
+    arr = _row(lengths, "lengths")
     if classify(arr) is not RegionLabel.INTERIOR:
         raise NotInterior("Hessian requested at a non-interior length vector")
-    return _covolume_hessian(_kernels.extended_angles_batch(arr.reshape(1, 6)))[0]
+    return _covolume_hessian(_kernels.extended_angles_batch(arr))[0]
 
 
 def _volume_hessian(angles):

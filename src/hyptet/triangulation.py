@@ -354,21 +354,9 @@ def validate(doc):
 
 
 def triangulation_document(T):
-    """Emit the JSON document describing ``T``."""
-    return {
-        "format": TRI_FORMAT,
-        "tetrahedra": T.n_tetrahedra,
-        "gluings": [
-            {
-                "tet": g.tet,
-                "face": g.face,
-                "to_tet": g.to_tet,
-                "to_face": g.to_face,
-                "vertex_map": list(g.vertex_map),
-            }
-            for g in T.gluings
-        ],
-    }
+    """Emit the JSON document describing ``T``: a gluing's fields are its keys."""
+    gluings = [dict(vars(g), vertex_map=list(g.vertex_map)) for g in T.gluings]
+    return {"format": TRI_FORMAT, "tetrahedra": T.n_tetrahedra, "gluings": gluings}
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +474,7 @@ class AngleAssignment:
 
 def cone_angles(T, assignment):
     """Sum the slot angles over each edge class."""
-    return ConeTarget(T.edge_sums(_slot_rows(T, assignment)))
+    return ConeTarget(T.edge_sums(AngleAssignment(_slot_rows(T, assignment)).values))
 
 
 def _slot_rows(T, assignment):
@@ -520,8 +508,7 @@ def assignment_from_metric(T, metric):
 
 def curvature(T, metric):
     """2*pi minus the cone angle of the induced angles, per edge class."""
-    k = cone_angles(T, assignment_from_metric(T, metric))
-    return TWO_PI - k.values
+    return TWO_PI - T.edge_sums(assignment_from_metric(T, metric).values)
 
 
 def gauge_project(T, metric):

@@ -192,9 +192,19 @@ def test_seventeen_digit_floats(capsys):
 
 def test_error_object_and_exit_codes(capsys, tmp_path):
     code, out, err = run_cli(["tetra", "volume", "--alpha", "1,1,1,1,1,1"], capsys)
-    assert code == 1
-    payload = json.loads(err)
-    assert payload["error"] == "InvalidAngles"
+    assert code == 1 and out == ""
+    assert err == (
+        '{"error":"InvalidAngles","message":"cusp angle sums differ from pi"}\n'
+    )
+
+    code, out, err = run_cli(
+        ["tetra", "angles-to-lengths", "--alpha", "1,1,1.2,1,1,1"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        '{"error":"NotInteriorAngle",'
+        '"message":"apex angle sum must be strictly below pi"}\n'
+    )
 
     code, _, err = run_cli(["tetra", "classify", "--l", "1,2"], capsys)
     assert code == 2

@@ -181,6 +181,28 @@ def test_is_member_rejects_nan_slot_angle():
     assert "slot angles leave [0, pi]" in violations
 
 
+def test_is_member_judges_opposite_infinities_without_warning():
+    # inf + -inf in one cusp sum is NaN; the suite turns a RuntimeWarning
+    # from that sum into an error, so this also checks that none is emitted
+    T, k, assignment = _fixture()
+    A = assignment.values.copy()
+    A[0, 0], A[0, 3] = np.inf, -np.inf
+    verdict, violations = is_member(T, A, k)
+    assert verdict is Membership.OUTSIDE
+    assert violations[-1] == "slot angles leave [0, pi]"
+    assert not any(v.startswith("tet ") for v in violations)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cone_angles_rejects_non_finite_assignment(value):
+    # the assignment is the input at fault, not a cone target
+    T, _, assignment = _fixture()
+    A = assignment.values.copy()
+    A[0, 0] = value
+    with pytest.raises(ValueError, match="assignment values must be finite"):
+        cone_angles(T, A)
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 def test_assignment_rows_must_match_tetrahedra(rows):
     T, k, _ = _fixture()

@@ -7,17 +7,34 @@ import pytest
 
 from hyptet import (
     AngleRegionLabel,
+    Membership,
     RegionLabel,
     angles_to_lengths,
     apply_decoration,
     classify,
     classify_angles,
     extended_angles,
+    is_member,
     phi,
     theta_table,
+    volume_from_angles,
+    volume_gradient,
 )
-from hyptet.errors import AmbiguousClassification, NotInteriorAngle
+from hyptet.errors import (
+    AmbiguousClassification,
+    BoundaryGradient,
+    InvalidAngles,
+    NotInteriorAngle,
+)
 from hyptet.selftest import sample_interior_angles
+from hyptet.tetra import (
+    CELL_VERTICES,
+    FLAT_PATTERNS,
+    _judge_cells,
+    _near_flat,
+    _slot_angles,
+)
+from hyptet.triangulation import double_document, validate
 
 PI = math.pi
 ACOS_3_4 = math.acos(0.75)
@@ -122,6 +139,13 @@ def test_classify_degenerate_regions():
 def test_classify_tol_domain():
     with pytest.raises(ValueError):
         classify([0, 0, 0, 0, 0, 0], tol=1e-3)
+    # classify_angles shares the band check and its message
+    alpha = [PI / 4] * 3 + [3 * PI / 8] * 3
+    for tol in (0.0, -1e-9, 2e-6, math.nan):
+        for query, x in ((classify, [1, 1, 1, 2, 2, 2]), (classify_angles, alpha)):
+            with pytest.raises(ValueError, match=r"tol must lie in \(0, 1e-6\]"):
+                query(x, tol=tol)
+    assert classify_angles(alpha, tol=1e-6) is AngleRegionLabel.B
 
 
 def test_classify_ambiguous_band_straddle():
@@ -272,3 +296,140 @@ def test_region_sign_identities_bulk():
     for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
         assert np.array_equal(pos[:, a], np.logical_xor(neg[:, b], neg[:, c]))
     assert np.max(neg[:, :3].sum(axis=1)) <= 1
+
+
+# the single-cell checks that the one cell judge (``tetra._judge_cells``)
+# replaced, kept verbatim as oracles for it
+
+
+def _cusp_sums(A):
+    """Angle sums at the cusped vertices 2, 3, 4 of each row, (..., 3)."""
+    return A[..., [0, 1, 2]] + A[..., [3, 3, 4]] + A[..., [4, 5, 5]]
+
+
+def _check_closure_membership(a, tol):
+    """Return None if ``a`` lies in the closed angle polytope, else a reason."""
+    if np.any(a < -tol) or np.any(a > PI + tol):
+        return "entries outside [0, pi]"
+    if a[0] + a[1] + a[2] > PI + tol:
+        return "apex angle sum exceeds pi"
+    bad = np.abs(_cusp_sums(a) - PI) > tol
+    if np.any(bad):
+        return "cusp angle sums differ from pi"
+    return None
+
+
+def _require_interior_angles(a):
+    if np.any(a <= 0.0) or np.any(a >= PI):
+        raise NotInteriorAngle("all six angles must lie strictly in (0, pi)")
+    if a[0] + a[1] + a[2] >= PI:
+        raise NotInteriorAngle("apex angle sum must be strictly below pi")
+    if np.any(np.abs(_cusp_sums(a) - PI) > 1e-9):
+        raise NotInteriorAngle("cusp angle sums must equal pi within 1e-9")
+
+
+def _classify_angles_by_oracle(a, tol):
+    """``classify_angles`` before the cell judge, after its tol and input checks."""
+    if _check_closure_membership(a, tol) is not None:
+        return AngleRegionLabel.OUTSIDE
+    if a[0] + a[1] + a[2] < PI - tol:
+        if np.all(a > tol):
+            return AngleRegionLabel.B
+        return AngleRegionLabel.B_I_BOUNDARY
+    if _near_flat(a, tol):
+        return AngleRegionLabel.B_II
+    return AngleRegionLabel.B_III
+
+
+def _judged_reason(a, tol):
+    """The first failed closed-polytope condition of ``_judge_cells``."""
+    cell = _judge_cells(a.reshape(1, 6), tol)
+    for failed, reason in (
+        (cell.range, "entries outside [0, pi]"),
+        (cell.apex, "apex angle sum exceeds pi"),
+        (cell.cusp, "cusp angle sums differ from pi"),
+    ):
+        if failed.any():
+            return reason
+    return None
+
+
+def _pushed_rows(tol):
+    """Seeded interior rows, the flat patterns and the polytope's vertices,
+    then rows pushed 0.5 tol and 2 tol past each face: an angle below 0 or
+    above pi, the apex sum above pi, and each cusp sum off pi either way."""
+    inner = sample_interior_angles(np.random.default_rng(61), 20)
+    corners = np.vstack([FLAT_PATTERNS, CELL_VERTICES.T])
+    rows = [inner, corners]
+    for d in (0.5 * tol, 2.0 * tol):
+        for base in (inner[:5], corners):
+            for j in range(6):
+                for value in (-d, PI + d):
+                    pushed = base.copy()
+                    pushed[:, j] = value
+                    rows.append(pushed)
+        u = inner[:, :3] * ((PI + d) / inner[:, :3].sum(axis=1, keepdims=True))
+        rows.append(_slot_angles(u.ravel()))
+        rows.append(corners + d)
+        for j in range(3):  # the apex slot a1j moves cusp j + 2 alone
+            for sign in (1.0, -1.0):
+                pushed = inner.copy()
+                pushed[:, j] += sign * d
+                rows.append(pushed)
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_cell_judge_matches_closure_oracle(tol):
+    rows = _pushed_rows(tol)
+    labels = set()
+    for a in rows:
+        label = classify_angles(a, tol=tol)
+        assert label is _classify_angles_by_oracle(a, tol)
+        assert _judged_reason(a, tol) == _check_closure_membership(a, tol)
+        labels.add(label)
+    assert labels == set(AngleRegionLabel)
+
+
+def test_volume_from_angles_reasons_match_closure_oracle():
+    for tol in (1e-9, 1e-6):
+        for a in _pushed_rows(tol):
+            reason = _check_closure_membership(a, 1e-9)
+            if reason is None:
+                assert volume_from_angles(a) >= 0.0
+            else:
+                with pytest.raises(InvalidAngles) as err:
+                    volume_from_angles(a)
+                assert str(err.value) == reason
+
+
+@pytest.mark.parametrize("query", [angles_to_lengths, volume_gradient])
+def test_open_cell_checks_match_interior_oracle(query):
+    for tol in (1e-9, 1e-6):
+        for a in _pushed_rows(tol):
+            try:
+                _require_interior_angles(a)
+            except NotInteriorAngle as want:
+                with pytest.raises(NotInteriorAngle) as got:
+                    query(a)
+                assert str(got.value) == str(want)
+            else:
+                try:
+                    query(a)
+                except BoundaryGradient:
+                    pass
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_apex_band_edge_is_one_verdict(tol):
+    # an apex sum of exactly fl(pi - tol) still has slack pi - apex > tol
+    # when fl rounds down, as at these two tols; comparing the sum with the
+    # rounded bound, as classify_angles once did, calls such a cell B_III
+    # while is_member calls it interior; the one judge says interior in both
+    a14 = (PI - tol) - 2.0
+    row = _slot_angles(np.array([1.0, 1.0, a14]))[0]
+    assert row[0] + row[1] + row[2] == PI - tol and PI - (PI - tol) > tol
+    assert classify_angles(row, tol=tol) is AngleRegionLabel.B
+    T = validate(double_document())
+    A = np.stack([row, row])
+    assert is_member(T, A, T.edge_sums(A), tol=tol)[0] is Membership.INTERIOR
