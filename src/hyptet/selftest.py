@@ -2,7 +2,9 @@
 
 Each suite draws a seeded sample, checks an exact identity of the
 geometry to a stated tolerance, and reports how many samples were checked,
-how many failed, and the worst deviation seen.
+how many failed, and the worst deviation seen.  ``_tally`` turns a suite's
+``(deviations, tol)`` pairs into that report; the two suites that check
+sign patterns, not deviations, count their own and report a worst of 0.
 """
 
 import math
@@ -36,54 +38,38 @@ class SuiteResult:
         )
 
 
+def _tally(name, checks):
+    """The ``SuiteResult`` of ``checks``, pairs of a deviation array and the
+    tolerance it must keep: a NaN deviation fails."""
+    checks = [(np.asarray(dev), tol) for dev, tol in checks]
+    return SuiteResult(
+        name,
+        sum(dev.size for dev, _ in checks),
+        sum(int(np.count_nonzero(~(dev <= tol))) for dev, tol in checks),
+        float(np.max([dev.max() for dev, _ in checks])),
+    )
+
+
 def lobachevsky_suite(seed=0):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    failures = 0
-    checked = 0
-
     th = rng.uniform(-10.0, 10.0, 10_000)
-    for dev in (
-        np.abs(lobachevsky(th) + lobachevsky(-th)),
-        np.abs(lobachevsky(th + PI) - lobachevsky(th)),
-    ):
-        checked += dev.size
-        failures += int(np.sum(dev > 1e-12))
-        worst = max(worst, float(dev.max()))
-
     t2 = rng.uniform(1e-6, PI - 1e-6, 10_000)
-    dev = np.abs(lobachevsky(t2) + lobachevsky(PI - t2))
-    checked += dev.size
-    failures += int(np.sum(dev > 1e-12))
-    worst = max(worst, float(dev.max()))
-
     grid = np.linspace(0.0, PI, 102)[1:-1]
-    dev = np.abs(
-        lobachevsky(grid)
-        - np.array([lobachevsky_reference(t, 1e-12) for t in grid])
-    )
-    checked += dev.size
-    failures += int(np.sum(dev > 1e-10))
-    worst = max(worst, float(dev.max()))
-
+    reference = [lobachevsky_reference(t, 1e-12) for t in grid]
     h = 1e-6
     t3 = rng.uniform(0.1, PI - 0.1, 2_000)
     fd = (lobachevsky(t3 + h) - lobachevsky(t3 - h)) / (2.0 * h)
-    dev = np.abs(fd - lobachevsky_derivative(t3))
-    checked += dev.size
-    failures += int(np.sum(dev > 1e-6))
-    worst = max(worst, float(dev.max()))
-
-    return SuiteResult("lobachevsky identities", checked, failures, worst)
+    return _tally("lobachevsky identities", [
+        (np.abs(lobachevsky(th) + lobachevsky(-th)), 1e-12),
+        (np.abs(lobachevsky(th + PI) - lobachevsky(th)), 1e-12),
+        (np.abs(lobachevsky(t2) + lobachevsky(PI - t2)), 1e-12),
+        (np.abs(lobachevsky(grid) - reference), 1e-10),
+        (np.abs(fd - lobachevsky_derivative(t3)), 1e-6),
+    ])
 
 
 def _theta_columns(L):
-    TH = _kernels.theta_batch(L)
-    names = (
-        "t1_23 t1_24 t1_34 t2_13 t2_14 t3_12 t3_14 t4_12 t4_13 "
-        "t2_34 t3_24 t4_23"
-    ).split()
-    return {name: TH[:, j] for j, name in enumerate(names)}
+    return dict(zip(tetra.ThetaTable._fields, _kernels.theta_batch(L).T))
 
 
 def consistency_suite(seed=0, n=10_000, tol=1e-10):
@@ -109,16 +95,9 @@ def consistency_suite(seed=0, n=10_000, tol=1e-10):
         4: (euclid("t4_12", "t4_23", "t4_13"), euclid("t2_14", "t2_34", "t2_13")),
         5: (euclid("t4_13", "t4_23", "t4_12"), euclid("t3_14", "t3_24", "t3_12")),
     }
-    checked = 0
-    failures = 0
-    worst = 0.0
-    for slot, pair in alts.items():
-        for alt in pair:
-            dev = np.abs(alt - P[:, slot])
-            checked += dev.size
-            failures += int(np.sum(dev > tol))
-            worst = max(worst, float(dev.max()))
-    return SuiteResult("consistency equations", checked, failures, worst)
+    return _tally("consistency equations", [
+        (np.abs(alt - P[:, slot]), tol) for slot, pair in alts.items() for alt in pair
+    ])
 
 
 def region_suite(seed=0, n=100_000, band=1e-12):
@@ -205,35 +184,21 @@ def schlafli_suite(seed=0, n=100, tol=1e-6):
     rng = np.random.default_rng(seed)
     A = sample_interior_angles(rng, n)
     h = 1e-6
-    worst = 0.0
-    failures = 0
-    checked = 0
+    devs = []
     for row in A:
-        l = np.asarray(tetra.angles_to_lengths(row))
-        expected = -l @ SLOT_COEF
-        for d in range(3):
-            up = row[:3].copy()
-            dn = row[:3].copy()
-            up[d] += h
-            dn[d] -= h
-            v2 = _kernels.volume2_batch(_slot_angles(np.stack([up, dn])))
-            fd = (v2[0] - v2[1]) / (2.0 * h)
-            dev = abs(fd - expected[d])
-            checked += 1
-            worst = max(worst, dev)
-            if dev > tol:
-                failures += 1
-    return SuiteResult("volume derivative identity", checked, failures, worst)
+        expected = -np.asarray(tetra.angles_to_lengths(row)) @ SLOT_COEF
+        for d, step in enumerate(h * np.eye(3)):
+            u = np.stack([row[:3] + step, row[:3] - step])
+            v2 = _kernels.volume2_batch(_slot_angles(u))
+            devs.append(abs((v2[0] - v2[1]) / (2.0 * h) - expected[d]))
+    return _tally("volume derivative identity", [(devs, tol)])
 
 
 def triangle_suite(seed=0, n=10_000, tol=1e-10):
     """Angle-side identity for hyperbolic triangles."""
     rng = np.random.default_rng(seed)
-    checked = 0
-    failures = 0
-    worst = 0.0
-    m = 0
-    while m < n:
+    devs = []
+    while len(devs) < n:
         ang = rng.uniform(0.05, PI - 0.1, 3)
         if ang.sum() >= PI - 0.05:
             continue
@@ -243,13 +208,8 @@ def triangle_suite(seed=0, n=10_000, tol=1e-10):
         rhs = ((math.cosh(b) + 1.0) * (math.cosh(c) + 1.0)) / (
             (math.cosh(b) - 1.0) * (math.cosh(c) - 1.0)
         )
-        dev = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-        checked += 1
-        worst = max(worst, dev)
-        if dev > tol:
-            failures += 1
-        m += 1
-    return SuiteResult("triangle angle-side identity", checked, failures, worst)
+        devs.append(abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
+    return _tally("triangle angle-side identity", [(devs, tol)])
 
 
 ALL_SUITES = (

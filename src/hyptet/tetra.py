@@ -7,6 +7,10 @@ radians, signed decorated lengths ``l12..l34`` in curvature -1 units.
 
 The central objects:
 
+* ``PAIRS`` -- the cell's one incidence table: slot j is the edge joining
+  the vertices ``PAIRS[j]``.  ``SLOTS``, ``GAUGE_VECTORS`` (a cusped
+  vertex's horosphere moves the three slots that end there), the cusp slots
+  and ``triangulation``'s face and pair-to-slot tables all derive from it;
 * ``phi`` -- closed-form extension of ``cos(angle)`` to every real length
   vector, invariant under the horosphere rescaling (decoration) action;
 * ``classify`` -- partition of length space into the realizable region,
@@ -31,7 +35,9 @@ The central objects:
   ``angles_to_lengths``, ``volume_gradient`` and ``is_member`` read it;
 * ``_volume_hessian`` / ``_covolume_hessian`` -- the closed-form volume
   Hessian in the chart and, through the Schlaefli identity, the co-volume
-  Hessian ``C (-2 H)^-1 C^T``, batched over cells for the solvers.
+  Hessian ``C (-2 H)^-1 C^T``, batched over cells for the solvers;
+* ``_dual_cosines`` -- the vertex triangle's formula, the dual cosine law;
+  ``angles_to_lengths`` and ``hyperbolic_triangle_sides`` read it.
 """
 
 import math
@@ -55,16 +61,13 @@ from .errors import (
 
 PI = math.pi
 
-SLOTS = ("12", "13", "14", "23", "24", "34")
-
-#: gauge directions of the decoration action on the six length slots,
-#: one per cusped vertex (2, 3, 4)
+#: the cell's incidence: slot j is the edge joining the vertices PAIRS[j]
+PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+SLOTS = tuple(f"{p}{q}" for p, q in PAIRS)
+#: gauge directions of the decoration action, (3, 6): cusped vertex 2, 3 or
+#: 4 moves the three length slots that end there
 GAUGE_VECTORS = np.array(
-    [
-        [1.0, 0.0, 0.0, 1.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 1.0, 0.0, 1.0],
-        [0.0, 0.0, 1.0, 0.0, 1.0, 1.0],
-    ]
+    [[v in pair for pair in PAIRS] for v in (2, 3, 4)], dtype=np.float64
 )
 
 #: slot angles as affine functions of (a12, a13, a14): coefficients and offsets
@@ -76,7 +79,7 @@ SLOT_CONST = np.array([0.0, 0.0, 0.0, PI / 2.0, PI / 2.0, PI / 2.0])
 FLAT_PATTERNS = np.ascontiguousarray(SLOT_CONST + PI * SLOT_COEF.T)
 CELL_VERTICES = np.vstack([SLOT_CONST, FLAT_PATTERNS]).T
 #: the three slots at each cusped vertex 2, 3, 4
-_CUSP_SLOTS = np.array([[0, 3, 4], [1, 3, 5], [2, 4, 5]])
+_CUSP_SLOTS = np.nonzero(GAUGE_VECTORS)[1].reshape(3, 3)
 
 
 def _slot_angles(u):
@@ -191,7 +194,7 @@ def classify(lengths, tol=1e-9):
     apex = p[:3]
 
     omega = [i for i in range(3) if apex[i] <= -1.0 - tol]
-    wall = [i for i in range(3) if abs(apex[i] + 1.0) <= tol and i not in omega]
+    wall = [i for i in range(3) if apex[i] <= -1.0 + tol and i not in omega]
     if len(omega) > 1 or len(wall) > 1 or (omega and wall):
         raise AmbiguousClassification(
             f"inconsistent region pattern {p.tolist()} at tol={tol}"
@@ -277,6 +280,17 @@ def classify_angles(alpha, tol=1e-9):
     return AngleRegionLabel.B
 
 
+def _dual_cosines(angles):
+    """cosh of the side opposite each angle of the hyperbolic triangle with
+    ``angles`` (3,), by the dual cosine law
+    cosh a = (cos A + cos B cos C) / (sin B sin C), and cyclic."""
+    c, s = np.cos(angles), np.sin(angles)
+    return [
+        (c[i] + c[j] * c[k]) / (s[j] * s[k])
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ]
+
+
 def _require_open_cell(a):
     """Raise NotInteriorAngle unless ``a`` lies in the open angle polytope:
     angles in (0, pi), apex sum below pi, cusp sums pi within 1e-9."""
@@ -297,15 +311,9 @@ def angles_to_lengths(alpha):
     """
     a = _row(alpha, "alpha")
     _require_open_cell(a)
-    c = np.cos(a[0, :3])
-    s = np.sin(a[0, :3])
-
-    def edge(i, j, k):
-        return math.log(0.5 * ((c[k] + c[i] * c[j]) / (s[i] * s[j]) - 1.0))
-
-    return DecoratedLengths(
-        0.0, 0.0, 0.0, edge(0, 1, 2), edge(0, 2, 1), edge(1, 2, 0)
-    )
+    # the vertex triangle's sides, opposite a12, a13, a14, are l34, l24, l23
+    l34, l24, l23 = [math.log(0.5 * (x - 1.0)) for x in _dual_cosines(a[0, :3])]
+    return DecoratedLengths(0.0, 0.0, 0.0, l23, l24, l34)
 
 
 def volume_from_angles(alpha):
@@ -427,10 +435,9 @@ def boundary_face_hessian(a13, a14):
 
 
 def hyperbolic_triangle_sides(A, B, C):
-    """Side lengths (a, b, c) of the hyperbolic triangle with angles (A, B, C).
-
-    Dual cosine law: cosh a = (cos A + cos B cos C) / (sin B sin C), and
-    cyclic.  Requires finite positive angles with sum strictly below pi.
+    """Side lengths (a, b, c) of the hyperbolic triangle with angles (A, B, C),
+    by ``_dual_cosines``.  Requires finite positive angles with sum strictly
+    below pi.
     """
     ang = np.array([float(A), float(B), float(C)])
     if not np.all(np.isfinite(ang)):
@@ -439,10 +446,4 @@ def hyperbolic_triangle_sides(A, B, C):
         raise ValueError("angles must be positive")
     if ang.sum() >= PI:
         raise NotHyperbolic("angle sum must be strictly below pi")
-    c = np.cos(ang)
-    s = np.sin(ang)
-    sides = tuple(
-        float(np.arccosh((c[i] + c[j] * c[k]) / (s[j] * s[k])))
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    )
-    return sides
+    return tuple(float(np.arccosh(x)) for x in _dual_cosines(ang))

@@ -8,7 +8,8 @@ other via a vertex permutation that preserves vertex types.
 
 Slots and corners are numbered flat: slot ``(t, PAIRS[j])`` is ``6t + j``
 and corner ``(t, v)`` is ``4t + v - 1``, so both numberings follow the
-lexicographic order of the pairs.  Edge and vertex classes are the
+lexicographic order of the pairs; ``PAIRS`` is ``tetra.PAIRS``, and the
+gluing tables below derive from it.  Edge and vertex classes are the
 connected components of slots / corners under the gluing
 identifications.  ``Triangulation.slot_class`` (n, 6) and
 ``Triangulation.corner_class`` (n, 4) hold the class index of each slot
@@ -56,14 +57,22 @@ from .errors import (
     TypeViolation,
     UnpairedFace,
 )
+from .tetra import PAIRS
 
 TRI_FORMAT = "hyptet-tri-v1"
 ASSIGNMENT_FORMAT = "hyptet-assignment-v1"
 
-PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 PAIR_INDEX = {pair: i for i, pair in enumerate(PAIRS)}
+#: the slot of a vertex pair given in either order
+_SLOT_OF = {pair[::d]: i for pair, i in PAIR_INDEX.items() for d in (1, -1)}
 #: corner index within a tetrahedron of the two endpoints of each slot
 _PAIR_ENDS = np.array(PAIRS) - 1
+#: face f, opposite vertex f: its three vertices and its three (slot, pair)
+_FACES = {
+    f: (tuple(v for v in (1, 2, 3, 4) if v != f),
+        tuple((i, pair) for pair, i in PAIR_INDEX.items() if f not in pair))
+    for f in (1, 2, 3, 4)
+}
 TWO_PI = 2.0 * np.pi
 #: admissibility tolerance, relative to the largest cone target value
 ADMISSIBILITY_TOL = 1e-9
@@ -71,10 +80,6 @@ ADMISSIBILITY_TOL = 1e-9
 #: symmetric bordered matrices, and the options that make it prefer them
 _PIVOT_THRESH = 0.1
 _LU_OPTIONS = {"SymmetricMode": True}
-
-
-def face_vertices(face):
-    return tuple(v for v in (1, 2, 3, 4) if v != face)
 
 
 def _classes(size, pairs):
@@ -311,7 +316,7 @@ def validate(doc):
                 f"{where}: vertex_map must send the opposite vertex {face} "
                 f"to {to_face}"
             )
-        verts = face_vertices(face)
+        verts, slots = _FACES[face]
         for v in verts:
             if (v == 1) != (vm[v - 1] == 1):
                 raise TypeViolation(
@@ -328,13 +333,11 @@ def validate(doc):
         paired[(tet, face)] = (to_tet, to_face)
         paired[(to_tet, to_face)] = (tet, face)
         gluings.append(Gluing(tet, face, to_tet, to_face, vm))
-        for v in verts:
-            corner_pairs.append((4 * tet + v - 1, 4 * to_tet + vm[v - 1] - 1))
-        for p, q in itertools.combinations(verts, 2):
-            a, b = sorted((vm[p - 1], vm[q - 1]))
-            slot_pairs.append(
-                (6 * tet + PAIR_INDEX[p, q], 6 * to_tet + PAIR_INDEX[a, b])
-            )
+        corner_pairs += [(4 * tet + v - 1, 4 * to_tet + vm[v - 1] - 1) for v in verts]
+        slot_pairs += [
+            (6 * tet + i, 6 * to_tet + _SLOT_OF[vm[p - 1], vm[q - 1]])
+            for i, (p, q) in slots
+        ]
 
     faces = ((t, f) for t in range(n) for f in (1, 2, 3, 4))
     # the first eight in order: the scan stops there, so it costs

@@ -26,6 +26,7 @@ from hyptet.errors import (
     InvalidAngles,
     NotInteriorAngle,
 )
+from hyptet import tetra
 from hyptet.selftest import sample_interior_angles
 from hyptet.tetra import (
     CELL_VERTICES,
@@ -172,6 +173,34 @@ def test_classify_ambiguous_band_straddle():
     v[5] = 0.5 * (lo + hi) - 5.0 * tol / slope
     with pytest.raises(AmbiguousClassification):
         classify(v, tol=tol)
+
+
+#: band tolerances from 1e-9 to 1e-6, two per decade and the ends
+BAND_TOLS = [m * 10.0**e for e in (-9, -8, -7) for m in (1, 2, 5)] + [1e-6]
+
+
+@pytest.mark.parametrize("tol", BAND_TOLS)
+def test_classify_band_edges_leave_no_gap(tol, monkeypatch):
+    # the wall test and the interior test read the same rounded bound
+    # fl(-1 + tol): when it rounds up, an apex phi of exactly that bound is
+    # more than tol from -1, yet not above the bound, and must still be X1
+    hi, lo = -1.0 + tol, -1.0 - tol
+    want = {
+        np.nextafter(hi, -2.0): RegionLabel.X1,
+        hi: RegionLabel.X1,
+        np.nextafter(hi, 0.0): RegionLabel.INTERIOR,
+        lo: RegionLabel.OMEGA1,
+        np.nextafter(lo, 0.0): RegionLabel.X1,
+    }
+    for p, label in want.items():
+        monkeypatch.setattr(tetra, "phi", lambda _: np.array([p, .5, .5, .5, .5, p]))
+        assert classify(np.zeros(6), tol=tol) is label
+
+
+def test_classify_band_edge_sweep_reaches_the_gap():
+    # the sweep above holds a tol whose bound rounds up, where a wall test
+    # on the exact |p + 1| would call the bound neither wall nor interior
+    assert any((-1.0 + tol) + 1.0 > tol for tol in BAND_TOLS)
 
 
 def test_classify_walls_by_bisection():
