@@ -31,6 +31,8 @@ def _render(obj):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"JSON has no number {float(obj)}")
         return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)

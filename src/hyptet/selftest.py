@@ -3,8 +3,7 @@
 Each suite draws a seeded sample, checks an exact identity of the
 geometry to a stated tolerance, and reports how many samples were checked,
 how many failed, and the worst deviation seen.  ``_tally`` turns a suite's
-``(deviations, tol)`` pairs into that report; the two suites that check
-sign patterns, not deviations, count their own and report a worst of 0.
+``(deviations, tol)`` pairs into that report.
 """
 
 import math
@@ -72,10 +71,10 @@ def _theta_columns(L):
     return dict(zip(tetra.ThetaTable._fields, _kernels.theta_batch(L).T))
 
 
-def consistency_suite(seed=0, n=10_000, tol=1e-10):
+def consistency_suite(seed=0):
     """Each cosine extension against its two section-triangle cosine laws."""
     rng = np.random.default_rng(seed)
-    L = rng.uniform(-3.0, 3.0, (n, 6))
+    L = rng.uniform(-3.0, 3.0, (10_000, 6))
     P = _kernels.phi_batch(L)
     t = _theta_columns(L)
 
@@ -96,44 +95,38 @@ def consistency_suite(seed=0, n=10_000, tol=1e-10):
         5: (euclid("t4_13", "t4_23", "t4_12"), euclid("t3_14", "t3_24", "t3_12")),
     }
     return _tally("consistency equations", [
-        (np.abs(alt - P[:, slot]), tol) for slot, pair in alts.items() for alt in pair
+        (np.abs(alt - P[:, slot]), 1e-10) for slot, pair in alts.items() for alt in pair
     ])
 
 
-def region_suite(seed=0, n=100_000, band=1e-12):
-    """Sign-pattern equivalences between opposite and adjacent slots."""
+def region_suite(seed=0):
+    """Sign-pattern equivalences between opposite and adjacent slots; each
+    identity gives every row a deviation of 1 where it breaks, else 0."""
     rng = np.random.default_rng(seed)
-    L = rng.uniform(-3.0, 3.0, (n, 6))
+    L = rng.uniform(-3.0, 3.0, (100_000, 6))
     P = _kernels.phi_batch(L)
-    clear = np.all(np.abs(np.abs(P) - 1.0) > band, axis=1)
+    clear = np.all(np.abs(np.abs(P) - 1.0) > 1e-12, axis=1)
     P = P[clear]
     neg = P <= -1.0
     pos = P >= 1.0
-
-    checked = 0
-    failures = 0
-    # opposite slots degenerate together
-    for a, b in ((0, 5), (1, 4), (2, 3)):
-        bad = neg[:, a] != neg[:, b]
-        bad |= pos[:, a] != pos[:, b]
-        checked += P.shape[0]
-        failures += int(np.sum(bad))
-    # a +1 overshoot at one apex slot is exactly one -1 overshoot at another
-    for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        one_neg = np.logical_xor(neg[:, b], neg[:, c])
-        bad = pos[:, a] != one_neg
-        checked += P.shape[0]
-        failures += int(np.sum(bad))
-    # at most one apex slot undershoots
-    bad = neg[:, :3].sum(axis=1) > 1
-    checked += P.shape[0]
-    failures += int(np.sum(bad))
-    return SuiteResult("region identities", checked, failures, 0.0)
+    broken = [
+        # opposite slots degenerate together
+        *((neg[:, a] != neg[:, b]) | (pos[:, a] != pos[:, b])
+          for a, b in ((0, 5), (1, 4), (2, 3))),
+        # a +1 overshoot at one apex slot is exactly one -1 overshoot at another
+        *(pos[:, a] != (neg[:, b] ^ neg[:, c])
+          for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1))),
+        # at most one apex slot undershoots
+        neg[:, :3].sum(axis=1) > 1,
+    ]
+    return _tally("region identities", [(bad, 0.0) for bad in broken])
 
 
-def appendix_inequality_suite(seed=0, n=100_000, band=1e-12):
-    """The paired radical inequalities decide the same comparisons."""
+def appendix_inequality_suite(seed=0):
+    """The paired radical inequalities decide the same comparisons; a
+    comparison's deviation is 1 where the two disagree, else 0."""
     rng = np.random.default_rng(seed)
+    n = 100_000
     x = np.exp(rng.uniform(-2.0, 2.0, n))
     y = np.exp(rng.uniform(-2.0, 2.0, n))
     d = np.exp(rng.uniform(-2.0, 2.0, n))
@@ -146,15 +139,13 @@ def appendix_inequality_suite(seed=0, n=100_000, band=1e-12):
     lhs3 = x + y + 2.0 * x * y / d - root_a
     lhs4 = x + y - root_b
 
-    scale = np.abs(z) + np.abs(lhs1) + np.abs(lhs2)
-    clear = (np.abs(lhs1 - z) > band * scale) & (np.abs(lhs2 - z) > band * scale)
-    clear &= (np.abs(lhs3 - z) > band * scale) & (np.abs(lhs4 - z) > band * scale)
+    band = 1e-12 * (np.abs(z) + np.abs(lhs1) + np.abs(lhs2))
+    clear = (np.abs(lhs1 - z) > band) & (np.abs(lhs2 - z) > band)
+    clear &= (np.abs(lhs3 - z) > band) & (np.abs(lhs4 - z) > band)
 
     bad_le = (lhs1[clear] <= z[clear]) != (lhs2[clear] <= z[clear])
     bad_ge = (lhs3[clear] >= z[clear]) != (lhs4[clear] >= z[clear])
-    checked = 2 * int(np.sum(clear))
-    failures = int(np.sum(bad_le)) + int(np.sum(bad_ge))
-    return SuiteResult("paired radical inequalities", checked, failures, 0.0)
+    return _tally("paired radical inequalities", [(bad_le, 0.0), (bad_ge, 0.0)])
 
 
 def sample_interior_angles(rng, n, margin=0.05):
@@ -179,10 +170,10 @@ def sample_interior_angles(rng, n, margin=0.05):
     return out
 
 
-def schlafli_suite(seed=0, n=100, tol=1e-6):
+def schlafli_suite(seed=0):
     """FD of twice the volume against the length combination it must equal."""
     rng = np.random.default_rng(seed)
-    A = sample_interior_angles(rng, n)
+    A = sample_interior_angles(rng, 100)
     h = 1e-6
     devs = []
     for row in A:
@@ -191,14 +182,14 @@ def schlafli_suite(seed=0, n=100, tol=1e-6):
             u = np.stack([row[:3] + step, row[:3] - step])
             v2 = _kernels.volume2_batch(_slot_angles(u))
             devs.append(abs((v2[0] - v2[1]) / (2.0 * h) - expected[d]))
-    return _tally("volume derivative identity", [(devs, tol)])
+    return _tally("volume derivative identity", [(devs, 1e-6)])
 
 
-def triangle_suite(seed=0, n=10_000, tol=1e-10):
+def triangle_suite(seed=0):
     """Angle-side identity for hyperbolic triangles."""
     rng = np.random.default_rng(seed)
     devs = []
-    while len(devs) < n:
+    while len(devs) < 10_000:
         ang = rng.uniform(0.05, PI - 0.1, 3)
         if ang.sum() >= PI - 0.05:
             continue
@@ -209,7 +200,7 @@ def triangle_suite(seed=0, n=10_000, tol=1e-10):
             (math.cosh(b) - 1.0) * (math.cosh(c) - 1.0)
         )
         devs.append(abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
-    return _tally("triangle angle-side identity", [(devs, tol)])
+    return _tally("triangle angle-side identity", [(devs, 1e-10)])
 
 
 ALL_SUITES = (

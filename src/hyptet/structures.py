@@ -18,8 +18,8 @@ the target.
 point) "maximize t subject to u >= t, pi - sum_tet u >= t and the edge
 equations", written in the slack variables ``u = s + t 1``: the bounds on
 ``u`` become ``s >= 0``, and only the n per-tetrahedron sums stay as
-inequality rows.  Verdicts about found witnesses are certified by direct
-substitution, independent of the LP solver.
+inequality rows; ``t`` is free, as the apex rows bound it by pi/4.  Found
+witnesses are certified by direct substitution, independent of the LP solver.
 """
 
 import math
@@ -138,13 +138,14 @@ def is_member(T, assignment, k, tol=1e-9):
 def find_interior(T, k):
     """Max-min-slack LP over the assignment polytope, with certification.
 
-    In the slack variables ``u = s + t 1`` the LP is: maximize ``t`` over
-    ``s >= 0`` and ``-4 pi <= t <= pi`` with ``sum_tet s + 4 t <= pi`` per
-    tetrahedron and ``A s + (A 1) t = b_eq``, ``A = T.a_eq``; the witness is
-    ``u = s + t* 1``.  InteriorFound verdicts carry a witness that is
-    re-verified by substitution at ``FEASIBILITY_TOL / 10``; a mismatch
-    raises LpFailure rather than returning a wrong verdict.  An
-    inadmissible target is provably infeasible and reported as such.
+    In the slack variables ``u = s + t 1`` the LP is: maximize a free ``t``
+    over ``s >= 0`` with ``sum_tet s + 4 t <= pi`` per tetrahedron and
+    ``A s + (A 1) t = b_eq``, ``A = T.a_eq``; the witness is ``u = s + t* 1``.
+    The apex rows bound ``t`` by pi/4, so every admissible target has an
+    optimum ``t*``, which alone decides the verdict; any other LP status
+    raises LpFailure, as does an InteriorFound witness that substitution at
+    ``FEASIBILITY_TOL / 10`` refutes.  An inadmissible target is provably
+    infeasible: no LP runs, and its ``min_slack`` is -inf.
     """
     try:
         b_eq = assemble(T, k)
@@ -167,11 +168,9 @@ def find_interior(T, k):
         b_ub=np.full(n, PI),
         A_eq=a_eq,
         b_eq=b_eq,
-        bounds=[(0.0, None)] * nf + [(-4.0 * PI, PI)],
+        bounds=[(0.0, None)] * nf + [(None, None)],
         method="highs",
     )
-    if res.status == 2:
-        return FeasibilityReport(FeasibilityStatus.INFEASIBLE, None, -np.inf)
     if res.status != 0:
         raise LpFailure(f"LP solver failed: {res.message}")
 

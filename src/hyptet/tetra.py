@@ -60,6 +60,8 @@ from .errors import (
 )
 
 PI = math.pi
+_LN2 = math.log(2.0)
+_TINY = np.finfo(np.float64).tiny  # the least positive normal float
 
 #: the cell's incidence: slot j is the edge joining the vertices PAIRS[j]
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -149,6 +151,9 @@ class RegionLabel(Enum):
     X3 = "X3"
 
 
+_REGIONS = tuple(RegionLabel)  # INTERIOR, OMEGA1..3, X1..3
+
+
 class AngleRegionLabel(Enum):
     B = "B"
     B_I_BOUNDARY = "B_I_boundary"
@@ -186,28 +191,18 @@ def classify(lengths, tol=1e-9):
     """Locate a length vector in the realizable-region decomposition.
 
     Interior, one of the three degenerate regions (vertex-triangle
-    inequality failed), or one of the separating walls, decided from the
-    three apex-slot cosine extensions with tolerance band ``tol``.
+    inequality failed), or one of the separating walls: exactly one must
+    hold within the tolerance band ``tol``, else AmbiguousClassification.
     """
     _check_band(tol)
-    p = phi(lengths)
-    apex = p[:3]
-
-    omega = [i for i in range(3) if apex[i] <= -1.0 - tol]
-    wall = [i for i in range(3) if apex[i] <= -1.0 + tol and i not in omega]
-    if len(omega) > 1 or len(wall) > 1 or (omega and wall):
-        raise AmbiguousClassification(
-            f"inconsistent region pattern {p.tolist()} at tol={tol}"
-        )
-    if omega:
-        return (RegionLabel.OMEGA1, RegionLabel.OMEGA2, RegionLabel.OMEGA3)[omega[0]]
-    if wall:
-        return (RegionLabel.X1, RegionLabel.X2, RegionLabel.X3)[wall[0]]
-    if np.all(p > -1.0 + tol) and np.all(p < 1.0 - tol):
-        return RegionLabel.INTERIOR
-    raise AmbiguousClassification(
-        f"inconsistent region pattern {p.tolist()} at tol={tol}"
-    )
+    p = phi(lengths).tolist()
+    lo, hi = -1.0 - tol, -1.0 + tol
+    # one flag per label of _REGIONS: INTERIOR by all six, the others by apex
+    hits = [all(hi < x < 1.0 - tol for x in p), *(x <= lo for x in p[:3]),
+            *(lo < x <= hi for x in p[:3])]
+    if hits.count(True) != 1:
+        raise AmbiguousClassification(f"inconsistent region pattern {p} at tol={tol}")
+    return _REGIONS[hits.index(True)]
 
 
 def extended_angles(lengths):
@@ -280,13 +275,17 @@ def classify_angles(alpha, tol=1e-9):
     return AngleRegionLabel.B
 
 
-def _dual_cosines(angles):
-    """cosh of the side opposite each angle of the hyperbolic triangle with
-    ``angles`` (3,), by the dual cosine law
-    cosh a = (cos A + cos B cos C) / (sin B sin C), and cyclic."""
-    c, s = np.cos(angles), np.sin(angles)
+def _dual_cosines(angles, of_cosh, log_shift):
+    """``of_cosh(cosh a)`` for the side a opposite each angle of the
+    hyperbolic triangle with ``angles`` (3,), by the dual cosine law
+    cosh a = (cos A + cos B cos C) / (sin B sin C), and cyclic.  Where
+    sin B sin C is not a normal float, cosh a passes 1e275 and may overflow:
+    there the quotient is taken in logarithms, and ``ln cosh a + log_shift``
+    is ``of_cosh(cosh a)`` to rounding."""
+    c, s = np.cos(angles).tolist(), np.sin(angles).tolist()
     return [
-        (c[i] + c[j] * c[k]) / (s[j] * s[k])
+        of_cosh((c[i] + c[j] * c[k]) / (s[j] * s[k])) if s[j] * s[k] >= _TINY
+        else log_shift + math.log(c[i] + c[j] * c[k]) - math.log(s[j]) - math.log(s[k])
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     ]
 
@@ -312,7 +311,7 @@ def angles_to_lengths(alpha):
     a = _row(alpha, "alpha")
     _require_open_cell(a)
     # the vertex triangle's sides, opposite a12, a13, a14, are l34, l24, l23
-    l34, l24, l23 = [math.log(0.5 * (x - 1.0)) for x in _dual_cosines(a[0, :3])]
+    l34, l24, l23 = _dual_cosines(a[0, :3], lambda x: math.log(0.5 * (x - 1.0)), -_LN2)
     return DecoratedLengths(0.0, 0.0, 0.0, l23, l24, l34)
 
 
@@ -446,4 +445,4 @@ def hyperbolic_triangle_sides(A, B, C):
         raise ValueError("angles must be positive")
     if ang.sum() >= PI:
         raise NotHyperbolic("angle sum must be strictly below pi")
-    return tuple(float(np.arccosh(x)) for x in _dual_cosines(ang))
+    return tuple(_dual_cosines(ang, lambda x: float(np.arccosh(x)), _LN2))

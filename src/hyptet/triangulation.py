@@ -38,6 +38,7 @@ its lexicographically least ``(tet, vertex-pair)`` slot, written
 """
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -372,9 +373,11 @@ def _edge_values_to_json(T, values):
 
 
 def _numbers(vals):
-    """Whether ``vals`` is a list of JSON numbers, bools excluded."""
+    """Whether ``vals`` is a list of JSON numbers that a float holds: bools
+    and integers beyond the largest float excluded."""
     return isinstance(vals, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals
+        isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max
+        for v in vals
     )
 
 

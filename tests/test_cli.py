@@ -75,6 +75,19 @@ def test_volume_and_covolume_match_library(capsys):
     assert json.loads(out)["covolume"] == covolume([0, 0, 0, 0, 0, 10])
 
 
+@pytest.mark.parametrize("query", ["lengths-to-angles", "covolume"])
+def test_a_non_finite_result_is_an_error_object(capsys, query):
+    # lengths near the float limit overflow the kernels to NaN, which JSON
+    # cannot hold: the verb fails instead of printing it
+    huge = "1e308,1e308,1e308,-1e308,1e308,1e308"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(["tetra", query, "--l", huge], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": "ValueError", "message": "JSON has no number nan",
+    }
+
+
 def test_fixture_validate_gap_pipeline(tmp_path, capsys):
     out_dir = str(tmp_path / "fx")
     code, out, _ = run_cli(
@@ -251,6 +264,29 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     assert parser.parse_args(["tetra", "classify"]).tol == 1e-9
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tetra", "covolume"], "--l is required for this query"),
+        (["tetra", "volume", "--l", "0,0,0,0,0,0"],
+         "--alpha is required for this query"),
+        (["tetra", "covolume", "--l", "0,0,x,0,0,0"],
+         "--l contains a non-numeric entry"),
+    ],
+    ids=["no-lengths", "no-angles", "non-numeric"],
+)
+def test_a_bad_six_vector_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
+def test_render_writes_json_or_raises():
+    assert cli._render(None) == "null"
+    assert cli._render({"a": np.array([[1.0, 0.5]])}) == '{"a":[[1,0.5]]}'
+    with pytest.raises(TypeError, match="cannot serialize <class 'object'>"):
+        cli._render([object()])
+
+
 def test_usage_error_exit_code_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "hyptet.cli", "nonsense-verb"],
@@ -301,12 +337,13 @@ _EDGES_MSG = "cone target 'edges' must be a list of strings"
         (lambda k: k["values"].__setitem__(0, None), _VALUES_MSG),
         (lambda k: k["values"].__setitem__(0, "1.0"), _VALUES_MSG),
         (lambda k: k["values"].__setitem__(0, True), _VALUES_MSG),
+        (lambda k: k["values"].__setitem__(0, 10**400), _VALUES_MSG),
         (lambda k: k.__setitem__("values", 1.0), _VALUES_MSG),
         (lambda k: k.__setitem__("values", {"0:12": 1.0}), _VALUES_MSG),
         (lambda k: k["edges"].__setitem__(0, 12), _EDGES_MSG),
         (lambda k: k.__setitem__("edges", None), _EDGES_MSG),
     ],
-    ids=["null-value", "string-value", "bool-value", "number-values",
+    ids=["null-value", "string-value", "bool-value", "huge-int", "number-values",
          "object-values", "int-key", "null-edges"],
 )
 def test_malformed_cone_target_gives_error_object(tmp_path, capsys, edit, message):

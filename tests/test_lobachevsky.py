@@ -86,3 +86,23 @@ def test_array_shapes():
     out = lobachevsky(np.ones((3, 4)))
     assert out.shape == (3, 4)
     assert isinstance(lobachevsky(1.0), float)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lobachevsky(math.inf),
+        lambda: lobachevsky(np.array([0.5, math.nan])),
+        lambda: lobachevsky_derivative(-math.inf),
+        lambda: lobachevsky_reference(math.nan, 1e-12),
+    ],
+    ids=["lobachevsky", "lobachevsky-array", "derivative", "reference"],
+)
+def test_a_non_finite_theta_raises(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == "theta must be finite"
+
+
+def test_reference_at_zero():
+    assert lobachevsky_reference(0.0, 1e-12) == 0.0

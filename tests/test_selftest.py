@@ -46,3 +46,15 @@ def test_a_failing_identity_fails_its_suite(monkeypatch, capsys):
 def test_a_nan_deviation_fails():
     result = selftest._tally("nan", [([0.0, float("nan")], 1.0), ([0.5], 1.0)])
     assert (result.checked, result.failures) == (3, 1)
+
+
+def test_a_broken_sign_pattern_fails_its_suite(monkeypatch):
+    # negating slot 34 breaks "opposite slots degenerate together" wherever
+    # slot 12 or 34 overshoots; a flag suite's deviation is 0 or 1
+    phi_batch = selftest._kernels.phi_batch
+    monkeypatch.setattr(
+        selftest._kernels, "phi_batch", lambda L: phi_batch(L) * [1, 1, 1, 1, 1, -1]
+    )
+    result = selftest.region_suite(0)
+    assert result.failures > 0 and result.worst == 1.0
+    assert result.line().startswith("FAIL region identities")

@@ -239,13 +239,12 @@ def _stub_linprog(status, x=None):
 
 def test_find_interior_reads_the_lp_status(monkeypatch):
     T, k, _ = _fixture()
-    monkeypatch.setattr(hyptet.structures, "linprog", _stub_linprog(2))
-    fr = find_interior(T, k)
-    assert fr.status is FeasibilityStatus.INFEASIBLE
-    assert fr.witness is None and fr.min_slack == -np.inf
-    monkeypatch.setattr(hyptet.structures, "linprog", _stub_linprog(4))
-    with pytest.raises(LpFailure, match="LP solver failed: stub status 4"):
-        find_interior(T, k)
+    # with t free the LP has an optimum for every admissible target, so an
+    # infeasible (2) report is a solver failure like any other nonzero status
+    for status in (2, 4):
+        monkeypatch.setattr(hyptet.structures, "linprog", _stub_linprog(status))
+        with pytest.raises(LpFailure, match=f"LP solver failed: stub status {status}"):
+            find_interior(T, k)
 
 
 def test_find_interior_rejects_a_witness_substitution_refutes(monkeypatch):
@@ -400,3 +399,38 @@ def test_find_interior_matches_reference_lp(name):
             if status is FeasibilityStatus.INTERIOR_FOUND:
                 verdict, _ = is_member(T, fr.witness, k, tol=1e-9)
                 assert verdict is Membership.INTERIOR
+
+
+@pytest.mark.parametrize("seed, key, turns, t_star", [
+    (0, "13:12", 24, -49.218), (1, "2:24", 12, -13.823),
+])
+def test_find_interior_reports_t_star_below_minus_four_pi(seed, key, turns, t_star):
+    # admissible targets whose optimal slack lies below -4 pi: the verdict
+    # carries t* of the LP in (u, t) with no bounds at all
+    T = validate(random_gluing_document(16, seed))
+    values = np.zeros(T.n_edge_classes)
+    values[T.edge_keys.index(key)] = 2 * turns * PI
+    k = ConeTarget(values)
+    n = T.n_tetrahedra
+    nf = 3 * n
+    c = np.zeros(nf + 1)
+    c[-1] = -1.0
+    # rows t - u_i <= 0, then sum_tet u + t <= pi
+    a_ub = np.zeros((nf + n, nf + 1))
+    a_ub[np.arange(nf), np.arange(nf)] = -1.0
+    a_ub[nf + np.arange(nf) // 3, np.arange(nf)] = 1.0
+    a_ub[:, -1] = 1.0
+    b_ub = np.concatenate([np.zeros(nf), np.full(n, PI)])
+    a_eq = np.hstack([T.a_eq.toarray(), np.zeros((T.n_edge_classes, 1))])
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=assemble(T, k),
+                  bounds=(None, None), method="highs")
+    assert res.status == 0, res.message
+    fr = find_interior(T, k)
+    assert fr.status is FeasibilityStatus.INFEASIBLE and fr.witness is None
+    assert abs(fr.min_slack - res.x[-1]) <= 1e-8
+    assert fr.min_slack == pytest.approx(t_star, abs=1e-3)
+    # only an inadmissible target, for which no LP runs, reports -inf
+    k = ConeTarget(1.5 * values)
+    with pytest.raises(InadmissibleTarget):
+        assemble(T, k)
+    assert find_interior(T, k).min_slack == -np.inf

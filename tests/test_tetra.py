@@ -292,6 +292,35 @@ def test_round_trip_on_random_interior_angles():
     assert worst <= 1e-10
 
 
+def _mp_cosh_sides(angles, mpmath):
+    """cosh of the side opposite each angle, in mpmath from the float angles."""
+    A = [mpmath.mpf(float(a)) for a in angles]
+    return [
+        (mpmath.cos(A[i]) + mpmath.cos(A[j]) * mpmath.cos(A[k]))
+        / (mpmath.sin(A[j]) * mpmath.sin(A[k]))
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [1e-160, 1e-200, 1e-300, 5e-324])
+def test_vertex_triangle_with_tiny_angles_against_mpmath(eps):
+    # sin B sin C underflows, and cosh of a side overflows, though the sides
+    # and lengths themselves are moderate
+    mpmath = pytest.importorskip("mpmath")
+    for apex in ([eps, eps, eps], [1.0, eps, eps], [eps, 0.5, eps]):
+        with mpmath.workdps(60):
+            x = _mp_cosh_sides(apex, mpmath)
+            sides = [mpmath.acosh(v) for v in x]
+            lengths = [mpmath.log((v - 1) / 2) for v in x]
+        for got, want in zip(tetra.hyperbolic_triangle_sides(*apex), sides):
+            assert abs(got - want) <= 1e-13 * want
+        l = angles_to_lengths(_slot_angles(apex)[0])
+        # the vertex triangle's sides, opposite a12, a13, a14, are l34, l24, l23
+        for got, want in zip((l.l34, l.l24, l.l23), lengths):
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_classify_angles_cases():
     assert classify_angles([0, PI, 0, 0, PI, 0]) is AngleRegionLabel.B_II
     assert (
@@ -462,3 +491,24 @@ def test_apex_band_edge_is_one_verdict(tol):
     T = validate(double_document())
     A = np.stack([row, row])
     assert is_member(T, A, T.edge_sums(A), tol=tol)[0] is Membership.INTERIOR
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: phi([0.0] * 5), "lengths must have six entries, got shape (5,)"),
+        (lambda: extended_angles([0.0] * 5 + [math.nan]), "lengths must be finite"),
+        (lambda: apply_decoration([0.0] * 6, (1.0, 2.0)),
+         "decoration must have three entries (w2, w3, w4)"),
+        (lambda: apply_decoration([0.0] * 6, (1.0, math.inf, 0.0)),
+         "decoration must be finite"),
+        (lambda: tetra.hyperbolic_triangle_sides(0.5, 0.0, 0.5),
+         "angles must be positive"),
+    ],
+    ids=["row-shape", "row-finite", "decoration-shape", "decoration-finite",
+         "triangle-angle-zero"],
+)
+def test_each_input_check_raises_its_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -431,12 +431,13 @@ def _assignment_doc(**fields):
         {"values": [[0.5] * 6, [0.5] * 5]},
         {"values": [[True, 1, 1, 1, 1, 1], [0.5] * 6]},
         {"values": [[0.5] * 6, ["0.5"] * 6]},
+        {"values": [[0.5] * 6, [10**400] + [0.5] * 5]},
         {"values": {"0": [0.5] * 6}},
         {"tetrahedra": 3},
         {"tetrahedra": None},
     ],
-    ids=["no-values", "ragged", "bool", "string", "not-a-list", "count",
-         "no-count"],
+    ids=["no-values", "ragged", "bool", "string", "huge-int", "not-a-list",
+         "count", "no-count"],
 )
 def test_assignment_from_json_rejects_malformed(doc):
     with pytest.raises(InvalidDocument):
@@ -483,3 +484,49 @@ def test_unglued_faces_reported_without_walking_every_tetrahedron():
         "unglued faces remain: [(0, 2), (1, 2), (2, 1), (2, 2), (2, 3), "
         "(2, 4)]"
     )
+
+
+def _edited_double(**fields):
+    return {**double_document(), **fields}
+
+
+def _edge_doc(**fields):
+    return {"edges": list(_double().edge_keys), "values": [0.5] * 6, **fields}
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: validate([]), InvalidDocument, "document must be a JSON object"),
+        (lambda: validate(_edited_double(gluings={})), InvalidDocument,
+         "'gluings' must be a list"),
+        (lambda: validate(_edited_double(gluings=[[0, 1, 1, 1]])), InvalidDocument,
+         "gluing #0: must be an object"),
+        (lambda: validate(_edited_double(gluings=[
+            {"tet": 0, "face": 1, "to_tet": 0, "to_face": 1,
+             "vertex_map": [1, 2, 3, 4]},
+        ])), UnpairedFace, "gluing #0: face glued to itself"),
+        (lambda: ConeTarget.from_json(_double(), [0.5] * 6), InvalidDocument,
+         "cone target document needs 'edges' and 'values'"),
+        (lambda: GeneralizedMetric.from_json(_double(), {"values": [0.5] * 6}),
+         InvalidDocument, "metric document needs 'edges' and 'values'"),
+        (lambda: ConeTarget.from_json(_double(), _edge_doc(values=[0.5] * 5)),
+         InvalidDocument, "cone target values/edges length mismatch"),
+        (lambda: GeneralizedMetric([0.0, math.inf]), ValueError,
+         "metric values must be finite"),
+        (lambda: ConeTarget([0.0, math.nan]), ValueError,
+         "cone target must be finite"),
+        (lambda: AngleAssignment(np.zeros((2, 5))), ValueError,
+         "assignment must have shape (n, 6)"),
+        (lambda: AngleAssignment.from_json({"format": "hyptet-tri-v1"}),
+         InvalidDocument, "expected format 'hyptet-assignment-v1'"),
+    ],
+    ids=["not-an-object", "gluings-not-a-list", "gluing-not-an-object",
+         "self-glued", "edge-doc-not-an-object", "edge-doc-no-edges",
+         "length-mismatch", "metric-inf", "target-nan", "assignment-shape",
+         "assignment-format"],
+)
+def test_each_input_check_raises_its_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
