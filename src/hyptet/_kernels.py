@@ -134,6 +134,14 @@ def np_phi_batch(lengths):
     return out
 
 
+def vertex_sides(a):
+    """Vertex-triangle sides t of lengths ``a`` (k,): sinh^2(t/2) = e^a."""
+    small = a <= 35.0
+    ex = np.exp(np.where(small, a, 0.0))
+    exact = np.log1p(2.0 * ex + 2.0 * np.sqrt(ex * (1.0 + ex)))
+    return np.where(small, exact, a + _LN4)
+
+
 def np_theta_batch(lengths):
     """Vertex-triangle side lengths and horosphere-section lengths.
 
@@ -145,10 +153,7 @@ def np_theta_batch(lengths):
     out = np.empty((L.shape[0], 12), dtype=np.float64)
 
     for col, a in ((0, l23 - l12 - l13), (1, l24 - l12 - l14), (2, l34 - l13 - l14)):
-        small = a <= 35.0
-        ex = np.exp(np.where(small, a, 0.0))
-        exact = np.log1p(2.0 * ex + 2.0 * np.sqrt(ex * (1.0 + ex)))
-        out[:, col] = np.where(small, exact, a + _LN4)
+        out[:, col] = vertex_sides(a)
 
     quads = (
         (3, l12, l13, l23),   # t2_13

@@ -215,7 +215,7 @@ def main(argv=None):
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except (HyptetError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (HyptetError, ValueError, OSError) as exc:
         sys.stderr.write(
             _render({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )

@@ -402,10 +402,8 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
         # fraction-to-boundary rule on the linear inequality constraints
         dc = np.concatenate([du, -du.reshape(n, 3).sum(axis=1)])
         shrink = dc < 0.0
-        if not np.any(shrink):
-            return 1.0
         c = _cell_slacks(u_vec)
-        return min(1.0, float(np.min(0.995 * c[shrink] / -dc[shrink])))
+        return float(np.min(0.995 * c[shrink] / -dc[shrink], initial=1.0))
 
     mu_final = max(tol / 10.0, 1e-13)
     mus = []

@@ -36,7 +36,7 @@ The central objects:
 * ``_volume_hessian`` / ``_covolume_hessian`` -- the closed-form volume
   Hessian in the chart and, through the Schlaefli identity, the co-volume
   Hessian ``C (-2 H)^-1 C^T``, batched over cells for the solvers;
-* ``_dual_cosines`` -- the vertex triangle's formula, the dual cosine law;
+* ``_vertex_lengths`` -- the vertex triangle's formula, the half-side law;
   ``angles_to_lengths`` and ``hyperbolic_triangle_sides`` read it.
 """
 
@@ -60,8 +60,6 @@ from .errors import (
 )
 
 PI = math.pi
-_LN2 = math.log(2.0)
-_TINY = np.finfo(np.float64).tiny  # the least positive normal float
 
 #: the cell's incidence: slot j is the edge joining the vertices PAIRS[j]
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -275,17 +273,17 @@ def classify_angles(alpha, tol=1e-9):
     return AngleRegionLabel.B
 
 
-def _dual_cosines(angles, of_cosh, log_shift):
-    """``of_cosh(cosh a)`` for the side a opposite each angle of the
-    hyperbolic triangle with ``angles`` (3,), by the dual cosine law
-    cosh a = (cos A + cos B cos C) / (sin B sin C), and cyclic.  Where
-    sin B sin C is not a normal float, cosh a passes 1e275 and may overflow:
-    there the quotient is taken in logarithms, and ``ln cosh a + log_shift``
-    is ``of_cosh(cosh a)`` to rounding."""
-    c, s = np.cos(angles).tolist(), np.sin(angles).tolist()
+def _vertex_lengths(angles):
+    """``ln sinh^2(t/2)`` of the side t opposite each of a hyperbolic triangle's
+    ``angles``, by the half-side law sinh^2(t_A/2) = sin(d/2) sin(d/2 + A) /
+    (sin B sin C), d = pi - A - B - C summed exactly with pi = PI + sin(PI);
+    sin(d/2 + A) = sin(d/2 + B + C) is taken at the smaller argument, at most
+    pi/2.  Every factor keeps its relative accuracy in logarithms."""
+    h = 0.5 * math.fsum((PI, math.sin(PI), -angles[0], -angles[1], -angles[2]))
+    ln_sin = [math.log(math.sin(x)) for x in (*angles, h)]
     return [
-        of_cosh((c[i] + c[j] * c[k]) / (s[j] * s[k])) if s[j] * s[k] >= _TINY
-        else log_shift + math.log(c[i] + c[j] * c[k]) - math.log(s[j]) - math.log(s[k])
+        ln_sin[3] + math.log(math.sin(h + min(angles[i], angles[j] + angles[k])))
+        - ln_sin[j] - ln_sin[k]
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     ]
 
@@ -311,7 +309,7 @@ def angles_to_lengths(alpha):
     a = _row(alpha, "alpha")
     _require_open_cell(a)
     # the vertex triangle's sides, opposite a12, a13, a14, are l34, l24, l23
-    l34, l24, l23 = _dual_cosines(a[0, :3], lambda x: math.log(0.5 * (x - 1.0)), -_LN2)
+    l34, l24, l23 = _vertex_lengths(a[0, :3].tolist())
     return DecoratedLengths(0.0, 0.0, 0.0, l23, l24, l34)
 
 
@@ -434,10 +432,9 @@ def boundary_face_hessian(a13, a14):
 
 
 def hyperbolic_triangle_sides(A, B, C):
-    """Side lengths (a, b, c) of the hyperbolic triangle with angles (A, B, C),
-    by ``_dual_cosines``.  Requires finite positive angles with sum strictly
-    below pi.
-    """
+    """Side lengths (a, b, c) of the hyperbolic triangle with angles (A, B, C):
+    the half-side law ``_vertex_lengths`` read by ``_kernels.vertex_sides``.
+    Requires finite positive angles with sum strictly below pi."""
     ang = np.array([float(A), float(B), float(C)])
     if not np.all(np.isfinite(ang)):
         raise ValueError("angles must be finite")
@@ -445,4 +442,4 @@ def hyperbolic_triangle_sides(A, B, C):
         raise ValueError("angles must be positive")
     if ang.sum() >= PI:
         raise NotHyperbolic("angle sum must be strictly below pi")
-    return tuple(_dual_cosines(ang, lambda x: float(np.arccosh(x)), _LN2))
+    return tuple(_kernels.vertex_sides(np.array(_vertex_lengths(ang.tolist()))).tolist())

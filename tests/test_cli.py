@@ -63,6 +63,16 @@ def test_angles_to_lengths_and_degrees(capsys):
     assert l[3] == pytest.approx(math.log(math.sqrt(2) / 2), abs=1e-12)
 
 
+def test_angles_to_lengths_near_a_flat_vertex_triangle(capsys):
+    # apex angles (pi - 1e-9, 1e-10, 1e-10), where the dual cosine law's
+    # numerator rounds to 0
+    arg = ("3.141592652589793,1e-10,1e-10,5.000000413701855e-10,"
+           "5.000000413701855e-10,3.141592652989793")
+    code, out, _ = run_cli(["tetra", "angles-to-lengths", "--alpha", arg], capsys)
+    assert code == 0
+    assert all(math.isfinite(x) for x in json.loads(out)["l"])
+
+
 def test_volume_and_covolume_match_library(capsys):
     alpha = [PI / 4] * 3 + [3 * PI / 8] * 3
     arg = ",".join(repr(a) for a in alpha)
@@ -225,6 +235,17 @@ def test_error_object_and_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(["validate", str(tmp_path / "missing.json")], capsys)
     assert code == 1
     assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+def test_malformed_json_is_an_error_object(capsys, tmp_path):
+    path = tmp_path / "open.json"
+    path.write_text("{")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == (
+        '{"error":"JSONDecodeError","message":"Expecting property name '
+        'enclosed in double quotes: line 1 column 2 (char 1)"}'
+    )
 
 
 # one process's mix of calls: a query, a usage error, an unknown verb, and a

@@ -1,16 +1,20 @@
 """The cell's slot tables and the vertex triangle, derived from one source each.
 
 ``tetra.PAIRS`` is the one literal incidence table; the hand-written tables
-and formula bodies that it and ``tetra._dual_cosines`` replaced are kept here,
-verbatim, as oracles.
+it replaced are kept here, verbatim, as oracles.  The vertex triangle is one
+law, the half-side law of ``tetra._vertex_lengths`` read through
+sinh^2(t/2) = e^l (``_kernels.vertex_sides``, which ``theta_batch`` shares).
+The dual cosine law bodies it replaced are kept verbatim too, as the accuracy
+it must match or beat against a 60-digit reference.
 """
 
 import itertools
 import math
 
 import numpy as np
+import pytest
 
-from hyptet import tetra, triangulation
+from hyptet import _kernels, tetra, triangulation
 from hyptet.selftest import sample_interior_angles
 
 PI = math.pi
@@ -70,6 +74,37 @@ def ref_hyperbolic_triangle_sides(A, B, C):
     return sides
 
 
+def ref_theta_t1(L):
+    """The vertex-triangle columns as ``theta_batch`` wrote them inline."""
+    l12, l13, l14, l23, l24, l34 = (L[:, j] for j in range(6))
+    out = np.empty((L.shape[0], 3), dtype=np.float64)
+    for col, a in ((0, l23 - l12 - l13), (1, l24 - l12 - l14), (2, l34 - l13 - l14)):
+        small = a <= 35.0
+        ex = np.exp(np.where(small, a, 0.0))
+        exact = np.log1p(2.0 * ex + 2.0 * np.sqrt(ex * (1.0 + ex)))
+        out[:, col] = np.where(small, exact, a + math.log(4.0))
+    return out
+
+
+def mp_vertex_triangle(angles, mpmath):
+    """Sides t and lengths ln sinh^2(t/2) opposite three float angles, by the
+    dual cosine law at 60 digits."""
+    with mpmath.workdps(60):
+        A = [mpmath.mpf(float(a)) for a in angles]
+        x = [
+            (mpmath.cos(A[i]) + mpmath.cos(A[j]) * mpmath.cos(A[k]))
+            / (mpmath.sin(A[j]) * mpmath.sin(A[k]))
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        ]
+        return [mpmath.acosh(v) for v in x], [mpmath.log((v - 1) / 2) for v in x]
+
+
+def worst_error(got, want, unit):
+    """Worst ``|g - w| / max(|w|, unit)``: relative, and absolute below ``unit``."""
+    return max(float(abs(g - w) / max(abs(w), unit)) for gs, ws in zip(got, want)
+               for g, w in zip(gs, ws))
+
+
 def bits(values):
     return np.array(values, dtype=np.float64).tobytes()
 
@@ -105,22 +140,55 @@ def test_face_tables_match_the_walk():
             assert got == ref_slot_pairs(face, vm)
 
 
-def test_angles_to_lengths_is_the_reference_bitwise():
+def test_angles_to_lengths_is_no_worse_than_the_reference():
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(2201)
-    A = np.vstack([
+    sets = (
         sample_interior_angles(rng, 10_000),
         sample_interior_angles(rng, 10_000, margin=1e-4),
-    ])
-    got = [tetra.angles_to_lengths(a) for a in A]
-    want = [ref_angles_to_lengths(a) for a in A]
-    assert bits(got) == bits(want)
+    )
+    for A in sets:
+        A = A[:2_000]
+        want = [mp_vertex_triangle(a[:3], mpmath)[1] for a in A]
+        # the lengths opposite a12, a13, a14 are l34, l24, l23: slots 5, 4, 3
+        got = [tetra.angles_to_lengths(a)[:2:-1] for a in A]
+        ref = [ref_angles_to_lengths(a)[:2:-1] for a in A]
+        # a decorated length has no distinguished zero (the decoration shifts
+        # it), so below 1 its error is measured absolutely
+        new = worst_error(got, want, 1.0)
+        assert new <= worst_error(ref, want, 1.0) and new <= 4e-15
 
 
-def test_hyperbolic_triangle_sides_is_the_reference_bitwise():
+def test_hyperbolic_triangle_sides_is_no_worse_than_the_reference():
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(2202)
     ang = rng.uniform(1e-6, PI, (150_000, 3))
-    ang = ang[ang.sum(axis=1) < PI][:20_000]
-    assert ang.shape == (20_000, 3)
+    ang = ang[ang.sum(axis=1) < PI][:2_000]
+    assert ang.shape == (2_000, 3)
+    want = [mp_vertex_triangle(row, mpmath)[0] for row in ang]
     got = [tetra.hyperbolic_triangle_sides(*row) for row in ang]
-    want = [ref_hyperbolic_triangle_sides(*row) for row in ang]
-    assert bits(got) == bits(want)
+    ref = [ref_hyperbolic_triangle_sides(*row) for row in ang]
+    new = worst_error(got, want, 0.0)
+    assert new <= worst_error(ref, want, 0.0) and new <= 4e-15
+
+
+def test_theta_batch_vertex_sides_are_the_reference_bitwise():
+    rng = np.random.default_rng(2203)
+    L = np.vstack([rng.normal(0.0, s, (25_000, 6)) for s in (1.0, 10.0, 30.0, 100.0)])
+    assert np.sum(L[:, 3] - L[:, 0] - L[:, 1] > 35.0) > 1_000  # the asymptote
+    assert bits(_kernels.theta_batch(L)[:, :3]) == bits(ref_theta_t1(L))
+
+
+def test_vertex_triangle_is_one_law_both_ways():
+    # lengths -> sides (theta_batch at the apex gauge) and angles -> sides
+    # (hyperbolic_triangle_sides) agree to the bit
+    rng = np.random.default_rng(2204)
+    A = np.vstack([
+        sample_interior_angles(rng, 2_000),
+        sample_interior_angles(rng, 2_000, margin=1e-4),
+    ])
+    L = np.array([tetra.angles_to_lengths(a) for a in A])
+    # columns t1_23, t1_24, t1_34 are opposite a14, a13, a12
+    via_lengths = _kernels.theta_batch(L)[:, 2::-1]
+    via_angles = [tetra.hyperbolic_triangle_sides(*a[:3]) for a in A]
+    assert bits(via_lengths) == bits(via_angles)

@@ -321,6 +321,50 @@ def test_vertex_triangle_with_tiny_angles_against_mpmath(eps):
             assert abs(got - want) <= 1e-13 * abs(want)
 
 
+@pytest.mark.filterwarnings("error")
+def test_vertex_triangle_near_flat_is_finite():
+    # cos A + cos B cos C rounds to 0 here; the 60-digit values are those of
+    # the float angles
+    sides = tetra.hyperbolic_triangle_sides(PI - 1e-9, 1e-10, 1e-10)
+    want = (4.5848637579953667, 2.2924318789976833, 2.2924318789976833)
+    for got, w in zip(sides, want):
+        assert abs(got - w) <= 1e-13 * w
+    l = angles_to_lengths(_slot_angles([PI - 1e-9, 1e-10, 1e-10])[0])
+    want = (3.1780542578584208, 0.69314743706622601, 0.69314743706622601)
+    for got, w in zip((l.l34, l.l24, l.l23), want):
+        assert abs(got - w) <= 1e-13 * w
+
+
+def _near_flat_triangles(d):
+    """Four families of vertex triangles with angle defect ``d`` (to the
+    rounding of the float angles), the smallest angle at least 1e-10 and
+    every length ln sinh^2(t/2) at least 0.39 in size."""
+    return [
+        (PI - d - 2e-10, 1e-10, 1e-10),  # A -> pi
+        (1e-10, 1.0, PI - 1.0 - 1e-10 - d),  # B + C -> pi, A small
+        ((PI - 2.0 * d) / 2.0, (PI - 2.0 * d) / 2.0, d),  # A = B -> pi/2
+        (0.3, 2.0, PI - 2.3 - d),  # B + C -> pi - A, A = 0.3
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", np.logspace(-15, -3, 7))
+def test_vertex_triangle_near_flat_against_mpmath(d):
+    # the defect is summed exactly against a two-term pi, so the error stays
+    # at rounding level however flat the triangle
+    mpmath = pytest.importorskip("mpmath")
+    for apex in _near_flat_triangles(d):
+        with mpmath.workdps(60):
+            x = _mp_cosh_sides(apex, mpmath)
+            sides = [mpmath.acosh(v) for v in x]
+            lengths = [mpmath.log((v - 1) / 2) for v in x]
+        for got, want in zip(tetra.hyperbolic_triangle_sides(*apex), sides):
+            assert abs(got - want) <= 1e-13 * want
+        l = angles_to_lengths(_slot_angles(apex)[0])
+        for got, want in zip((l.l34, l.l24, l.l23), lengths):
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_classify_angles_cases():
     assert classify_angles([0, PI, 0, 0, PI, 0]) is AngleRegionLabel.B_II
     assert (
