@@ -56,7 +56,7 @@ from .structures import (
 )
 from .tetra import (
     CELL_VERTICES,
-    SLOT_COEF,
+    _SLOT_KRON,
     _cell_slacks,
     _covolume_hessian,
     _near_flat,
@@ -76,9 +76,6 @@ _PHASE_ONE = 20
 _INNER = 150
 #: Newton steps of ``solve_cone_angles`` (a boundary-only run took 483)
 _DUAL_STEPS = 1000
-#: ``(C kron C)^T`` (``C = SLOT_COEF``), (9, 36): a 3x3 block ``X``
-#: flattened row by row, times it, is ``C X C^T`` flattened
-_SLOT_KRON = np.ascontiguousarray(np.kron(SLOT_COEF, SLOT_COEF).T)
 #: the six distinct entries of a symmetric 3x3, spread over its rows
 _SYM3 = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 

@@ -73,6 +73,9 @@ GAUGE_VECTORS = np.array(
 #: slot angles as affine functions of (a12, a13, a14): coefficients and offsets
 SLOT_COEF = VOLUME_CHART[1:]
 SLOT_CONST = np.array([0.0, 0.0, 0.0, PI / 2.0, PI / 2.0, PI / 2.0])
+#: ``(C kron C)^T`` (``C = SLOT_COEF``), (9, 36): a 3x3 block ``X`` flattened
+#: row by row, times it, is ``C X C^T`` flattened, as ``T.factor`` takes it
+_SLOT_KRON = np.ascontiguousarray(np.kron(SLOT_COEF, SLOT_COEF).T)
 
 #: the three flat-collapse angle patterns (closure corner points), and the
 #: vertices of a cell's closed angle polytope (u >= 0, sum u <= pi), (6, 4)

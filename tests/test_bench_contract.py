@@ -88,3 +88,16 @@ def test_assemble_returns_the_right_hand_side():
     expected = k.values - T.edge_sums(np.tile(SLOT_CONST, T.n_tetrahedra))
     assert isinstance(b_eq, np.ndarray)
     assert np.array_equal(b_eq, expected)
+
+
+def test_tracer_records_the_lp_iterations():
+    # find_interior's report and linprog's run both carry ``iterations``,
+    # which the tracer copies into their spans through RESULT_FIELDS
+    tracing = _tracing()
+    T, k, _ = doubled_fixture([0.3, -0.2, 0.1, 0.25, -0.15, 0.4])
+    with tracing.Tracer() as tracer:
+        fr = tracing.LAYERS["structures"].find_interior(T, k)
+    info = {span[0]: span[6] for span in tracer.spans}
+    assert fr.iterations > 0
+    assert info["structures.find_interior"] == {"iterations": fr.iterations}
+    assert info["structures.linprog"] == {"iterations": fr.iterations}

@@ -1,8 +1,8 @@
 """Assignment-polytope encoding, membership verdicts, feasibility LP."""
 
+import functools
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from hyptet import (
 )
 from hyptet.errors import InadmissibleTarget, LpFailure
 from hyptet.selftest import sample_interior_angles
-from hyptet.structures import FEASIBILITY_TOL
+from hyptet.structures import FEASIBILITY_TOL, _LP_GAP, _LP_TOL, _schur
 from hyptet.tetra import SLOT_COEF, SLOT_CONST, _cell_slacks, _slot_angles
 from hyptet.triangulation import PAIR_INDEX, double_document, validate
 
@@ -230,29 +230,40 @@ def test_angle_assignment_rejects_non_finite_values():
         AngleAssignment.from_json(json.loads(json.dumps(doc)))
 
 
-def _stub_linprog(status, x=None):
-    def linprog(*args, **kwargs):
-        return SimpleNamespace(status=status, x=x, message=f"stub status {status}")
+def _stub_linprog(result):
+    """A stand-in for ``structures.linprog``: returns ``result``, or raises
+    it when it is an exception."""
+
+    def linprog(T, b_eq):
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     return linprog
 
 
 def test_find_interior_reads_the_lp_status(monkeypatch):
+    # a run whose bracket neither closes nor fixes the verdict raises
+    # LpFailure, and find_interior passes its message on: one step leaves
+    # t* = 0 of an apex-pi target between a negative slack and a positive bound
     T, k, _ = _fixture()
-    # with t free the LP has an optimum for every admissible target, so an
-    # infeasible (2) report is a solver failure like any other nonzero status
-    for status in (2, 4):
-        monkeypatch.setattr(hyptet.structures, "linprog", _stub_linprog(status))
-        with pytest.raises(LpFailure, match=f"LP solver failed: stub status {status}"):
-            find_interior(T, k)
+    apex = np.tile(SLOT_COEF @ [0.5, 1.0, PI - 1.5] + SLOT_CONST, (T.n_tetrahedra, 1))
+    monkeypatch.setattr(hyptet.structures, "_LP_STEPS", 1)
+    with pytest.raises(LpFailure, match="failed: no certified bracket in 1 steps"):
+        find_interior(T, cone_angles(T, AngleAssignment(apex)))
+    monkeypatch.undo()
+    stub = _stub_linprog(LpFailure("LP solver failed: stub"))
+    monkeypatch.setattr(hyptet.structures, "linprog", stub)
+    with pytest.raises(LpFailure, match="LP solver failed: stub"):
+        find_interior(T, k)
 
 
 def test_find_interior_rejects_a_witness_substitution_refutes(monkeypatch):
-    # t* = 0.3 with s = 0: every free angle 0.3, off the edge equations
+    # every free angle 0.3, so a least slack of 0.3, off the edge equations
     T, k, _ = _fixture()
-    x = np.zeros(3 * T.n_tetrahedra + 1)
-    x[-1] = 0.3
-    monkeypatch.setattr(hyptet.structures, "linprog", _stub_linprog(0, x))
+    u = np.full(3 * T.n_tetrahedra, 0.3)
+    run = hyptet.structures._LpRun(u, 0.3, 0.3, 1)
+    monkeypatch.setattr(hyptet.structures, "linprog", _stub_linprog(run))
     with pytest.raises(LpFailure, match="substitution disagrees"):
         find_interior(T, k)
 
@@ -434,3 +445,128 @@ def test_find_interior_reports_t_star_below_minus_four_pi(seed, key, turns, t_st
     with pytest.raises(InadmissibleTarget):
         assemble(T, k)
     assert find_interior(T, k).min_slack == -np.inf
+
+
+# The LP's own robustness corpus.  Each of the five checks below guards a
+# failure of an interior-point LP on these targets: a residual test that is
+# absolute, a gap test on mu instead of N mu, normal equations that lose the
+# edge rows, Schur blocks unscaled against T.factor's O(1) border, and a stop
+# on a tighter tolerance instead of the certified bracket.  HiGHS, through
+# ``_reference_lp``, is only the oracle here.
+LP_CORPUS = {
+    "double": double_document,
+    "cover4": lambda: cover_document(4),
+    "cover64": lambda: cover_document(64),
+    "random16-0": lambda: random_gluing_document(16, 0),
+    "random1024-0": lambda: random_gluing_document(1024, 0),
+}
+LP_KINDS = {
+    "pinned-zero": [0.0, 0.7, 0.9],
+    "apex-pi": [0.5, 1.0, PI - 1.5],
+    "near-flat": [1e-6, PI - 2e-6, 1e-6],
+    "apex-above-pi": [1.5, 1.2, 1.0],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _lp_corpus(name):
+    """``T`` and, per target kind, ``(k, t*_HiGHS, report)``."""
+    T = validate(LP_CORPUS[name]())
+    n = T.n_tetrahedra
+    targets = {
+        "interior": cone_angles(
+            T, AngleAssignment(sample_interior_angles(np.random.default_rng(70), n))
+        )
+    }
+    for kind, u in LP_KINDS.items():
+        row = SLOT_COEF @ np.array(u) + SLOT_CONST
+        targets[kind] = cone_angles(T, AngleAssignment(np.tile(row, (n, 1))))
+    return T, {
+        kind: (k, _reference_lp(T, k), find_interior(T, k))
+        for kind, k in targets.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(LP_CORPUS))
+def test_linprog_matches_highs_on_the_corpus(name):
+    T, runs = _lp_corpus(name)
+    for kind, (k, t_ref, fr) in runs.items():
+        assert fr.status is _status_of(t_ref), kind
+        assert abs(fr.min_slack - t_ref) <= 1e-8, kind
+        if fr.status is FeasibilityStatus.INTERIOR_FOUND:
+            assert is_member(T, fr.witness, k, tol=1e-9)[0] is Membership.INTERIOR
+
+
+def test_linprog_residual_test_is_relative():
+    # |b| is in the thousands on the 1024-tet gluing: an absolute residual
+    # test at _LP_TOL would never stop there
+    T, runs = _lp_corpus("random1024-0")
+    for kind, (k, _, fr) in runs.items():
+        b_eq = assemble(T, k)
+        assert np.max(np.abs(b_eq)) > 1000.0
+        if fr.witness is not None:
+            u = fr.witness.values[:, :3].ravel()
+            residual = np.max(np.abs(T.a_eq @ u - b_eq))
+            assert residual <= _LP_TOL * (1.0 + np.max(np.abs(b_eq))), kind
+
+
+@pytest.mark.parametrize("name", ["random1024-0", "cover64"])
+def test_linprog_gap_is_the_total_gap(name):
+    # N mu, not mu, closes: the bracket holds t* and is at most _LP_GAP wide
+    # on every target, at n = 1024 too
+    _, runs = _lp_corpus(name)
+    for kind, (_, t_ref, fr) in runs.items():
+        assert fr.upper_bound - fr.min_slack <= _LP_GAP, kind
+        assert fr.min_slack - 1e-10 <= t_ref <= fr.upper_bound + 1e-10, kind
+
+
+@pytest.mark.parametrize("name", ["cover4", "random1024-0"])
+def test_linprog_keeps_boundary_only_witnesses_on_the_edge_rows(name):
+    # the Newton step alone lost the edge rows on boundary-only targets
+    T, runs = _lp_corpus(name)
+    for kind, (k, _, fr) in runs.items():
+        if fr.status is FeasibilityStatus.BOUNDARY_ONLY:
+            cone = cone_angles(T, fr.witness).values
+            assert np.max(np.abs(cone - k.values)) <= 1e-9 * (1 + np.max(k.values))
+            assert is_member(T, fr.witness, k, tol=1e-8)[0] is not Membership.OUTSIDE
+
+
+@pytest.mark.parametrize("c", [1e-100, 1e-20, 1e20, 1e100])
+def test_schur_blocks_are_scaled_before_the_factor(c):
+    # T.factor's gauge border is O(1), so the blocks reach it scaled to a
+    # largest edge diagonal of 1, and the solve is the same at any scale
+    T = validate(cover_document(4))
+    rng = np.random.default_rng(3)
+    d = rng.uniform(0.5, 2.0, (T.n_tetrahedra, 4))
+    r = T.a_eq @ rng.normal(size=3 * T.n_tetrahedra)
+    x = _schur(T, d)(r)
+    factor, seen = T.factor, []
+    T.__dict__["factor"] = lambda blocks: seen.append(blocks) or factor(blocks)
+    y = c * _schur(T, c * d)(r)
+    assert np.max(T.edge_sums(seen[0].reshape(-1, 36)[:, ::7])) == pytest.approx(1.0)
+    assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_linprog_stops_on_the_certified_bracket(monkeypatch):
+    # random16-0's near-flat target: the bracket stop lands within 1e-8 of
+    # t*, and a stop on a tighter gap runs on into singular LUs, where the
+    # bracket it holds still decides the verdict
+    T, runs = _lp_corpus("random16-0")
+    k, t_ref, fr = runs["near-flat"]
+    assert fr.status is FeasibilityStatus.BOUNDARY_ONLY
+    assert fr.min_slack - 1e-10 <= t_ref <= fr.upper_bound + 1e-10
+    assert abs(fr.min_slack - t_ref) <= 1e-8
+    monkeypatch.setattr(hyptet.structures, "_LP_GAP", 0.0)
+    tight = find_interior(T, k)
+    assert tight.status is FeasibilityStatus.BOUNDARY_ONLY
+    assert tight.iterations > fr.iterations
+
+
+def test_feasibility_report_carries_the_bracket():
+    T, k, _ = _fixture()
+    fr = find_interior(T, k)
+    assert fr.iterations > 0
+    assert -1e-12 <= fr.upper_bound - fr.min_slack <= _LP_GAP
+    assert set(fr.to_json()) == {"status", "witness", "min_slack"}
+    fr = find_interior(T, ConeTarget(k.values * 1.5))
+    assert (fr.min_slack, fr.upper_bound, fr.iterations) == (-np.inf, -np.inf, 0)
