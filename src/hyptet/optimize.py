@@ -4,17 +4,14 @@ Primal: maximize the total hyperbolic volume over the assignment polytope
 for a cone target ``k`` (a strictly concave problem on the free-variable
 chart) by a log-barrier interior-point method.  The volume Hessian in the
 free chart is closed form, because the Lobachevsky function has second
-derivative ``-cot``, so the barrier Hessian is block diagonal with one
-3x3 block per tetrahedron, inverted in closed form.  Newton steps on the
-sparse edge equations are range-space (Schur-complement) steps: a sparse
-LU of the E x E matrix ``A B^-1 A^T``, bordered by the gauge matrix,
-replaces any basis of the null space of ``A`` (Nocedal & Wright,
-*Numerical Optimization*, ch. 16).  The triangulation owns ``A`` (``T.a_eq``
-and its view ``T.a_eq_t``) and every LU: ``T.factor`` has one symmetric
-fill-reducing order and thresholded pivots, so a step costs one numeric
-factorization, and ``T.solve_eye`` is the null-space projector's LU; each
-is built once per triangulation.  ``_Barrier`` holds only the cell terms
-of the last point evaluated.
+derivative ``-cot``, so the barrier Hessian ``B`` is block diagonal with
+one 3x3 block per tetrahedron, inverted in closed form.  Newton steps on
+the sparse edge equations ``A = T.a_eq`` are range-space
+(Schur-complement) steps: ``T.factor`` of the blocks ``B^-1``, an LU of
+``A B^-1 A^T`` bordered by the gauge matrix, replaces any basis of the
+null space of ``A`` (Nocedal & Wright, *Numerical Optimization*, ch. 16),
+and ``T.solve_eye`` is the null-space projector's LU.  ``_Barrier`` holds
+only the cell terms of the last point evaluated.
 The same step, with the edge-equation residual on its right-hand side,
 carries a start that is only inside the inequalities onto the edge
 equations (an infeasible-start phase one), so the feasibility LP runs only
@@ -22,10 +19,10 @@ when that phase fails.
 
 Dual: minimize the convex C^1 energy ``sum_tet covolume - <k, l>`` over
 metrics in the orthogonal complement of the gauge; its gradient is
-``cone_angles(extended angles) - k`` and its Hessian is the sum of the
-per-tetrahedron co-volume Hessians ``C (-2 H)^-1 C^T`` (Schlaefli, ``H`` the
-volume Hessian), PSD with the gauge as kernel, factored by ``T.factor``
-too and projected by ``T.project``, also built once per triangulation.
+``cone_angles(extended angles) - k`` and its Hessian is ``A X A^T`` for the
+co-volume blocks ``X = (-2 H)^-1`` (Schlaefli, ``H`` the volume Hessian),
+PSD with the gauge as kernel: ``T.factor`` of ``X`` too, projected by
+``T.project``.  Every LU is the triangulation's, built once for it.
 The energy is unbounded below exactly when no closed angle assignment has
 cone angles ``k``, and the dual stops at the first point it evaluates
 that certifies this (a Farkas vector).
@@ -50,15 +47,15 @@ from .structures import (
     FeasibilityStatus,
     Membership,
     _check_tol,
+    _reach,
     assemble,
     find_interior,
     is_member,
 )
 from .tetra import (
     CELL_VERTICES,
-    _SLOT_KRON,
     _cell_slacks,
-    _covolume_hessian,
+    _covolume_block,
     _near_flat,
     _slot_angles,
     _volume_hessian,
@@ -275,8 +272,8 @@ def _barrier_hessian(A, c, mu):
 
 
 def _blockmul(inv, v):
-    """``B^-1 v`` for the flattened block inverses ``inv`` (n, 9), ``v`` (3n,)."""
-    return np.einsum("tij,tj->ti", inv.reshape(-1, 3, 3), v.reshape(-1, 3)).ravel()
+    """``B^-1 v`` for the block inverses ``inv`` (n, 3, 3), ``v`` (3n,)."""
+    return np.einsum("tij,tj->ti", inv, v.reshape(-1, 3)).ravel()
 
 
 class _Barrier:
@@ -310,7 +307,7 @@ class _Barrier:
         3x3 block per tetrahedron) and the edge-equation residual
         ``r = A u - b_eq``, so that ``A dx = -r``: on the equations it is the
         feasible Newton step, off them the infeasible-start one.
-        ``A B^-1 A^T`` is ``T.factor`` of the slot blocks ``C B^-1 C^T``.
+        ``A B^-1 A^T`` is ``T.factor`` of the blocks ``B^-1``.
         """
         T, b_eq = self.T, self.b_eq
 
@@ -322,8 +319,8 @@ class _Barrier:
             pg = g - T.a_eq_t @ T.solve_eye(T.a_eq @ g)
 
             def step():
-                inv = _sym3_inverse(_barrier_hessian(A, c, mu))
-                solve = T.factor((inv @ _SLOT_KRON).reshape(-1, 6, 6))
+                inv = _sym3_inverse(_barrier_hessian(A, c, mu)).reshape(-1, 3, 3)
+                solve = T.factor(inv)
                 w = _blockmul(inv, g)
                 r = T.a_eq @ u_vec - b_eq
                 return _blockmul(inv, T.a_eq_t @ solve(T.a_eq @ w - r)) - w
@@ -398,9 +395,7 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
     def max_step(u_vec, du):
         # fraction-to-boundary rule on the linear inequality constraints
         dc = np.concatenate([du, -du.reshape(n, 3).sum(axis=1)])
-        shrink = dc < 0.0
-        c = _cell_slacks(u_vec)
-        return float(np.min(0.995 * c[shrink] / -dc[shrink], initial=1.0))
+        return _reach(0.995 * _cell_slacks(u_vec), dc)
 
     mu_final = max(tol / 10.0, 1e-13)
     mus = []
@@ -479,7 +474,7 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None):
         pg = project(g)
 
         def step():
-            return factor(_covolume_hessian(A), min(res, 1.0))(-pg)
+            return factor(_covolume_block(A), min(res, 1.0))(-pg)
 
         return obj, pg, res, step
 

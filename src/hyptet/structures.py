@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InadmissibleTarget, LpFailure
-from .tetra import SLOT_CONST, _SLOT_KRON, _cell_slacks, _judge_cells, _slot_angles
+from .tetra import SLOT_COEF, SLOT_CONST, _cell_slacks, _judge_cells, _slot_angles
 from .triangulation import (
     AngleAssignment,
     _edge_vector,
@@ -51,18 +51,24 @@ _LpRun = namedtuple("_LpRun", "u lower upper iterations")
 
 
 def _schur(T, d):
-    """``r -> (A B A^T)^-1 r`` by ``T.factor``, ``A = T.a_eq``, ``B = D_s -
-    d_s d_s^T / sum d`` for weights ``d`` (n, 4), the diagonal summed from
-    the other three weights and the blocks scaled to the gauge border's O(1)."""
-    n, g, ds = d.shape[0], d.sum(axis=1), d[:, :3]
+    """``r -> (A B A^T)^-1 r``, ``A = T.a_eq``, ``B = D_s - d_s d_s^T / sum d``
+    for weights ``d`` (n, 4), the diagonal summed from the other three weights:
+    ``T.factor`` of ``B`` over the largest edge sum of its slot diagonals
+    ``c_j B c_j^T``, so the blocks meet the gauge border's O(1)."""
+    g, ds = d.sum(axis=1), d[:, :3]
     B = -ds[:, :, None] * ds[:, None, :] / g[:, None, None]
     np.einsum("tii->ti", B)[...] = ds * (d @ (1.0 - np.eye(4)[:, :3])) / g[:, None]
-    blocks = B.reshape(n, 9) @ _SLOT_KRON
-    scale = float(np.max(T.edge_sums(blocks[:, ::7])))
+    slot_diagonals = np.sum(SLOT_COEF.T * (B @ SLOT_COEF.T), axis=1)
+    scale = float(np.max(T.edge_sums(slot_diagonals)))
     if not 0.0 < scale < math.inf:
         raise np.linalg.LinAlgError(f"Schur blocks of scale {scale}")
-    solve = T.factor((blocks / scale).reshape(n, 6, 6))
+    solve = T.factor(B / scale)
     return lambda r: solve(r) / scale
+
+
+def _reach(x, dx):
+    """The largest step in [0, 1] that keeps ``x + step dx >= 0``."""
+    return float(np.min(-x[dx < 0.0] / dx[dx < 0.0], initial=1.0))
 
 
 def linprog(T, b_eq):
@@ -94,9 +100,6 @@ def linprog(T, b_eq):
     nu, kappa = np.zeros(b.size), np.full(n, 0.25 / n)
     Z = np.tile(kappa[:, None], 4)
     best, upper = (-math.inf, None), math.inf
-
-    def reach(x, dx):  # the largest step in [0, 1] that keeps x + step dx >= 0
-        return float(np.min(-x[dx < 0.0] / dx[dx < 0.0], initial=1.0))
 
     def judge(X, t, nu, kappa):
         # keep the best witness on the edge rows and the least dual bound
@@ -138,7 +141,7 @@ def linprog(T, b_eq):
             solve = _schur(T, d)
             aff = direction(d, solve, -X - d * r_d, r_e, r_k, r_t)
             dZ = -Z - Z * aff[0] / X
-            ap, ad = reach(X, aff[0]), reach(Z, dZ)
+            ap, ad = _reach(X, aff[0]), _reach(Z, dZ)
             mu_aff = float(((X + ap * aff[0]) * (Z + ad * dZ)).mean())
             r_c = (mu_aff / XZ.mean()) ** 3 * XZ.mean() - XZ - aff[0] * dZ
             dX, dt, dnu, dkappa = direction(d, solve, r_c / Z - d * r_d, r_e, r_k, r_t)
@@ -156,7 +159,7 @@ def linprog(T, b_eq):
         except np.linalg.LinAlgError:
             break
         judge(X + dX, t + dt, nu + dnu, kappa + dkappa)
-        ap, ad = min(1.0, _ETA * reach(X, dX)), min(1.0, _ETA * reach(Z, dZ))
+        ap, ad = min(1.0, _ETA * _reach(X, dX)), min(1.0, _ETA * _reach(Z, dZ))
         X, t = X + ap * dX, t + ap * dt
         Z, nu, kappa = Z + ad * dZ, nu + ad * dnu, kappa + ad * dkappa
     lo, ft = best[0], FEASIBILITY_TOL

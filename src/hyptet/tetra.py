@@ -33,9 +33,10 @@ The central objects:
   closed angle polytope (angles in [0, pi], apex sum at most pi, cusp sums
   pi) and its open interior; ``classify_angles``, ``volume_from_angles``,
   ``angles_to_lengths``, ``volume_gradient`` and ``is_member`` read it;
-* ``_volume_hessian`` / ``_covolume_hessian`` -- the closed-form volume
-  Hessian in the chart and, through the Schlaefli identity, the co-volume
-  Hessian ``C (-2 H)^-1 C^T``, batched over cells for the solvers;
+* ``_volume_hessian`` / ``_covolume_block`` -- the closed-form volume
+  Hessian ``H`` in the chart and, through the Schlaefli identity, the
+  co-volume Hessian's chart block ``(-2 H)^-1``, batched over cells for
+  ``T.factor``; ``_covolume_hessian`` is ``C (-2 H)^-1 C^T``;
 * ``_vertex_lengths`` -- the vertex triangle's formula, the half-side law;
   ``angles_to_lengths`` and ``hyperbolic_triangle_sides`` read it.
 """
@@ -73,9 +74,6 @@ GAUGE_VECTORS = np.array(
 #: slot angles as affine functions of (a12, a13, a14): coefficients and offsets
 SLOT_COEF = VOLUME_CHART[1:]
 SLOT_CONST = np.array([0.0, 0.0, 0.0, PI / 2.0, PI / 2.0, PI / 2.0])
-#: ``(C kron C)^T`` (``C = SLOT_COEF``), (9, 36): a 3x3 block ``X`` flattened
-#: row by row, times it, is ``C X C^T`` flattened, as ``T.factor`` takes it
-_SLOT_KRON = np.ascontiguousarray(np.kron(SLOT_COEF, SLOT_COEF).T)
 
 #: the three flat-collapse angle patterns (closure corner points), and the
 #: vertices of a cell's closed angle polytope (u >= 0, sum u <= pi), (6, 4)
@@ -391,7 +389,12 @@ def _volume_hessian(angles):
 
 
 def _covolume_hessian(angles):
-    """Co-volume Hessians ``C (-2 H)^-1 C^T`` at extended angles, (n, 6, 6).
+    """``_covolume_block`` in slot coordinates, ``C X C^T``, (n, 6, 6)."""
+    return SLOT_COEF @ _covolume_block(angles) @ SLOT_COEF.T
+
+
+def _covolume_block(angles):
+    """Co-volume chart blocks ``(-2 H)^-1`` at extended angles, (n, 3, 3).
 
     Schlaefli gives ``d(2 vol)/du = -C^T l`` (``C = SLOT_COEF``,
     ``H = _volume_hessian``).  ``(-2 H)^-1`` is the top-left 3x3 of
@@ -411,7 +414,7 @@ def _covolume_hessian(angles):
     K[:, 3, 3] = -4.0 * np.tan(args[:, 0])
     inv = np.linalg.inv(K)[:, :3, :3]
     inv[clamped] = 0.0
-    return SLOT_COEF @ inv @ SLOT_COEF.T
+    return inv
 
 
 def boundary_face_hessian(a13, a14):

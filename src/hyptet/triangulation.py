@@ -18,10 +18,10 @@ and corner, classes numbered in the order of their least member, and
 The decoration (horosphere rescaling) action on metrics acts along one
 gauge vector per cusped vertex class, the columns of the sparse
 ``Triangulation.gauge_matrix``; curvature and dihedral angles are
-invariant under it.  ``Triangulation.a_eq`` holds the edge equations,
-``Triangulation.factor`` factors every linear system the solvers need and
-``Triangulation.project`` is its projector onto the gauge complement; each
-is built once per triangulation and cached on it.
+invariant under it.  ``Triangulation.a_eq`` holds the edge equations ``A``,
+``Triangulation.factor`` factors every Newton step's system ``A X A^T``
+and ``Triangulation.project`` is its projector onto the gauge complement;
+each is built once per triangulation and cached on it.
 
 Document format (JSON)::
 
@@ -37,6 +37,7 @@ its lexicographically least ``(tet, vertex-pair)`` slot, written
 ``"tet:pq"``.
 """
 
+import copy
 import itertools
 import sys
 from dataclasses import dataclass
@@ -77,10 +78,13 @@ _FACES = {
 TWO_PI = 2.0 * np.pi
 #: admissibility tolerance, relative to the largest cone target value
 ADMISSIBILITY_TOL = 1e-9
-#: SuperLU's threshold for keeping a diagonal pivot of ``Triangulation.factor``'s
-#: symmetric bordered matrices, and the options that make it prefer them
-_PIVOT_THRESH = 0.1
-_LU_OPTIONS = {"SymmetricMode": True}
+#: SuperLU's options for ``Triangulation.factor``'s symmetric bordered
+#: matrices: the stored order kept (which sets its SymmetricMode), and a
+#: diagonal pivot preferred unless below 0.1 of its column's largest entry
+_LU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1)
+#: ``(C kron C)^T`` (``C = SLOT_COEF``), (9, 36): a 3x3 block ``X`` flattened
+#: row by row, times it, is its slot block ``C X C^T`` flattened
+_SLOT_KRON = np.ascontiguousarray(np.kron(tetra.SLOT_COEF, tetra.SLOT_COEF).T)
 
 
 def _classes(size, pairs):
@@ -137,35 +141,33 @@ class Triangulation:
 
     @cached_property
     def factor(self):
-        """Sparse LUs of ``[[S + s I, W], [W^T, 0]]``, ``W = gauge_matrix``.
+        """Sparse LUs of ``[[A X A^T + s I, W], [W^T, 0]]``, ``A = a_eq``,
+        ``W = gauge_matrix``: the edge system of every Newton step.
 
-        ``S`` sums per-tetrahedron (n, 6, 6) slot blocks through
-        ``slot_class``; a scalar is broadcast to every block.  ``C B^-1 C^T``
-        (``C = SLOT_COEF``) give the primal's ``A B^-1 A^T``, the co-volume
-        blocks the dual Hessian.  Both have ``S W = 0`` (``W^T A = 0``), so
-        for ``W^T r = 0`` the solution of ``[r; 0]`` is the ``x`` with
-        ``W^T x = 0`` and ``(S + s I) x = r``; it is unique for ``s > 0``
-        and, as ``rank A = E - cusps``, for the primal.  Zero blocks with
-        ``s = 1`` give ``project``.  ``factor(blocks, s=0.0)`` refills the
-        CSC pattern built here, once per triangulation, and returns
+        ``factor(blocks, s=0.0)`` takes ``X`` as one 3x3 block per cell in the
+        free chart, anything that broadcasts to (n, 3, 3), and returns
         ``r -> x`` for ``r`` of shape (E,) or (E, k); a singular LU raises
-        ``LinAlgError``.
+        ``LinAlgError``.  A block enters as its slot block ``C X C^T``
+        (``C = SLOT_COEF``), formed here alone, by ``_SLOT_KRON``.  As
+        ``W^T A = 0``, for ``W^T r = 0`` the solution of ``[r; 0]`` is the
+        ``x`` with ``W^T x = 0`` and ``(A X A^T + s I) x = r``, unique for
+        ``s > 0`` and, as ``rank A = E - cusps``, for positive definite ``X``.
 
-        The pattern is stored in one symmetric fill-reducing order (reverse
-        Cuthill-McKee), so each LU keeps that order instead of ordering the
-        same pattern again.  The matrix is symmetric and its zero border
-        diagonal still needs row exchanges, so pivoting is thresholded
-        (``_PIVOT_THRESH``): SuperLU keeps a diagonal pivot unless it is
-        below that share of its column's largest entry, which keeps the
-        fill near the pattern's own (George & Liu, *Computer Solution of
-        Large Sparse Positive Definite Systems*).  The closure holds sizes
-        and arrays, not ``self``, so a used triangulation is still freed by
-        its reference count.
+        The pattern is one CSC matrix with int32 canonical indices, built
+        here once per triangulation in one symmetric fill-reducing order
+        (reverse Cuthill-McKee), so no LU orders it again; a call hands
+        SuperLU a shallow copy carrying its own values, so no index array is
+        checked again and no LU reads another's.  The zero border diagonal
+        needs row exchanges, so pivoting is thresholded (``_LU_OPTIONS``),
+        which keeps the fill near the pattern's own (George & Liu, *Computer
+        Solution of Large Sparse Positive Definite Systems*).  The closure
+        holds sizes and arrays, not ``self``, so a used triangulation is
+        still freed by its reference count.
         """
         W = self.gauge_matrix.tocoo()
         n, (E, m), we, wc = self.n_tetrahedra, W.shape, W.row, W.col
         N, sc, diag = E + m, self.slot_class, np.arange(E)
-        # block entry (t, i, j) sits at (slot_class[t, i], slot_class[t, j])
+        # slot block entry (t, i, j) sits at (slot_class[t, i], slot_class[t, j])
         rows = np.concatenate([np.repeat(sc, 6, axis=1).ravel(), diag, we, E + wc])
         cols = np.concatenate([np.tile(sc, 6).ravel(), diag, E + wc, we])
         graph = sparse.csc_matrix((np.ones(rows.size), (rows, cols)), shape=(N, N))
@@ -174,20 +176,18 @@ class Triangulation:
         at = np.empty(N, dtype=np.intp)
         at[order] = np.arange(N)
         keys, slot = np.unique(at[cols] * N + at[rows], return_inverse=True)
-        pattern = keys % N, np.searchsorted(keys, np.arange(N + 1) * N)
+        ends = np.searchsorted(keys, np.arange(N + 1) * N)
+        pattern = sparse.csc_matrix((np.ones(keys.size), keys % N, ends), shape=(N, N))
+        pattern.has_canonical_format = True  # the keys are sorted and unique
         border = np.tile(W.data, 2)
 
         def factor(blocks, s=0.0):
-            blocks = np.broadcast_to(blocks, (n, 6, 6))
-            weights = np.concatenate([blocks.ravel(), np.full(E, s), border])
-            data = np.bincount(slot, weights=weights, minlength=keys.size)
+            X = np.broadcast_to(blocks, (n, 3, 3)).reshape(n, 9)
+            weights = np.concatenate([(X @ _SLOT_KRON).ravel(), np.full(E, s), border])
+            matrix = copy.copy(pattern)
+            matrix.data = np.bincount(slot, weights=weights, minlength=keys.size)
             try:
-                lu = splu(
-                    sparse.csc_matrix((data, *pattern), shape=(N, N)),
-                    permc_spec="NATURAL",
-                    diag_pivot_thresh=_PIVOT_THRESH,
-                    options=_LU_OPTIONS,
-                )
+                lu = splu(matrix, **_LU_OPTIONS)
             except RuntimeError as exc:
                 raise np.linalg.LinAlgError(str(exc)) from exc
 
@@ -203,7 +203,7 @@ class Triangulation:
     def project(self):
         """``r -> r - W (W^T W)^-1 W^T r`` for ``r`` of shape (E,) or (E, k),
         the orthogonal projector onto the gauge complement: ``factor`` of
-        zero blocks with ``s = 1``, factored once per triangulation."""
+        ``X = 0`` with ``s = 1``, factored once per triangulation."""
         return self.factor(0.0, 1.0)
 
     @cached_property
@@ -231,10 +231,9 @@ class Triangulation:
     @cached_property
     def solve_eye(self):
         """``r -> (A A^T)^-1 r`` for ``r`` with ``W^T r = 0``, ``A = a_eq``:
-        ``factor`` of the blocks ``C C^T`` (``C = SLOT_COEF``), factored once
-        per triangulation.  The primal projects onto the null space of ``A``
-        by ``g - A^T solve_eye(A g)``."""
-        return self.factor(tetra.SLOT_COEF @ tetra.SLOT_COEF.T)
+        ``factor`` of ``X = I``, factored once per triangulation.  The primal
+        projects onto the null space of ``A`` by ``g - A^T solve_eye(A g)``."""
+        return self.factor(np.eye(3))
 
     @property
     def gauge_projector(self):

@@ -2,8 +2,11 @@
 iteration and work counts."""
 
 import gc
+import sys
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from conftest import (
     random_gluing_document,
     snake_document,
 )
+from scipy import sparse
 from scipy.linalg import block_diag, null_space
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
@@ -44,19 +48,19 @@ from hyptet._kernels import (
     volume_gradient_batch,
 )
 from hyptet.optimize import (
-    _SLOT_KRON,
     _Barrier,
     _barrier_hessian,
     _newton,
     _sym3_inverse,
 )
 from hyptet.selftest import sample_interior_angles
-from hyptet.structures import FeasibilityStatus
+from hyptet.structures import FeasibilityStatus, _schur
 from hyptet.tetra import (
     GAUGE_VECTORS,
     SLOT_COEF,
     SLOT_CONST,
     _cell_slacks,
+    _covolume_block,
     _covolume_hessian,
     _slot_angles,
     _volume_hessian,
@@ -105,9 +109,16 @@ def _dense_dual_hessian(T, L):
 
 
 def _primal_blocks(u, mu):
-    """The primal step's slot blocks ``C B^-1 C^T`` at ``u`` and weight ``mu``."""
+    """The primal step's blocks ``B^-1`` (n, 3, 3) at ``u`` and weight ``mu``."""
     B = _barrier_hessian(_slot_angles(u), _cell_slacks(u), mu)
-    return (_sym3_inverse(B) @ _SLOT_KRON).reshape(-1, 6, 6)
+    return _sym3_inverse(B).reshape(-1, 3, 3)
+
+
+def _lp_blocks(T, d):
+    """The scaled Schur blocks (n, 3, 3) that ``_schur`` factors at weights ``d``."""
+    seen = []
+    _schur(SimpleNamespace(edge_sums=T.edge_sums, factor=seen.append), d)
+    return seen[0]
 
 
 def test_volume_hessian_matches_fd_of_gradient():
@@ -195,9 +206,13 @@ def test_covolume_hessian_is_the_dual_block(name):
     blocks = _covolume_hessian(extended_angles_batch(L))
     interior = [t for t, l in enumerate(L) if classify(l) is RegionLabel.INTERIOR]
     assert len(interior) >= T.n_tetrahedra // 2
+    chart = _covolume_block(extended_angles_batch(L))
     for t in interior:
         H = covolume_hessian(L[t])
         assert np.array_equal(H, blocks[t])
+        # and the 3x3 block the dual hands T.factor
+        single = _covolume_block(extended_angles_batch(L[t : t + 1]))[0]
+        assert np.array_equal(single, chart[t])
         norm = float(np.max(np.abs(H)))
         assert np.max(np.abs(H @ GAUGE_VECTORS.T)) <= 1e-12 * norm
 
@@ -221,7 +236,7 @@ def test_bordered_dual_step_matches_dense_gauge_complement_step(name):
         s = shift or min(float(np.max(np.abs(g))), 1.0)
         pg = project(g)
         assert np.max(np.abs(pg - P @ g)) <= 1e-12 * np.max(np.abs(g))
-        dx = factor(_covolume_hessian(extended_angles_batch(L)), s)(-pg)
+        dx = factor(_covolume_block(extended_angles_batch(L)), s)(-pg)
         # dense oracle: shifted Newton step in an orthonormal gauge-complement basis
         H = Z.T @ _dense_dual_hessian(T, L) @ Z + s * np.eye(Z.shape[1])
         dense = Z @ np.linalg.solve(H, -Z.T @ g)
@@ -386,40 +401,94 @@ def test_maximize_cover512_solves():
 
 def _solver_systems(T, rng):
     """(label, blocks, s) of every kind of system the solvers factor: primal
-    blocks at the start and at the last iterate of a barrier run, the dual's
-    co-volume blocks with its shift ``min(res, 1)``, at cells inside and
-    clamped by a wide draw, and the projector's zero blocks."""
+    blocks at the start and at the last iterate of a barrier run, the LP's
+    Schur blocks at weights spread over 1e-8..1e8, the dual's co-volume
+    blocks with its shift ``min(res, 1)``, at cells inside and clamped by a
+    wide draw, and the blocks of ``solve_eye`` and ``project``."""
     angles, k = _interior_target(T, rng)
     last = maximize_volume(T, k, tol=1e-8).maximizer.values[:, :3].ravel()
+    even = rng.uniform(0.5, 2.0, (T.n_tetrahedra, 4))
+    weights = 10.0 ** rng.uniform(-8.0, 8.0, (T.n_tetrahedra, 4))
     out = [
         ("primal start", _primal_blocks(angles[:, :3].ravel(), 1e-1), 0.0),
         ("primal last", _primal_blocks(last, 1e-9), 0.0),
+        ("lp even", _lp_blocks(T, even), 0.0),
+        ("lp spread", _lp_blocks(T, weights), 0.0),
+        ("solve_eye", np.eye(3), 0.0),
         ("projector", 0.0, 1.0),
     ]
     for spread in (0.4, 3.0):
         x = rng.uniform(-spread, spread, T.n_edge_classes)
         A = extended_angles_batch(x[T.slot_class])
         res = float(np.max(np.abs(T.edge_sums(A) - k.values)))
-        out.append((f"dual {spread}", _covolume_hessian(A), min(res, 1.0)))
+        out.append((f"dual {spread}", _covolume_block(A), min(res, 1.0)))
     return out
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_bordered_solve_residual(name):
-    # for W^T r = 0 the bordered solve is the x with (S + s I) x = r and
+    # for W^T r = 0 the bordered solve is the x with (A X A^T + s I) x = r and
     # W^T x = 0; thresholded pivoting must keep it accurate on every kind of
-    # block the solvers pass, each checked against its own S
+    # block the solvers pass, each checked against its own dense A X A^T
     T = validate(FIXTURES[name]())
     rng = np.random.default_rng(83)
+    A = T.a_eq.toarray()
     W = T.gauge_matrix.toarray()
     P = np.eye(T.n_edge_classes) - W @ np.linalg.solve(W.T @ W, W.T)
     for label, blocks, s in _solver_systems(T, rng):
-        S = _slot_sum(T, np.broadcast_to(blocks, (T.n_tetrahedra, 6, 6)))
+        X = block_diag(*np.broadcast_to(blocks, (T.n_tetrahedra, 3, 3)))
+        S = A @ X @ A.T
         r = P @ rng.standard_normal(T.n_edge_classes)
         x = T.factor(blocks, s)(r)
         scale = float(np.max(np.abs(r)))
+        if label == "lp spread":
+            # weights over 16 decades leave A X A^T singular to float
+            # precision: there the solve can only be backward stable
+            scale += float(np.max(np.abs(S))) * float(np.max(np.abs(x)))
         assert np.max(np.abs(S @ x + s * x - r)) <= 1e-10 * scale, label
         assert np.max(np.abs(W.T @ x)) <= 1e-10 * float(np.max(np.abs(x))), label
+
+
+def test_factor_builds_no_matrix_per_call(monkeypatch):
+    # the builder makes the one CSC pattern; a call hands SuperLU a copy
+    # with its own values and the shared index arrays, so no call constructs
+    # a matrix or writes one an earlier LU was made from, and an LU made
+    # before later ones, or beside them in other threads, still solves as a
+    # fresh factorization does
+    T = validate(cover_document(16))
+    rng = np.random.default_rng(90)
+    factor, built, seen = T.factor, [], []
+    for cls in (sparse.csc_matrix, sparse.csc_array):
+        init = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__",
+            lambda self, *a, init=init, **kw: built.append(1) or init(self, *a, **kw),
+        )
+    monkeypatch.setattr(
+        triangulation, "splu",
+        lambda A, **kw: seen.append((A, A.data.copy())) or splu(A, **kw),
+    )
+    angles, _ = _interior_target(T, rng)
+    blocks = _primal_blocks(angles[:, :3].ravel(), 1e-3)
+    r = T.project(rng.standard_normal(T.n_edge_classes))
+    first = factor(blocks)
+    x = first(r)
+    T.solve_eye(r)
+    y = factor(2.0 * blocks, 1.0)(r)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = pool.map(lambda c: factor(c * blocks, c - 1.0)(r), [1.0, 2.0] * 128)
+            runs = [run.tobytes() for run in runs]
+    finally:
+        sys.setswitchinterval(switch)
+    assert built == []
+    assert first(r).tobytes() == x.tobytes() == factor(blocks)(r).tobytes()
+    assert runs == [x.tobytes(), y.tobytes()] * 128
+    assert len({id(A) for A, _ in seen}) == len(seen)
+    assert all(A.indices is seen[0][0].indices for A, _ in seen)
+    assert all(np.array_equal(A.data, data) for A, data in seen)
 
 
 def _barrier_blocks(rng, n, mu, apex=None, gap=None):

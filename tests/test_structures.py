@@ -533,8 +533,9 @@ def test_linprog_keeps_boundary_only_witnesses_on_the_edge_rows(name):
 
 @pytest.mark.parametrize("c", [1e-100, 1e-20, 1e20, 1e100])
 def test_schur_blocks_are_scaled_before_the_factor(c):
-    # T.factor's gauge border is O(1), so the blocks reach it scaled to a
-    # largest edge diagonal of 1, and the solve is the same at any scale
+    # T.factor's gauge border is O(1), so the 3x3 chart blocks reach it scaled
+    # to a largest edge sum of slot diagonals c_j B c_j^T of 1, and the solve
+    # is the same at any scale
     T = validate(cover_document(4))
     rng = np.random.default_rng(3)
     d = rng.uniform(0.5, 2.0, (T.n_tetrahedra, 4))
@@ -543,7 +544,9 @@ def test_schur_blocks_are_scaled_before_the_factor(c):
     factor, seen = T.factor, []
     T.__dict__["factor"] = lambda blocks: seen.append(blocks) or factor(blocks)
     y = c * _schur(T, c * d)(r)
-    assert np.max(T.edge_sums(seen[0].reshape(-1, 36)[:, ::7])) == pytest.approx(1.0)
+    assert seen[0].shape == (T.n_tetrahedra, 3, 3)
+    slot_diagonals = np.einsum("jp,tpq,jq->tj", SLOT_COEF, seen[0], SLOT_COEF)
+    assert np.max(T.edge_sums(slot_diagonals)) == pytest.approx(1.0)
     assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
 
 
