@@ -11,17 +11,20 @@ and corner ``(t, v)`` is ``4t + v - 1``, so both numberings follow the
 lexicographic order of the pairs; ``PAIRS`` is ``tetra.PAIRS``, and the
 gluing tables below derive from it.  Edge and vertex classes are the
 connected components of slots / corners under the gluing
-identifications.  ``Triangulation.slot_class`` (n, 6) and
-``Triangulation.corner_class`` (n, 4) hold the class index of each slot
-and corner, classes numbered in the order of their least member, and
-``Triangulation.edge_sums`` sums a per-slot array over each edge class.
+identifications, found by a numpy union-find.  ``Triangulation.slot_class``
+(n, 6) and ``Triangulation.corner_class`` (n, 4) hold the class index of
+each slot and corner, classes numbered in the order of their least member,
+and ``Triangulation.edge_sums`` sums a per-slot array over each edge class.
 The decoration (horosphere rescaling) action on metrics acts along one
 gauge vector per cusped vertex class, the columns of the sparse
 ``Triangulation.gauge_matrix``; curvature and dihedral angles are
 invariant under it.  ``Triangulation.a_eq`` holds the edge equations ``A``,
 ``Triangulation.factor`` factors every Newton step's system ``A X A^T``
-and ``Triangulation.project`` is its projector onto the gauge complement;
-each is built once per triangulation and cached on it.
+and ``Triangulation.project`` is its projector onto the gauge complement.
+These four are built on first use and cached on the triangulation, and
+they alone load scipy: validation, classes, curvature and the
+admissibility check run on numpy only, so a process that never solves
+never loads scipy.
 
 Document format (JSON)::
 
@@ -44,9 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
-from scipy.sparse.linalg import splu
 
 from . import tetra
 from ._kernels import extended_angles_batch
@@ -89,13 +89,19 @@ _SLOT_KRON = np.ascontiguousarray(np.kron(tetra.SLOT_COEF, tetra.SLOT_COEF).T)
 
 def _classes(size, pairs):
     """Class index of each of ``size`` items under the identified ``pairs``,
-    classes numbered in the order of their least member."""
+    classes numbered in the order of their least member.
+
+    Union-find by hooking and shortcutting: while a pair's two roots differ,
+    each root hooks to the least root paired with it, and then every item
+    jumps to its root.  A pointer never rises, so each root is the least
+    member of its class."""
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    graph = sparse.coo_matrix((np.ones(i.size), (i, j)), shape=(size, size))
-    _, labels = connected_components(graph, directed=False)
-    # scipy does not promise an order of its labels: renumber by least member
-    _, least = np.unique(labels, return_index=True)
-    return np.unique(least[labels], return_inverse=True)[1]
+    root = np.arange(size)
+    while not np.array_equal(a := root[i], b := root[j]):
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := root[root], root):
+            root = up
+    return np.unique(root, return_inverse=True)[1]
 
 
 @dataclass(frozen=True)
@@ -129,13 +135,20 @@ class Triangulation:
         _, least = np.unique(corner_class, return_index=True)
         # a class is cusped unless its least corner is a truncated one, 4t
         self.ideal_classes = np.flatnonzero(least % 4)
-        # sparse gauge matrix: one column per cusped vertex class, entry =
-        # number of endpoints of the edge class in that vertex class (well
-        # defined: gluings identify edges together with their endpoints)
-        ends = corner_class[tet[:, None], _PAIR_ENDS[slot]]
+        #: vertex class of both endpoints of each edge class, shape (E, 2)
+        #: (well defined: gluings identify edges together with their endpoints)
+        self.edge_ends = corner_class[tet[:, None], _PAIR_ENDS[slot]]
+
+    @cached_property
+    def gauge_matrix(self):
+        """Sparse CSR (E, cusps): one column per cusped vertex class, entry =
+        number of endpoints of the edge class in that vertex class."""
+        from scipy import sparse
+
+        ends = self.edge_ends.ravel()
         edge = np.repeat(np.arange(self.n_edge_classes), 2)
-        self.gauge_matrix = sparse.csr_matrix(
-            (np.ones(ends.size), (edge, ends.ravel())),
+        return sparse.csr_matrix(
+            (np.ones(ends.size), (edge, ends)),
             shape=(self.n_edge_classes, self.n_vertex_classes),
         )[:, self.ideal_classes]
 
@@ -164,6 +177,9 @@ class Triangulation:
         holds sizes and arrays, not ``self``, so a used triangulation is
         still freed by its reference count.
         """
+        from scipy import sparse
+        from scipy.sparse import csgraph, linalg
+
         W = self.gauge_matrix.tocoo()
         n, (E, m), we, wc = self.n_tetrahedra, W.shape, W.row, W.col
         N, sc, diag = E + m, self.slot_class, np.arange(E)
@@ -171,7 +187,7 @@ class Triangulation:
         rows = np.concatenate([np.repeat(sc, 6, axis=1).ravel(), diag, we, E + wc])
         cols = np.concatenate([np.tile(sc, 6).ravel(), diag, E + wc, we])
         graph = sparse.csc_matrix((np.ones(rows.size), (rows, cols)), shape=(N, N))
-        order = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        order = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
         # entry (i, j) of the bordered matrix is entry (at[i], at[j]) of the stored one
         at = np.empty(N, dtype=np.intp)
         at[order] = np.arange(N)
@@ -187,7 +203,7 @@ class Triangulation:
             matrix = copy.copy(pattern)
             matrix.data = np.bincount(slot, weights=weights, minlength=keys.size)
             try:
-                lu = splu(matrix, **_LU_OPTIONS)
+                lu = linalg.splu(matrix, **_LU_OPTIONS)
             except RuntimeError as exc:
                 raise np.linalg.LinAlgError(str(exc)) from exc
 
@@ -211,6 +227,8 @@ class Triangulation:
         """The edge equations in the free chart, CSR (E, 3n): row ``e`` sums
         the ``SLOT_COEF`` rows of edge class ``e``'s slots at their cells' free
         angles.  It reads ``slot_class`` alone, so every cone target shares it."""
+        from scipy import sparse
+
         n = self.n_tetrahedra
         rows = np.repeat(self.slot_class, 3, axis=1)
         cols = np.tile(3 * np.arange(n)[:, None] + np.arange(3), (1, 6))
@@ -532,7 +550,11 @@ def admissibility_residual(T, cone_values):
     k = _edge_vector(T, cone_values, "cone target")
     # summed at scale max(1, max|k|): values near the float limit overflow
     scale = max(1.0, float(np.max(np.abs(k))))
-    lhs = T.gauge_matrix.T @ (k / scale)
+    # W^T k: each edge class adds its value at the class of each endpoint
+    lhs = np.bincount(
+        T.edge_ends.ravel(), weights=np.repeat(k / scale, 2),
+        minlength=T.n_vertex_classes,
+    )[T.ideal_classes]
     rhs = np.pi * T.corners[T.ideal_classes] / scale
     return scale * float(np.max(np.abs(lhs - rhs)))
 

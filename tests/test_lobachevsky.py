@@ -49,6 +49,27 @@ def test_accuracy_over_ten_periods():
     assert np.max(np.abs(lobachevsky(th) - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "theta, bound",
+    [
+        (np.concatenate([np.linspace(0.0, PI, 102)[1:-1],
+                         np.random.default_rng(11).uniform(0.0, PI, 100)]), 2e-15),
+        (np.random.default_rng(9).uniform(-10.0 * PI, 10.0 * PI, 200), 1e-14),
+    ],
+    ids=["one-period", "ten-periods"],
+)
+def test_reference_against_clausen(theta, bound):
+    # Lobachevsky's function is Cl_2(2 theta) / 2, Clausen's, here at 40
+    # digits of the float theta.  Measured on these samples: 5.2e-16 and
+    # 2.9e-15; over ten periods the reduction of theta by m pi in double
+    # dominates, and reaches 7.5e-15 on 2000 samples
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = [float(mpmath.clsin(2, 2 * mpmath.mpf(float(t))) / 2) for t in theta]
+    got = [lobachevsky_reference(t, 1e-12) for t in theta]
+    assert np.max(np.abs(np.subtract(got, want))) <= bound
+
+
 def test_derivative_values():
     assert lobachevsky_derivative(PI / 6.0) == pytest.approx(0.0, abs=1e-15)
     assert lobachevsky_derivative(PI / 2.0) == pytest.approx(-math.log(2.0), abs=1e-15)
@@ -106,3 +127,12 @@ def test_a_non_finite_theta_raises(call):
 
 def test_reference_at_zero():
     assert lobachevsky_reference(0.0, 1e-12) == 0.0
+
+
+@pytest.mark.parametrize("theta", [5e-324, 1e-310, 1e-300, 1e-9, 2e-8])
+def test_reference_at_tiny_angles(theta):
+    # below 1e-8 the smooth part rounds to 0, and a node times a subnormal
+    # theta would underflow to 0 and divide 0 by 0
+    assert lobachevsky_reference(theta, 1e-12) == pytest.approx(
+        lobachevsky(theta), rel=1e-15
+    )

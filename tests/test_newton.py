@@ -40,7 +40,7 @@ from hyptet import (
     solve_cone_angles,
     validate,
 )
-from hyptet import optimize, triangulation
+from hyptet import optimize
 from hyptet._kernels import (
     extended_angles_batch,
     phi_batch,
@@ -465,7 +465,7 @@ def test_factor_builds_no_matrix_per_call(monkeypatch):
             lambda self, *a, init=init, **kw: built.append(1) or init(self, *a, **kw),
         )
     monkeypatch.setattr(
-        triangulation, "splu",
+        "scipy.sparse.linalg.splu",
         lambda A, **kw: seen.append((A, A.data.copy())) or splu(A, **kw),
     )
     angles, _ = _interior_target(T, rng)
@@ -563,7 +563,7 @@ def test_solver_work_counts(doc, monkeypatch):
 
         return run
 
-    monkeypatch.setattr(triangulation, "splu", counted_splu)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", counted_splu)
     monkeypatch.setattr(optimize, "volume2_batch", counted(volume2_batch, volumes))
     monkeypatch.setattr(
         optimize, "volume_gradient_batch", counted(volume_gradient_batch, gradients)
@@ -594,9 +594,10 @@ def test_one_build_per_triangulation(monkeypatch):
         return run
 
     monkeypatch.setattr(
-        triangulation, "reverse_cuthill_mckee", counted(reverse_cuthill_mckee, orders)
+        "scipy.sparse.csgraph.reverse_cuthill_mckee",
+        counted(reverse_cuthill_mckee, orders),
     )
-    monkeypatch.setattr(triangulation, "splu", counted(splu, lus))
+    monkeypatch.setattr("scipy.sparse.linalg.splu", counted(splu, lus))
     assert not np.array_equal(assemble(T, k), assemble(T, k2))
     assert find_interior(T, k2).status is FeasibilityStatus.INTERIOR_FOUND
     maximize_volume(T, k, tol=1e-8)

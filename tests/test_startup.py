@@ -1,48 +1,86 @@
-"""What a fresh process loads: scipy's quadrature and special functions only
-on the calls that use them, and ``scipy.optimize`` with no LP.
+"""What a fresh process loads: numpy alone until the first sparse LU, and
+then ``scipy.sparse`` without ``scipy.optimize``, ``scipy.integrate`` or
+``scipy.special``.
 
-``import scipy.optimize`` alone costs about a third of a second, more than a
-single-cell CLI query.  ``find_interior`` runs the package's own LP, so
-neither it nor ``maximize_volume``'s fallback to it loads the module.
-``scipy.integrate`` loads it, and ``scipy.special``, with itself, so both
-first arrive with the quadrature oracle ``lobachevsky_reference``.  The
-check runs in a fresh interpreter, since this pytest run has
-long loaded all three.
+Importing scipy's sparse modules costs more than a single-cell CLI query,
+and ``scipy.integrate`` brings ``scipy.optimize`` and ``scipy.special`` with
+it.  So single-cell queries, ``fixture``, ``validate``, ``curvature``, the
+admissibility check, the Lobachevsky oracle and ``selftest`` run on numpy
+alone; scipy loads inside ``Triangulation.factor``, ``a_eq`` and
+``gauge_matrix``, with the first solver call.  The checks run in a fresh
+interpreter, since this pytest run has long loaded all of scipy.
 """
 
 import subprocess
 import sys
 
+import pytest
 from conftest import subprocess_env
 
 SCRIPT = """
+import io
 import math
+import os
 import sys
+import tempfile
+from contextlib import redirect_stdout
 
-LAZY = ("scipy.optimize", "scipy.integrate", "scipy.special")
+NEVER = ("scipy.optimize", "scipy.integrate", "scipy.special")
 
 
-def loaded():
-    return [m for m in LAZY if m in sys.modules]
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
 
 
 import numpy as np
 
 import hyptet
-from hyptet import cli, cone_angles, doubled_fixture, find_interior
-from hyptet import lobachevsky_reference, maximize_volume
+from hyptet import (
+    cli, cone_angles, curvature, doubled_fixture, duality_gap, find_interior,
+    lobachevsky_reference, maximize_volume, rigidity_check, solve_cone_angles,
+)
 from hyptet.errors import NoInteriorStart
 from hyptet.structures import FeasibilityStatus
-from hyptet.tetra import SLOT_COEF, SLOT_CONST
+from hyptet.tetra import SLOT_COEF, SLOT_CONST, extended_angles
+from hyptet.triangulation import admissibility_residual
 
-assert not loaded(), ("import", loaded())
-assert cli.main(["tetra", "covolume", "--l", "0.1,-0.2,0.3,0.5,0.4,0.6"]) == 0
-T, k, _ = doubled_fixture([0.1, -0.2, 0.3, 0.5, 0.4, 0.6])
-# phase one lands on the edge equations: the LP is not consulted
-assert maximize_volume(T, k).kkt_residual <= 1e-8
-assert not loaded(), ("cli and primal", loaded())
+assert not scipy_loaded(), ("import", scipy_loaded())
 
-assert find_interior(T, k).status is FeasibilityStatus.INTERIOR_FOUND
+L = "0.1,-0.2,0.3,0.5,0.4,0.6"
+LENGTHS = [float(x) for x in L.split(",")]
+ALPHA = ",".join(repr(float(a)) for a in extended_angles(LENGTHS))
+queries = [
+    ["tetra", "angles-to-lengths", "--alpha", ALPHA],
+    ["tetra", "lengths-to-angles", "--l", L],
+    ["tetra", "classify", "--l", L],
+    ["tetra", "volume", "--alpha", ALPHA],
+    ["tetra", "covolume", "--l", L],
+]
+with tempfile.TemporaryDirectory() as out_dir, redirect_stdout(io.StringIO()) as text:
+    for argv in queries + [
+        ["fixture", "double", "--l", L, "--out-dir", out_dir],
+        ["validate", os.path.join(out_dir, "tri.json")],
+        ["selftest"],
+    ]:
+        assert cli.main(argv) == 0, argv
+assert text.getvalue().splitlines()[4].startswith('{"covolume":')
+T, k, _ = doubled_fixture(LENGTHS)
+kappa = curvature(T, np.full(6, 0.3))
+assert admissibility_residual(T, 2.0 * math.pi - kappa) <= 1e-9
+assert abs(lobachevsky_reference(1.0, 1e-10) - hyptet.lobachevsky(1.0)) <= 1e-10
+assert not scipy_loaded(), ("single-cell and numpy-only calls", scipy_loaded())
+
+first = sys.argv[1]
+if first == "maximize_volume":
+    # phase one lands on the edge equations: the LP is not consulted
+    assert maximize_volume(T, k).kkt_residual <= 1e-8
+else:
+    assert find_interior(T, k).status is FeasibilityStatus.INTERIOR_FOUND
+assert "scipy.sparse.linalg" in sys.modules, (first, scipy_loaded())
+assert not [m for m in NEVER if m in sys.modules], (first, scipy_loaded())
+
+maximize_volume(T, k)
+find_interior(T, k)
 # an apex-pi target has no interior start: the primal falls back to the LP
 apex = np.tile(SLOT_COEF @ [0.5, 1.0, math.pi - 1.5] + SLOT_CONST, (2, 1))
 try:
@@ -51,24 +89,22 @@ except NoInteriorStart as exc:
     assert "BoundaryOnly" in str(exc), exc
 else:
     raise AssertionError("an apex-pi target has no interior start")
-assert not loaded(), ("find_interior and the primal's fallback", loaded())
-
-assert abs(lobachevsky_reference(1.0, 1e-10) - hyptet.lobachevsky(1.0)) <= 1e-10
-# import scipy.integrate brings scipy.optimize (and scipy.special) with it
-assert {"scipy.optimize", "scipy.integrate"} <= set(loaded()), ("quadrature", loaded())
+solve_cone_angles(T, k)
+duality_gap(T, k)
+rigidity_check(T, k, n_starts=2)
+assert not [m for m in NEVER if m in sys.modules], ("every solver", scipy_loaded())
 print("ok")
 """
 
 
-def test_fresh_process_loads_quadrature_alone_on_first_use():
+@pytest.mark.parametrize("first", ["maximize_volume", "find_interior"])
+def test_fresh_process_loads_scipy_with_the_first_sparse_lu(first):
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", SCRIPT, first],
         capture_output=True,
         text=True,
         env=subprocess_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].startswith('{"covolume":')
-    assert lines[-1] == "ok"
+    assert proc.stdout.splitlines() == ["ok"]

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import cover_document, snake_document
+from conftest import cover_document, random_gluing_document, snake_document
 
 from hyptet import (
     AngleAssignment,
@@ -31,7 +31,8 @@ from hyptet.errors import (
     TypeViolation,
     UnpairedFace,
 )
-from hyptet.triangulation import PAIR_INDEX, PAIRS, admissibility_residual
+from hyptet.selftest import sample_interior_angles
+from hyptet.triangulation import PAIR_INDEX, PAIRS, _classes, admissibility_residual
 
 PI = math.pi
 
@@ -463,6 +464,81 @@ def test_classes_match_union_find_on_random_gluings():
     for seed in range(300):
         doc = random_gluing_document(n=2 + 2 * (seed % 20), seed=seed)
         _assert_matches_reference(validate(doc))
+
+
+def _components(size, pairs):
+    """scipy's connected components renumbered by least member: the class
+    numbering ``_classes`` keeps."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    graph = sparse.coo_matrix((np.ones(i.size), (i, j)), shape=(size, size))
+    _, labels = connected_components(graph, directed=False)
+    _, least = np.unique(labels, return_index=True)
+    return np.unique(least[labels], return_inverse=True)[1]
+
+
+def _gluing_pairs(T):
+    """The (slot, slot) and (corner, corner) pairs ``T``'s gluings identify,
+    in the flat numbering."""
+    slots, corners = [], []
+    for g in T.gluings:
+        m = g.vertex_map
+        face_verts = [v for v in (1, 2, 3, 4) if v != g.face]
+        corners += [(4 * g.tet + v - 1, 4 * g.to_tet + m[v - 1] - 1) for v in face_verts]
+        slots += [
+            (6 * g.tet + PAIR_INDEX[p, q],
+             6 * g.to_tet + PAIR_INDEX[tuple(sorted((m[p - 1], m[q - 1])))])
+            for p, q in itertools.combinations(face_verts, 2)
+        ]
+    return slots, corners
+
+
+def _seeded_cover(m, seed):
+    return cover_document(m, np.random.default_rng(seed).integers(0, m, 4).tolist())
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [lambda: _seeded_cover(4, 1), lambda: _seeded_cover(64, 2),
+     lambda: _seeded_cover(512, 3), lambda: cover_document(512),
+     lambda: random_gluing_document(16, 4), lambda: random_gluing_document(256, 5),
+     lambda: random_gluing_document(4096, 6)],
+    ids=["cover4", "cover64", "cover512", "cover512-plain", "random16",
+         "random256", "random4096"],
+)
+def test_classes_match_connected_components(doc):
+    # the numpy union-find labels every slot and corner as scipy's components
+    # renumbered by least member do, and the residual's bincount sums W^T k
+    T = validate(doc())
+    n = T.n_tetrahedra
+    slots, corners = _gluing_pairs(T)
+    assert np.array_equal(_classes(6 * n, slots), _components(6 * n, slots))
+    assert np.array_equal(T.slot_class.ravel(), _components(6 * n, slots))
+    assert np.array_equal(T.corner_class.ravel(), _components(4 * n, corners))
+    W = T.gauge_matrix
+    # the sums are taken in another order: they agree to rounding, not bitwise
+    ulp = np.finfo(np.float64).eps * float(W.sum(axis=0).max())
+    rng = np.random.default_rng(n)
+    admissible = cone_angles(T, sample_interior_angles(rng, n)).values
+    for k in (admissible, rng.uniform(0.0, 2.0 * PI, T.n_edge_classes), 1e300 * admissible):
+        scale = max(1.0, float(np.max(np.abs(k))))
+        lhs = W.T @ (k / scale)
+        want = scale * np.max(np.abs(lhs - PI * T.corners[T.ideal_classes] / scale))
+        assert abs(admissibility_residual(T, k) - want) <= 4.0 * ulp * scale
+
+
+def test_classes_on_a_long_shuffled_cycle():
+    # a cycle through 3/4 of the items in shuffled order, the rest alone:
+    # the hooks run many rounds, and the labels must still be scipy's
+    rng = np.random.default_rng(12)
+    size = 100_000
+    cycle = rng.permutation(size)[: 3 * size // 4]
+    pairs = np.stack([cycle, np.roll(cycle, 1)], axis=1)
+    labels = _classes(size, pairs)
+    assert np.array_equal(labels, _components(size, pairs))
+    assert labels.max() == size // 4
 
 
 def test_unglued_faces_reported_without_walking_every_tetrahedron():
