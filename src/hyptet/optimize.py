@@ -82,7 +82,7 @@ _BACKTRACKS = 40
 _PHASE_ONE = 20
 #: Newton steps per barrier weight in ``maximize_volume``
 _INNER = 150
-#: Newton steps of ``solve_cone_angles`` (a boundary-only run took 483)
+#: Newton steps of ``solve_cone_angles`` before it gives up
 _DUAL_STEPS = 1000
 #: the six distinct entries of a symmetric 3x3, spread over its rows
 _SYM3 = [0, 1, 2, 1, 3, 4, 2, 4, 5]

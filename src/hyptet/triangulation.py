@@ -9,8 +9,10 @@ other via a vertex permutation that preserves vertex types.
 Slots and corners are numbered flat: slot ``(t, PAIRS[j])`` is ``6t + j``
 and corner ``(t, v)`` is ``4t + v - 1``, so both numberings follow the
 lexicographic order of the pairs; ``PAIRS`` is ``tetra.PAIRS``, and the
-gluing tables below derive from it.  Edge and vertex classes are the
-connected components of slots / corners under the gluing
+incidence arrays below derive from it.  ``validate`` keeps each checked
+gluing as one row of the table ``Triangulation.gluings``, (G, 8) integers,
+and reads the identified slot and corner pairs off it at once.  Edge and
+vertex classes are the connected components of slots / corners under those
 identifications, found by a numpy union-find.  ``Triangulation.slot_class``
 (n, 6) and ``Triangulation.corner_class`` (n, 4) hold the class index of
 each slot and corner, classes numbered in the order of their least member,
@@ -65,16 +67,14 @@ TRI_FORMAT = "hyptet-tri-v1"
 ASSIGNMENT_FORMAT = "hyptet-assignment-v1"
 
 PAIR_INDEX = {pair: i for i, pair in enumerate(PAIRS)}
-#: the slot of a vertex pair given in either order
-_SLOT_OF = {pair[::d]: i for pair, i in PAIR_INDEX.items() for d in (1, -1)}
 #: corner index within a tetrahedron of the two endpoints of each slot
 _PAIR_ENDS = np.array(PAIRS) - 1
-#: face f, opposite vertex f: its three vertices and its three (slot, pair)
-_FACES = {
-    f: (tuple(v for v in (1, 2, 3, 4) if v != f),
-        tuple((i, pair) for pair, i in PAIR_INDEX.items() if f not in pair))
-    for f in (1, 2, 3, 4)
-}
+#: row f - 1: the three vertices of face f, opposite vertex f, in order
+_FACE_VERTS = np.array([[v for v in (1, 2, 3, 4) if v != f] for f in (1, 2, 3, 4)])
+#: entry (p, q): the slot joining vertices p and q, given in either order
+_SLOT_AT = np.zeros((5, 5), dtype=np.intp)
+_SLOT_AT[tuple(_PAIR_ENDS.T + 1)] = np.arange(6)
+_SLOT_AT += _SLOT_AT.T
 TWO_PI = 2.0 * np.pi
 #: admissibility tolerance, relative to the largest cone target value
 ADMISSIBILITY_TOL = 1e-9
@@ -104,21 +104,13 @@ def _classes(size, pairs):
     return np.unique(root, return_inverse=True)[1]
 
 
-@dataclass(frozen=True)
-class Gluing:
-    tet: int
-    face: int
-    to_tet: int
-    to_face: int
-    vertex_map: tuple
-
-
 class Triangulation:
     """Validated closed triangulation with derived edge/vertex classes."""
 
     def __init__(self, n_tetrahedra, gluings, slot_class, corner_class):
         self.n_tetrahedra = n_tetrahedra
-        self.gluings = tuple(gluings)
+        #: one row (tet, face, to_tet, to_face, m1, .., m4) per gluing, (G, 8)
+        self.gluings = gluings
         #: per-tetrahedron slot -> edge class index, shape (n, 6)
         self.slot_class = slot_class
         #: per-tetrahedron corner -> vertex class index, shape (n, 4)
@@ -303,11 +295,8 @@ def validate(doc):
     if not isinstance(raw, list):
         raise InvalidDocument("'gluings' must be a list")
 
-    gluings = []
-    paired = {}
-    # identified (slot, slot) and (corner, corner) pairs, flat numbering
-    slot_pairs = []
-    corner_pairs = []
+    rows = []
+    paired = set()
     for idx, g in enumerate(raw):
         where = f"gluing #{idx}"
         if not isinstance(g, dict):
@@ -328,19 +317,19 @@ def validate(doc):
             or sorted(vm) != [1, 2, 3, 4]
         ):
             raise BadPermutation(f"{where}: vertex_map must permute 1..4")
-        vm = tuple(vm)
         if vm[face - 1] != to_face:
             raise BadPermutation(
                 f"{where}: vertex_map must send the opposite vertex {face} "
                 f"to {to_face}"
             )
-        verts, slots = _FACES[face]
-        for v in verts:
-            if (v == 1) != (vm[v - 1] == 1):
-                raise TypeViolation(
-                    f"{where}: vertex {v} -> {vm[v - 1]} mixes truncated and "
-                    "cusped vertices"
-                )
+        # the face keeps every vertex type iff vm fixes vertex 1; the first
+        # vertex of the face that changes type is 1, or on face 1 the one sent to 1
+        if vm[0] != 1:
+            v = vm.index(1) + 1 if face == 1 else 1
+            raise TypeViolation(
+                f"{where}: vertex {v} -> {vm[v - 1]} mixes truncated and "
+                "cusped vertices"
+            )
         for side in ((tet, face), (to_tet, to_face)):
             if side in paired:
                 raise UnpairedFace(
@@ -348,14 +337,8 @@ def validate(doc):
                 )
         if (tet, face) == (to_tet, to_face):
             raise UnpairedFace(f"{where}: face glued to itself")
-        paired[(tet, face)] = (to_tet, to_face)
-        paired[(to_tet, to_face)] = (tet, face)
-        gluings.append(Gluing(tet, face, to_tet, to_face, vm))
-        corner_pairs += [(4 * tet + v - 1, 4 * to_tet + vm[v - 1] - 1) for v in verts]
-        slot_pairs += [
-            (6 * tet + i, 6 * to_tet + _SLOT_OF[vm[p - 1], vm[q - 1]])
-            for i, (p, q) in slots
-        ]
+        paired |= {(tet, face), (to_tet, to_face)}
+        rows.append((tet, face, to_tet, to_face, *vm))
 
     faces = ((t, f) for t in range(n) for f in (1, 2, 3, 4))
     # the first eight in order: the scan stops there, so it costs
@@ -364,19 +347,29 @@ def validate(doc):
     if missing:
         raise UnpairedFace(f"unglued faces remain: {missing}")
 
+    # every face is glued once, so 4n = 2 len(rows) and each entry fits
+    gluings = np.array(rows, dtype=np.intp).reshape(-1, 8)
+    # both sides' tetrahedra and the face's vertices on each side, (2, G, 3)
+    tets = gluings[:, [0, 2]].T[..., None]
+    verts = _FACE_VERTS[gluings[:, 1] - 1]
+    ends = np.stack([verts, np.take_along_axis(gluings[:, 4:], verts - 1, axis=1)])
+    # the face's corners, and its edges: its vertex pairs in lexicographic order
+    corners = 4 * tets + ends - 1
+    slots = 6 * tets + _SLOT_AT[ends[..., [0, 0, 1]], ends[..., [1, 2, 2]]]
     # no vertex class mixes vertex types: each identified corner pair
     # passed the TypeViolation check above
     return Triangulation(
         n,
         gluings,
-        _classes(6 * n, slot_pairs).reshape(n, 6),
-        _classes(4 * n, corner_pairs).reshape(n, 4),
+        _classes(6 * n, np.stack(slots, axis=-1)).reshape(n, 6),
+        _classes(4 * n, np.stack(corners, axis=-1)).reshape(n, 4),
     )
 
 
 def triangulation_document(T):
-    """Emit the JSON document describing ``T``: a gluing's fields are its keys."""
-    gluings = [dict(vars(g), vertex_map=list(g.vertex_map)) for g in T.gluings]
+    """Emit the JSON document describing ``T``, one gluing per table row."""
+    keys = ("tet", "face", "to_tet", "to_face")
+    gluings = [dict(zip(keys, row), vertex_map=row[4:]) for row in T.gluings.tolist()]
     return {"format": TRI_FORMAT, "tetrahedra": T.n_tetrahedra, "gluings": gluings}
 
 

@@ -1,9 +1,22 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite.
 
+The cyclic covers and random gluings are the benchmark's own builders,
+``perfbench/instances.py``, loaded by path: the tests and the benchmark run
+on the same documents.
+"""
+
+import importlib.util
 import os
 from pathlib import Path
 
 import numpy as np
+
+INSTANCES = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
+_spec = importlib.util.spec_from_file_location("perfbench_instances", INSTANCES)
+_instances = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_instances)
+#: ``cover_document(m, shifts=(0, 1, 0, 0))``, 2m tetrahedra
+cover_document = _instances.cover_document
 
 
 def subprocess_env():
@@ -40,24 +53,6 @@ def snake_document():
     }
 
 
-def cover_document(m, shifts=(0, 1, 0, 0)):
-    """m-fold cyclic cover of the doubled tetrahedron, 2m tetrahedra.
-
-    Face f of tet i is glued by the identity map to face f of tet
-    m + (i + s_f) mod m.
-    """
-    return {
-        "format": "hyptet-tri-v1",
-        "tetrahedra": 2 * m,
-        "gluings": [
-            {"tet": i, "face": f, "to_tet": m + (i + shifts[f - 1]) % m,
-             "to_face": f, "vertex_map": [1, 2, 3, 4]}
-            for i in range(m)
-            for f in (1, 2, 3, 4)
-        ],
-    }
-
-
 def disjoint_double_document():
     """Disjoint union of two doubled tetrahedra: four cells, two components."""
     from hyptet.triangulation import double_document
@@ -71,33 +66,5 @@ def disjoint_double_document():
 
 
 def random_gluing_document(n=16, seed=0):
-    """Seeded random closed, type-preserving gluing of ``n`` tetrahedra.
-
-    The faces opposite the truncated vertex pair up among themselves under
-    a random permutation of the cusped vertices; the other 3n faces pair up
-    at random, each map fixing vertex 1 and taking one of the two
-    bijections of the remaining cusped vertices.
-    """
-    rng = np.random.default_rng(seed)
-    gluings = []
-    tets = rng.permutation(n)
-    for a, b in zip(tets[0::2], tets[1::2]):
-        gluings.append(
-            {"tet": int(a), "face": 1, "to_tet": int(b), "to_face": 1,
-             "vertex_map": [1] + [int(v) for v in rng.permutation([2, 3, 4])]}
-        )
-    faces = [(t, f) for t in range(n) for f in (2, 3, 4)]
-    pairs = rng.permutation(len(faces)).reshape(-1, 2)
-    for (t, f), (u, h) in ((faces[i], faces[j]) for i, j in pairs):
-        images = [v for v in (2, 3, 4) if v != h]
-        if rng.random() < 0.5:
-            images.reverse()
-        vertex_map = [1, 0, 0, 0]
-        vertex_map[f - 1] = h
-        for v, w in zip([v for v in (2, 3, 4) if v != f], images):
-            vertex_map[v - 1] = w
-        gluings.append(
-            {"tet": int(t), "face": f, "to_tet": int(u), "to_face": h,
-             "vertex_map": vertex_map}
-        )
-    return {"format": "hyptet-tri-v1", "tetrahedra": n, "gluings": gluings}
+    """The benchmark's random gluing of ``n`` tetrahedra, drawn from ``seed``."""
+    return _instances.random_gluing_document(n, np.random.default_rng(seed))

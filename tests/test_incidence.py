@@ -11,8 +11,8 @@ it must match or beat against a 60-digit reference.
 import itertools
 import math
 
+import mpmath
 import numpy as np
-import pytest
 
 from hyptet import _kernels, tetra, triangulation
 from hyptet.selftest import sample_interior_angles
@@ -128,20 +128,21 @@ def test_triangulation_tables_derive_from_pairs():
 
 
 def test_face_tables_match_the_walk():
-    faces, slot_of = triangulation._FACES, triangulation._SLOT_OF
-    assert sorted(slot_of) == sorted(
-        (p, q) for p in (1, 2, 3, 4) for q in (1, 2, 3, 4) if p != q
-    )
+    face_verts, slot_at = triangulation._FACE_VERTS, triangulation._SLOT_AT
+    assert {(p, q): slot_at[p, q] for p in (1, 2, 3, 4) for q in (1, 2, 3, 4)
+            if p != q} == {pair[::d]: i for pair, i in REF_PAIR_INDEX.items()
+                           for d in (1, -1)}
     for face in (1, 2, 3, 4):
-        verts, slots = faces[face]
-        assert verts == ref_face_vertices(face)
+        verts = face_verts[face - 1]
+        assert tuple(verts.tolist()) == ref_face_vertices(face)
         for vm in itertools.permutations((1, 2, 3, 4)):
-            got = [(i, slot_of[vm[p - 1], vm[q - 1]]) for i, (p, q) in slots]
+            images = np.array(vm)[verts - 1]
+            got = [(slot_at[verts[i], verts[j]], slot_at[images[i], images[j]])
+                   for i, j in itertools.combinations(range(3), 2)]
             assert got == ref_slot_pairs(face, vm)
 
 
 def test_angles_to_lengths_is_no_worse_than_the_reference():
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(2201)
     sets = (
         sample_interior_angles(rng, 10_000),
@@ -160,7 +161,6 @@ def test_angles_to_lengths_is_no_worse_than_the_reference():
 
 
 def test_hyperbolic_triangle_sides_is_no_worse_than_the_reference():
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(2202)
     ang = rng.uniform(1e-6, PI, (150_000, 3))
     ang = ang[ang.sum(axis=1) < PI][:2_000]

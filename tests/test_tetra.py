@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -307,7 +308,6 @@ def _mp_cosh_sides(angles, mpmath):
 def test_vertex_triangle_with_tiny_angles_against_mpmath(eps):
     # sin B sin C underflows, and cosh of a side overflows, though the sides
     # and lengths themselves are moderate
-    mpmath = pytest.importorskip("mpmath")
     for apex in ([eps, eps, eps], [1.0, eps, eps], [eps, 0.5, eps]):
         with mpmath.workdps(60):
             x = _mp_cosh_sides(apex, mpmath)
@@ -352,7 +352,6 @@ def _near_flat_triangles(d):
 def test_vertex_triangle_near_flat_against_mpmath(d):
     # the defect is summed exactly against a two-term pi, so the error stays
     # at rounding level however flat the triangle
-    mpmath = pytest.importorskip("mpmath")
     for apex in _near_flat_triangles(d):
         with mpmath.workdps(60):
             x = _mp_cosh_sides(apex, mpmath)

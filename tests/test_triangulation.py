@@ -4,10 +4,16 @@ import copy
 import itertools
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import cover_document, random_gluing_document, snake_document
+from conftest import (
+    cover_document,
+    disjoint_double_document,
+    random_gluing_document,
+    snake_document,
+)
 
 from hyptet import (
     AngleAssignment,
@@ -32,7 +38,15 @@ from hyptet.errors import (
     UnpairedFace,
 )
 from hyptet.selftest import sample_interior_angles
-from hyptet.triangulation import PAIR_INDEX, PAIRS, _classes, admissibility_residual
+from hyptet.triangulation import (
+    PAIR_INDEX,
+    PAIRS,
+    TRI_FORMAT,
+    Triangulation,
+    _classes,
+    _require_int,
+    admissibility_residual,
+)
 
 PI = math.pi
 
@@ -71,13 +85,14 @@ def _reference(T):
     union-find over ``(tet, vertex-pair)`` slots and ``(tet, vertex)``
     corners."""
     edges, verts = _UnionFind(), _UnionFind()
-    for g in T.gluings:
-        face_verts = [v for v in (1, 2, 3, 4) if v != g.face]
+    for g in triangulation_document(T)["gluings"]:
+        m = g["vertex_map"]
+        face_verts = [v for v in (1, 2, 3, 4) if v != g["face"]]
         for v in face_verts:
-            verts.union((g.tet, v), (g.to_tet, g.vertex_map[v - 1]))
+            verts.union((g["tet"], v), (g["to_tet"], m[v - 1]))
         for p, q in itertools.combinations(face_verts, 2):
-            a, b = sorted((g.vertex_map[p - 1], g.vertex_map[q - 1]))
-            edges.union((g.tet, (p, q)), (g.to_tet, (a, b)))
+            a, b = sorted((m[p - 1], m[q - 1]))
+            edges.union((g["tet"], (p, q)), (g["to_tet"], (a, b)))
     n = T.n_tetrahedra
     edge_classes = edges.classes([(t, pair) for t in range(n) for pair in PAIRS])
     vertex_classes = verts.classes(
@@ -483,13 +498,13 @@ def _gluing_pairs(T):
     """The (slot, slot) and (corner, corner) pairs ``T``'s gluings identify,
     in the flat numbering."""
     slots, corners = [], []
-    for g in T.gluings:
-        m = g.vertex_map
-        face_verts = [v for v in (1, 2, 3, 4) if v != g.face]
-        corners += [(4 * g.tet + v - 1, 4 * g.to_tet + m[v - 1] - 1) for v in face_verts]
+    for g in triangulation_document(T)["gluings"]:
+        t, u, m = g["tet"], g["to_tet"], g["vertex_map"]
+        face_verts = [v for v in (1, 2, 3, 4) if v != g["face"]]
+        corners += [(4 * t + v - 1, 4 * u + m[v - 1] - 1) for v in face_verts]
         slots += [
-            (6 * g.tet + PAIR_INDEX[p, q],
-             6 * g.to_tet + PAIR_INDEX[tuple(sorted((m[p - 1], m[q - 1])))])
+            (6 * t + PAIR_INDEX[p, q],
+             6 * u + PAIR_INDEX[tuple(sorted((m[p - 1], m[q - 1])))])
             for p, q in itertools.combinations(face_verts, 2)
         ]
     return slots, corners
@@ -606,3 +621,213 @@ def test_each_input_check_raises_its_message(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+# --- validate as a per-gluing loop over tuple tables, verbatim ---------------
+
+_SLOT_OF = {pair[::d]: i for pair, i in PAIR_INDEX.items() for d in (1, -1)}
+_FACES = {
+    f: (tuple(v for v in (1, 2, 3, 4) if v != f),
+        tuple((i, pair) for pair, i in PAIR_INDEX.items() if f not in pair))
+    for f in (1, 2, 3, 4)
+}
+
+
+@dataclass(frozen=True)
+class Gluing:
+    tet: int
+    face: int
+    to_tet: int
+    to_face: int
+    vertex_map: tuple
+
+
+def _loop_validate(doc):
+    """Check a triangulation document and build the derived structure.
+
+    Raises UnpairedFace / TypeViolation / BadPermutation / IndexOutOfRange
+    naming the offending gluing, or InvalidDocument for structural issues.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidDocument("document must be a JSON object")
+    if doc.get("format") != TRI_FORMAT:
+        raise InvalidDocument(f"expected format '{TRI_FORMAT}'")
+    n = _require_int(doc, "tetrahedra", "document")
+    if n < 1:
+        raise InvalidDocument("need at least one tetrahedron")
+    raw = doc.get("gluings")
+    if not isinstance(raw, list):
+        raise InvalidDocument("'gluings' must be a list")
+
+    gluings = []
+    paired = {}
+    # identified (slot, slot) and (corner, corner) pairs, flat numbering
+    slot_pairs = []
+    corner_pairs = []
+    for idx, g in enumerate(raw):
+        where = f"gluing #{idx}"
+        if not isinstance(g, dict):
+            raise InvalidDocument(f"{where}: must be an object")
+        tet = _require_int(g, "tet", where)
+        face = _require_int(g, "face", where)
+        to_tet = _require_int(g, "to_tet", where)
+        to_face = _require_int(g, "to_face", where)
+        if not (0 <= tet < n and 0 <= to_tet < n):
+            raise IndexOutOfRange(f"{where}: tetrahedron index out of range")
+        if face not in (1, 2, 3, 4) or to_face not in (1, 2, 3, 4):
+            raise IndexOutOfRange(f"{where}: face index must be in 1..4")
+        vm = g.get("vertex_map")
+        if (
+            not isinstance(vm, list)
+            or len(vm) != 4
+            or any(isinstance(v, bool) or not isinstance(v, int) for v in vm)
+            or sorted(vm) != [1, 2, 3, 4]
+        ):
+            raise BadPermutation(f"{where}: vertex_map must permute 1..4")
+        vm = tuple(vm)
+        if vm[face - 1] != to_face:
+            raise BadPermutation(
+                f"{where}: vertex_map must send the opposite vertex {face} "
+                f"to {to_face}"
+            )
+        verts, slots = _FACES[face]
+        for v in verts:
+            if (v == 1) != (vm[v - 1] == 1):
+                raise TypeViolation(
+                    f"{where}: vertex {v} -> {vm[v - 1]} mixes truncated and "
+                    "cusped vertices"
+                )
+        for side in ((tet, face), (to_tet, to_face)):
+            if side in paired:
+                raise UnpairedFace(
+                    f"{where}: face {side} already glued"
+                )
+        if (tet, face) == (to_tet, to_face):
+            raise UnpairedFace(f"{where}: face glued to itself")
+        paired[(tet, face)] = (to_tet, to_face)
+        paired[(to_tet, to_face)] = (tet, face)
+        gluings.append(Gluing(tet, face, to_tet, to_face, vm))
+        corner_pairs += [(4 * tet + v - 1, 4 * to_tet + vm[v - 1] - 1) for v in verts]
+        slot_pairs += [
+            (6 * tet + i, 6 * to_tet + _SLOT_OF[vm[p - 1], vm[q - 1]])
+            for i, (p, q) in slots
+        ]
+
+    faces = ((t, f) for t in range(n) for f in (1, 2, 3, 4))
+    # the first eight in order: the scan stops there, so it costs
+    # O(len(gluings)) however large 'tetrahedra' is
+    missing = list(itertools.islice((s for s in faces if s not in paired), 8))
+    if missing:
+        raise UnpairedFace(f"unglued faces remain: {missing}")
+
+    # no vertex class mixes vertex types: each identified corner pair
+    # passed the TypeViolation check above
+    return Triangulation(
+        n,
+        gluings,
+        _classes(6 * n, slot_pairs).reshape(n, 6),
+        _classes(4 * n, corner_pairs).reshape(n, 4),
+    )
+
+
+def _loop_document(T):
+    """Emit the JSON document describing ``T``: a gluing's fields are its keys."""
+    gluings = [dict(vars(g), vertex_map=list(g.vertex_map)) for g in T.gluings]
+    return {"format": TRI_FORMAT, "tetrahedra": T.n_tetrahedra, "gluings": gluings}
+
+
+def _outcome(check, emit, doc):
+    """The exception ``check(doc)`` raises, as its type and message, or the
+    classes, summary and document of the triangulation it returns."""
+    try:
+        T = check(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return T.slot_class.tolist(), T.corner_class.tolist(), T.summary(), emit(T)
+
+
+_FIELDS = ("tet", "face", "to_tet", "to_face")
+
+
+def _mutant(rng, doc):
+    """``doc`` with one to three seeded edits: wrong-typed, bool, float and
+    out-of-range fields, non-permutations and type-mixing maps, duplicated,
+    dropped, shuffled, reversed and self-glued gluings."""
+    doc = copy.deepcopy(doc)
+    gluings, n = doc["gluings"], doc["tetrahedra"]
+    junk = ["1", None, 1.0, 2.5, True, False, [1], {}, -1, 0, 5, n, n + 1,
+            10**20, -10**20]
+    for _ in range(rng.integers(1, 4)):
+        if not gluings:
+            break
+        i = int(rng.integers(len(gluings)))
+        g = gluings[i]
+        kind = int(rng.integers(10))
+        if kind == 0 and isinstance(g, dict):  # one field
+            key = _FIELDS[rng.integers(4)]
+            value = junk + list(range(n)) + [1, 2, 3, 4]
+            g[key] = value[rng.integers(len(value))]
+            if rng.random() < 0.1:
+                del g[key]
+        elif kind == 1 and isinstance(g, dict):  # one entry of the map
+            vm = g["vertex_map"] = list(g.get("vertex_map") or [1, 2, 3, 4])
+            value = junk + [1, 2, 3, 4]
+            vm[rng.integers(len(vm))] = value[rng.integers(len(value))]
+        elif kind == 2 and isinstance(g, dict):  # a permutation, maybe mixing
+            vm = [int(v) for v in rng.permutation([1, 2, 3, 4])]
+            if rng.random() < 0.3:
+                g["to_face"] = int(rng.integers(1, 5))
+            face, to_face = g.get("face"), g.get("to_face")
+            if rng.random() < 0.7 and face in (1, 2, 3, 4) and to_face in (1, 2, 3, 4):
+                j = vm.index(to_face)
+                vm[j], vm[face - 1] = vm[face - 1], vm[j]
+            g["vertex_map"] = vm
+        elif kind == 3:  # a map of the wrong shape
+            shapes = [[1, 2, 3], [1, 2, 3, 4, 5], (1, 2, 3, 4), "1234", None,
+                      [1, 2, 3, 3], [0, 1, 2, 3]]
+            if isinstance(g, dict):
+                g["vertex_map"] = shapes[rng.integers(len(shapes))]
+            else:
+                gluings[i] = shapes[rng.integers(len(shapes))]
+        elif kind == 4:
+            gluings.insert(int(rng.integers(len(gluings) + 1)), copy.deepcopy(g))
+        elif kind == 5:
+            del gluings[i]
+        elif kind == 6:
+            gluings[:] = [gluings[j] for j in rng.permutation(len(gluings))]
+        elif kind == 7 and isinstance(g, dict):  # glued to itself
+            g["to_tet"], g["to_face"] = g.get("tet"), g.get("face")
+        elif kind == 8 and isinstance(g, dict):  # the same gluing, reversed
+            vm = g.get("vertex_map")
+            if isinstance(vm, list) and sorted(map(repr, vm)) == ["1", "2", "3", "4"]:
+                inverse = [vm.index(v) + 1 for v in (1, 2, 3, 4)]
+                gluings[i] = {"tet": g.get("to_tet"), "face": g.get("to_face"),
+                              "to_tet": g.get("tet"), "to_face": g.get("face"),
+                              "vertex_map": inverse}
+        elif kind == 9:  # the document around the gluings
+            value = [n - 1, n + 1, 10**30, 0, True, 2.0]
+            doc["tetrahedra"] = value[rng.integers(len(value))]
+            if rng.random() < 0.2:
+                gluings[i] = [g]
+    return doc
+
+
+def test_validate_gives_the_loop_outcome_on_mutated_documents():
+    # every document is checked in the loop's order, with its exception type
+    # and message, and every valid one gives the loop's classes and document
+    rng = np.random.default_rng(2900)
+    builders = (lambda: cover_document(4), lambda: random_gluing_document(16, 0),
+                snake_document, double_document, disjoint_double_document)
+    seen = set()
+    for doc in builders:
+        for d in [doc()] + [_mutant(rng, doc()) for _ in range(400)]:
+            want = _outcome(_loop_validate, _loop_document, d)
+            assert _outcome(validate, triangulation_document, d) == want, d
+            seen.add(want[0] if len(want) == 2 else None)
+            if want[0] is TypeViolation and want[1].endswith("-> 1 mixes truncated "
+                                                             "and cusped vertices"):
+                seen.add("face 1")
+    # the corpus reaches valid documents, every error type and a type-mixing
+    # map of face 1, where the vertex named is not vertex 1
+    assert seen == {None, InvalidDocument, IndexOutOfRange, BadPermutation,
+                    TypeViolation, UnpairedFace, "face 1"}
