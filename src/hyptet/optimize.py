@@ -10,10 +10,9 @@ the sparse edge equations ``A = T.a_eq`` are range-space
 (Schur-complement) steps: ``T.factor`` of the blocks ``B^-1``, an LU of
 ``A B^-1 A^T`` bordered by the gauge matrix, replaces any basis of the
 null space of ``A`` (Nocedal & Wright, *Numerical Optimization*, ch. 16),
-and ``T.solve_eye`` is the null-space projector's LU.  ``_Barrier`` holds
-only the cell terms of the last point evaluated.
-The same step, with the edge-equation residual on its right-hand side,
-carries a start that is only inside the inequalities onto the edge
+and ``T.solve_eye`` is the null-space projector's LU.  ``_Barrier.step``
+takes that step; with the edge-equation residual on its right-hand side it
+also carries a start that is only inside the inequalities onto the edge
 equations (an infeasible-start phase one), so the feasibility LP runs only
 when that phase fails.
 
@@ -21,8 +20,9 @@ Dual: minimize the convex C^1 energy ``sum_tet covolume - <k, l>`` over
 metrics in the orthogonal complement of the gauge; its gradient is
 ``cone_angles(extended angles) - k`` and its Hessian is ``A X A^T`` for the
 co-volume blocks ``X = (-2 H)^-1`` (Schlaefli, ``H`` the volume Hessian),
-PSD with the gauge as kernel: ``T.factor`` of ``X`` too, projected by
-``T.project``.  Every LU is the triangulation's, built once for it.
+PSD with the gauge as kernel: ``T.factor`` of ``X`` too, whose border keeps
+each step off the gauge; ``T.project`` maps only the start and the result.
+Every LU is the triangulation's, built once for it.
 The energy is unbounded below exactly when no closed angle assignment has
 cone angles ``k``, and the dual stops at the first point it evaluates
 that certifies this (a Farkas vector).
@@ -53,6 +53,7 @@ from .structures import (
 )
 from .tetra import (
     CELL_VERTICES,
+    SLACK_COEF,
     _cell_slacks,
     _covolume_block,
     _near_flat,
@@ -191,17 +192,18 @@ def _newton(x, oracle, tol, max_iter, max_step=None):
     """Damped Newton descent on a smooth convex objective over an affine set.
 
     ``oracle(x)`` returns ``(f, pg, res, step)``: the objective, its gradient
-    projected onto the feasible directions, the residual the run drives to
-    ``tol`` or below, and a callable giving the Newton direction in ``x``
-    coordinates, called only at accepted points; an oracle whose Hessian is
-    only semidefinite regularizes it.  Each step takes that direction
-    (``-pg`` when its solve fails or it does not descend), is cut to
-    ``max_step(x, dx)`` when given, and is halved until the Armijo test
-    holds or the residual halves with ``f`` flat to float noise -- near the
-    optimum the decrease of ``f`` is below float resolution while the
-    analytic gradient still is not.  A failed line search or an accepted
-    step that moves ``x`` by float noise only stalls the run.  An oracle
-    that raises ``_Stop`` ends the run at its point, flagged ``stopped``.
+    on the feasible directions (projected, or raw where ``step`` keeps to
+    them), the residual the run drives to ``tol`` or below, and a callable
+    giving the Newton direction in ``x`` coordinates, called only at accepted
+    points; an oracle whose Hessian is only semidefinite regularizes it.
+    Each step takes that direction (``-pg`` when its solve fails or it does
+    not descend), is cut to ``max_step(x, dx)`` when given, and is halved
+    until the Armijo test holds or the residual halves with ``f`` flat to
+    float noise -- near the optimum the decrease of ``f`` is below float
+    resolution while the analytic gradient still is not.  A failed line
+    search or an accepted step that moves ``x`` by float noise only stalls
+    the run.  An oracle that raises ``_Stop`` ends the run at its point,
+    flagged ``stopped``.
     """
     trace = []
     it = 0
@@ -275,10 +277,9 @@ def _sym3_inverse(B):
 
 def _barrier_hessian(A, c, mu):
     """Hessian blocks (n, 3, 3) of ``-(vol + mu * sum log c)`` in the free
-    chart, at slot angles ``A`` and constraint values ``c`` (the 3n free
-    angles, then the n apex slacks)."""
-    n = A.shape[0]
-    u, slack = c[: 3 * n].reshape(n, 3, 1), c[3 * n :, None, None]
+    chart, at slot angles ``A`` and the cell slacks ``c`` (n, 4) of
+    ``tetra._cell_slacks``: three free angles, then the apex slack."""
+    u, slack = c[:, :3, None], c[:, 3:, None]
     return -_volume_hessian(A) + mu * (np.eye(3) / u**2 + 1.0 / slack**2)
 
 
@@ -288,13 +289,14 @@ def _blockmul(inv, v):
 
 
 class _Barrier:
-    """The log-barrier problems ``-(vol + mu * sum log c)`` of one primal
-    solve, over the edge equations ``T.a_eq u = b_eq``, one oracle per
-    barrier weight ``mu``.
+    """The log-barrier problems ``-(vol + mu * sum log c)``,
+    ``c = _cell_slacks(u)``, of one primal solve over the edge equations
+    ``T.a_eq u = b_eq``: the gradient and Newton step of any weight ``mu``,
+    and one oracle per weight.
 
     It holds the cell terms of the last point evaluated -- the slot angles,
-    twice the volume and its gradient -- which a new weight's start and the
-    volume trace read again instead of recomputing.
+    twice the volume and its gradient -- which a step, a new weight's start
+    and the volume trace read again instead of recomputing.
     """
 
     def __init__(self, T, b_eq):
@@ -309,42 +311,43 @@ class _Barrier:
             self._last = u.copy(), A, vol2, volume_gradient_batch(A).ravel()
         return self._last[1:]
 
-    def oracle(self, mu):
-        """Oracle of the weight ``mu``.
+    def gradient(self, u, mu):
+        """The cell slacks (n, 4) and the barrier gradient (3n,) at ``u``."""
+        c = _cell_slacks(u)
+        return c, -self.cells(u)[2] - mu * (1.0 / c[:, :3] - 1.0 / c[:, 3:]).ravel()
 
-        The Newton direction is the range-space step
-        ``dx = -B^-1 (g + A^T lam)`` with ``A B^-1 A^T lam = r - A B^-1 g``,
-        for the block-diagonal barrier Hessian ``B`` (one positive definite
-        3x3 block per tetrahedron) and the edge-equation residual
-        ``r = A u - b_eq``, so that ``A dx = -r``: on the equations it is the
-        feasible Newton step, off them the infeasible-start one.
-        ``A B^-1 A^T`` is ``T.factor`` of the blocks ``B^-1``.
-        """
-        T, b_eq = self.T, self.b_eq
+    def step(self, u, mu):
+        """The Newton direction of the weight ``mu`` at ``u``: the range-space
+        step ``dx = -B^-1 (g + A^T lam)``, ``A B^-1 A^T lam = r - A B^-1 g``
+        (``T.factor`` of the blocks ``B^-1``), for the barrier Hessian ``B``
+        (one positive definite 3x3 block per tetrahedron) and the edge
+        residual ``r = A u - b_eq``.  As ``A dx = -r``, it is the feasible
+        Newton step on the equations and the infeasible-start one off them."""
+        T = self.T
+        c, g = self.gradient(u, mu)
+        inv = _sym3_inverse(_barrier_hessian(self.cells(u)[0], c, mu)).reshape(-1, 3, 3)
+        w = _blockmul(inv, g)
+        r = T.a_eq @ u - self.b_eq
+        return _blockmul(inv, T.a_eq_t @ T.factor(inv)(T.a_eq @ w - r)) - w
+
+    def oracle(self, mu):
+        """Oracle of the weight ``mu``: the barrier, its gradient projected
+        onto the null space of the edge equations, and ``step``."""
+        T = self.T
 
         def oracle(u_vec):
-            c = _cell_slacks(u_vec)
-            A, vol2, grad = self.cells(u_vec)
-            f = -0.5 * vol2 - mu * float(np.sum(np.log(c)))
-            g = -grad - mu * (1.0 / u_vec - np.repeat(1.0 / c[u_vec.size :], 3))
+            c, g = self.gradient(u_vec, mu)
+            f = -0.5 * self.cells(u_vec)[1] - mu * float(np.sum(np.log(c)))
             pg = g - T.a_eq_t @ T.solve_eye(T.a_eq @ g)
-
-            def step():
-                inv = _sym3_inverse(_barrier_hessian(A, c, mu)).reshape(-1, 3, 3)
-                solve = T.factor(inv)
-                w = _blockmul(inv, g)
-                r = T.a_eq @ u_vec - b_eq
-                return _blockmul(inv, T.a_eq_t @ solve(T.a_eq @ w - r)) - w
-
-            return f, pg, float(np.max(np.abs(pg))), step
+            return f, pg, float(np.max(np.abs(pg))), lambda: self.step(u_vec, mu)
 
         return oracle
 
 
 def _equation_oracle(barrier, mu):
-    """Oracle of ``|a_eq u - b_eq|^2 / 2`` whose step is ``barrier``'s at ``mu``.
+    """Oracle of ``|a_eq u - b_eq|^2 / 2`` whose step is ``barrier.step`` at ``mu``.
 
-    From ``u`` strictly inside the inequalities, the barrier oracle's Newton
+    From ``u`` strictly inside the inequalities, the barrier's Newton
     direction also cancels the edge-equation residual ``r``, so a run cut by
     the fraction-to-boundary rule lands on the equations at its first full
     step (an infeasible-start phase one; Boyd & Vandenberghe, *Convex
@@ -352,7 +355,6 @@ def _equation_oracle(barrier, mu):
     boundary to rounding raises ``_Stop``: the barrier would divide by 0.
     """
     T, b_eq = barrier.T, barrier.b_eq
-    newton = barrier.oracle(mu)
 
     def oracle(u_vec):
         r = T.a_eq @ u_vec - b_eq
@@ -361,7 +363,7 @@ def _equation_oracle(barrier, mu):
         edge = min(np.min(_cell_slacks(u_vec)), np.min(_slot_angles(u_vec)))
         if edge <= 0.0:
             raise _Stop(u_vec, f, res)
-        return f, T.a_eq_t @ r, res, lambda: newton(u_vec)[3]()
+        return f, T.a_eq_t @ r, res, lambda: barrier.step(u_vec, mu)
 
     return oracle
 
@@ -404,9 +406,8 @@ def maximize_volume(T, k, tol=1e-8, u0=None):
         u = np.full(3 * n, PI / 4.0)
 
     def max_step(u_vec, du):
-        # fraction-to-boundary rule on the linear inequality constraints
-        dc = np.concatenate([du, -du.reshape(n, 3).sum(axis=1)])
-        return _reach(0.995 * _cell_slacks(u_vec), dc)
+        # fraction-to-boundary rule on the cell slacks, affine in u
+        return _reach(0.995 * _cell_slacks(u_vec), du.reshape(n, 3) @ SLACK_COEF.T)
 
     mu_final = max(tol / 10.0, 1e-13)
     mus = []
@@ -451,9 +452,10 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None):
     """Prescribe cone angles by minimizing the convex metric energy.
 
     Damped Newton steps in the orthogonal complement of the gauge, from
-    ``x0`` projected there; each solves ``(H + s I) dx = -P g`` there by
-    ``T.factor``, ``H`` the summed co-volume blocks, ``s = min(res, 1)``;
-    the projector ``P`` onto that complement is ``T.project``.  Succeeds
+    ``x0`` projected there; each is ``T.factor``'s solve of
+    ``(H + s I) dx = -g``, ``H`` the summed co-volume blocks and
+    ``s = min(res, 1)``, whose gauge border alone keeps ``dx`` there.
+    ``T.project`` maps only the start and the reported metric.  Succeeds
     when the cone angles match ``k`` to ``tol`` in max norm.
 
     Every point the run evaluates, line-search trial points included, is a
@@ -469,7 +471,6 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None):
     k_vals = admissible_cone_values(T, k)
     slot_class = T.slot_class
     n_edges = T.n_edge_classes
-    factor, project = T.factor, T.project
 
     def oracle(x):
         L = x[slot_class]
@@ -482,12 +483,7 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None):
         scale = 1.0 + float(k_vals @ np.abs(x)) + PI * float(np.abs(L).sum())
         if kx - support > 1e-9 * scale:
             raise _Stop(x, obj, res)
-        pg = project(g)
-
-        def step():
-            return factor(_covolume_block(A), min(res, 1.0))(-pg)
-
-        return obj, pg, res, step
+        return obj, g, res, lambda: T.factor(_covolume_block(A), min(res, 1.0))(-g)
 
     if x0 is None:
         x = np.zeros(n_edges)
@@ -495,7 +491,7 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None):
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (n_edges,) or not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be a finite vector over the edge classes")
-        x = project(x0)
+        x = T.project(x0)
     run = _newton(x, oracle, tol, _DUAL_STEPS)
     if run.res > tol and not run.stopped:
         what = "stalled" if run.iterations < _DUAL_STEPS else "hit the iteration cap"
@@ -503,7 +499,7 @@ def solve_cone_angles(T, k, tol=1e-8, x0=None):
             f"dual solve {what} at residual {run.res:.3e}", residual=run.res
         )
     return DualReport(
-        GeneralizedMetric(project(run.x)),
+        GeneralizedMetric(T.project(run.x)),
         run.res,
         run.stopped,
         run.f,

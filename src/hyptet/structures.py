@@ -15,13 +15,13 @@ built once, and ``assemble(T, k)`` gives ``b_eq``, the only part that reads
 the target.
 
 ``find_interior`` solves the max-min-slack LP (a Chebyshev-style interior
-point) "maximize t subject to u >= t, pi - sum_tet u >= t and the edge
-equations", written in the slack variables ``u = s + t 1``: the bounds on
-``u`` become ``s >= 0``, and only the n per-tetrahedron sums stay as
-inequality rows; ``t`` is free, as the apex rows bound it by pi/4.  The LP
-runs on the package's own interior-point method, ``linprog``, on the primal
-solver's ``T.factor``; its bracket of ``t*`` and found interior witnesses
-are certified by substitution.
+point) "maximize t subject to ``_cell_slacks(u) >= t`` and the edge
+equations", written in the variables ``X = _cell_slacks(u) - t >= 0``
+(n, 4; ``u = s + t 1`` for its first three columns ``s``), with one row
+``sum_tet X + 4 t = pi`` per tetrahedron; ``t`` is free, as those rows
+bound it by pi/4.  The LP runs on the package's own interior-point method,
+``linprog``, on the primal solver's ``T.factor``; its bracket of ``t*`` and
+found interior witnesses are certified by substitution.
 """
 
 import math
@@ -96,7 +96,7 @@ def linprog(T, b_eq):
     b, a = A @ u, A @ np.ones(3 * n)
     tol = _LP_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0)))
     t = float(np.min(_cell_slacks(u))) - 1.0
-    X = np.column_stack([u.reshape(n, 3), PI - u.reshape(n, 3).sum(axis=1)]) - t
+    X = _cell_slacks(u) - t
     nu, kappa = np.zeros(b.size), np.full(n, 0.25 / n)
     Z = np.tile(kappa[:, None], 4)
     best, upper = (-math.inf, None), math.inf

@@ -26,9 +26,9 @@ The central objects:
   ``_kernels.VOLUME_CHART`` with the volume formula; ``FLAT_PATTERNS`` and
   ``CELL_VERTICES`` (the closed angle polytope's vertices) follow from it.
   ``_slot_angles`` maps a free vector of 3n apex angles to its (n, 6) slot
-  angles and ``_cell_slacks`` to the polytope's inequality slacks, so the
-  angle polytope of a cone target ``k`` is ``T.a_eq u = assemble(T, k)``
-  with ``_cell_slacks(u) >= 0``;
+  angles and ``_cell_slacks`` (``SLACK_COEF`` / ``SLACK_CONST``) to its
+  (n, 4) inequality slacks, so the angle polytope of a cone target ``k`` is
+  ``T.a_eq u = assemble(T, k)`` with ``_cell_slacks(u) >= 0``;
 * ``_judge_cells`` -- the one test of slot-angle rows against a cell's
   closed angle polytope (angles in [0, pi], apex sum at most pi, cusp sums
   pi) and its open interior; ``classify_angles``, ``volume_from_angles``,
@@ -71,9 +71,11 @@ GAUGE_VECTORS = np.array(
     [[v in pair for pair in PAIRS] for v in (2, 3, 4)], dtype=np.float64
 )
 
-#: slot angles as affine functions of (a12, a13, a14): coefficients and offsets
+#: slot angles and cell slacks as affine functions of (a12, a13, a14)
 SLOT_COEF = VOLUME_CHART[1:]
 SLOT_CONST = np.array([0.0, 0.0, 0.0, PI / 2.0, PI / 2.0, PI / 2.0])
+SLACK_COEF = np.vstack([np.eye(3), -np.ones(3)])
+SLACK_CONST = np.array([0.0, 0.0, 0.0, PI])
 
 #: the three flat-collapse angle patterns (closure corner points), and the
 #: vertices of a cell's closed angle polytope (u >= 0, sum u <= pi), (6, 4)
@@ -90,10 +92,10 @@ def _slot_angles(u):
 
 
 def _cell_slacks(u):
-    """The angle polytope's inequality slacks at a free vector ``u`` (3n,):
-    the 3n free angles, then the n apex slacks ``pi - sum_tet u``."""
+    """The angle polytope's inequality slacks (n, 4) at a free vector ``u``
+    (3n,): a cell's three free angles, then its apex slack ``pi - sum u``."""
     U = np.asarray(u, dtype=np.float64).reshape(-1, 3)
-    return np.concatenate([U.ravel(), PI - U.sum(axis=1)])
+    return U @ SLACK_COEF.T + SLACK_CONST
 
 
 #: outer products c_k c_k^T of the volume chart rows, flattened to (7, 9)

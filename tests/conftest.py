@@ -10,6 +10,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 INSTANCES = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
 _spec = importlib.util.spec_from_file_location("perfbench_instances", INSTANCES)
@@ -17,6 +18,28 @@ _instances = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_instances)
 #: ``cover_document(m, shifts=(0, 1, 0, 0))``, 2m tetrahedra
 cover_document = _instances.cover_document
+
+
+#: node ids of the tests this run skipped
+_SKIPPED = []
+
+
+def pytest_runtest_logreport(report):
+    # a skipped test leaves its code path untested, so the run must not pass
+    if report.skipped and not hasattr(report, "wasxfail"):
+        _SKIPPED.append(report.nodeid)
+
+
+def pytest_sessionfinish(session):
+    if _SKIPPED and session.exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _SKIPPED:
+        terminalreporter.section("skipped tests fail the run", red=True)
+        for nodeid in _SKIPPED:
+            terminalreporter.line(f"SKIPPED {nodeid}")
 
 
 def subprocess_env():

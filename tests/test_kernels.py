@@ -1,6 +1,7 @@
 """The numpy kernels on extreme inputs, the fused volume sum, and the
 blocked cosine-extension pass against its column-by-column formula."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -118,8 +119,18 @@ def test_backend_flag_documented():
 
 
 def test_extreme_inputs_stay_finite():
+    # finite, with RuntimeWarning an error, for every row with max|l| <= 1e307
+    # (the first failures lie between 1.8e307 and 2.3e307).  Rows: every sign
+    # pattern at 1e307 on all slots, on the apex slots alone and on the cusp
+    # slots alone (the others at 1), and seeded rows
     rng = np.random.default_rng(73)
-    L = rng.uniform(-300, 300, (2_000, 6))
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=6)))
+    mixes = np.array([[1e307] * 6, [1e307] * 3 + [1.0] * 3, [1.0] * 3 + [1e307] * 3])
+    L = np.concatenate([
+        rng.uniform(-300, 300, (2_000, 6)),
+        (signs[:, None, :] * mixes).reshape(-1, 6),
+        rng.uniform(-1e307, 1e307, (5_000, 6)),
+    ])
     assert np.all(np.isfinite(_kernels.phi_batch(L)))
     a = _kernels.extended_angles_batch(L)
     assert np.all((a >= 0.0) & (a <= np.pi))

@@ -500,7 +500,7 @@ def _barrier_blocks(rng, n, mu, apex=None, gap=None):
         U[:, 0] = 10.0 ** rng.uniform(*apex, n)
     if gap is not None:
         U[:, 2] = np.pi - U[:, :2].sum(axis=1) - 10.0 ** rng.uniform(*gap, n)
-    c = np.concatenate([U.ravel(), np.pi - U.sum(axis=1)])
+    c = _cell_slacks(U)
     assert np.all(c > 0.0)
     return _barrier_hessian(U @ SLOT_COEF.T + SLOT_CONST, c, mu)
 

@@ -38,7 +38,9 @@ from hyptet import (
     solve_cone_angles,
     volume_from_angles,
 )
+from hyptet._kernels import extended_angles_batch
 from hyptet.errors import InadmissibleTarget, MaxIterations, NoInteriorStart
+from hyptet.optimize import _Barrier
 from hyptet.selftest import sample_interior_angles
 from hyptet.tetra import (
     FLAT_PATTERNS,
@@ -48,7 +50,12 @@ from hyptet.tetra import (
     _near_flat,
     _slot_angles,
 )
-from hyptet.triangulation import PAIR_INDEX, double_document, validate
+from hyptet.triangulation import (
+    PAIR_INDEX,
+    admissibility_residual,
+    double_document,
+    validate,
+)
 
 PI = math.pi
 
@@ -184,6 +191,31 @@ def test_maximize_falls_back_to_lp_start(monkeypatch):
     assert from_lp.kkt_residual <= 1e-8
     assert abs(rep.volume - from_lp.volume) <= 1e-10 * abs(from_lp.volume)
     assert np.max(np.abs(rep.maximizer.values - from_lp.maximizer.values)) <= 1e-6
+
+
+def test_phase_one_builds_no_barrier_oracle(monkeypatch):
+    # phase one takes ``_Barrier.step`` alone, so each barrier weight builds
+    # one oracle, and every Newton step of the run takes one step
+    T = validate(cover_document(4))
+    angles = sample_interior_angles(np.random.default_rng(63), T.n_tetrahedra)
+    k = cone_angles(T, AngleAssignment(angles))
+    events, oracle, step = [], _Barrier.oracle, _Barrier.step
+
+    def built(self, mu):
+        events.append(("oracle", mu))
+        return oracle(self, mu)
+
+    def stepped(self, u, mu):
+        events.append(("step", mu))
+        return step(self, u, mu)
+
+    monkeypatch.setattr(_Barrier, "oracle", built)
+    monkeypatch.setattr(_Barrier, "step", stepped)
+    rep = maximize_volume(T, k, tol=1e-8)
+    weights = [mu for what, mu in events if what == "oracle"]
+    assert events[0] == ("step", weights[0])
+    assert weights == sorted(set(weights), reverse=True)
+    assert len(events) - len(weights) == rep.iterations
 
 
 def test_maximize_raises_when_the_barrier_stalls(monkeypatch):
@@ -341,6 +373,65 @@ def test_dual_rejects_inadmissible():
         solve_cone_angles(T, ConeTarget(np.zeros(T.n_edge_classes)))
     with pytest.raises(InadmissibleTarget):
         solve_cone_angles(T, ConeTarget(k.values * 1.5))
+
+
+def test_counting_identity_is_checked_in_radians():
+    # relative noise of 1e-10 on a 256-tet target breaks the counting identity
+    # by 2.2e-7 rad, within a bound of 1e-9 max|k| = 5.5e-7: with it the LP
+    # claimed an interior point that substitution refuted, and the dual
+    # stalled at 1.7e-8; past 1e-8 rad every solver refuses the target
+    T = validate(random_gluing_document(256, 5))
+    angles = sample_interior_angles(np.random.default_rng(7), T.n_tetrahedra)
+    k = cone_angles(T, AngleAssignment(angles)).values
+    status = hyptet.structures.FeasibilityStatus
+    assert find_interior(T, k).status is status.INTERIOR_FOUND
+    noisy = k * (1.0 + 1e-10 * np.random.default_rng(0).choice([-1, 1], k.size))
+    assert 1e-7 < admissibility_residual(T, noisy) < 1e-9 * np.max(noisy)
+    fr = find_interior(T, noisy)
+    assert fr.status is status.INFEASIBLE
+    assert fr.min_slack == -np.inf
+    for solver in (maximize_volume, solve_cone_angles):
+        with pytest.raises(InadmissibleTarget, match="counting identity by 2.15"):
+            solver(T, noisy)
+
+
+GAUGE_FIXTURES = {
+    "double": double_document,
+    "cover4": lambda: cover_document(4),
+    "cover64": lambda: cover_document(64),
+    "random256": lambda: random_gluing_document(256, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_FIXTURES))
+def test_dual_points_stay_in_the_gauge_complement(name, monkeypatch):
+    # T.factor's border alone keeps the gauge: every point the dual evaluates,
+    # line-search trials included, has W^T x = 0 to rounding, and T.project
+    # maps only the start and the result
+    T = validate(GAUGE_FIXTURES[name]())
+    rng = np.random.default_rng(7)
+    k = cone_angles(T, AngleAssignment(sample_interior_angles(rng, T.n_tetrahedra)))
+    points, projections, project = [], [], T.project
+
+    def recorded(L):
+        x = np.empty(T.n_edge_classes)
+        x[T.slot_class.ravel()] = L.ravel()
+        points.append(x)
+        return extended_angles_batch(L)
+
+    monkeypatch.setattr(hyptet.optimize, "extended_angles_batch", recorded)
+    T.project = lambda r: projections.append(None) or project(r)
+    trials = 0
+    for x0, calls in ((None, 1), (rng.uniform(-2.0, 2.0, T.n_edge_classes), 2)):
+        points.clear()
+        projections.clear()
+        rep = solve_cone_angles(T, k, x0=x0)
+        assert rep.residual <= 1e-8 and len(projections) == calls
+        trials += len(points) - rep.iterations - 1
+        for x in points:
+            drift = np.max(np.abs(T.gauge_matrix.T @ x))
+            assert drift <= 1e-12 * (1.0 + np.max(np.abs(x)))
+    assert trials > 0
 
 
 def test_dual_rejects_wrong_length_target():

@@ -1,8 +1,10 @@
 """Assignment-polytope encoding, membership verdicts, feasibility LP."""
 
 import functools
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,7 +59,7 @@ def test_assemble_shapes_and_rank():
     b_eq = assemble(T, k)
     assert T.a_eq.shape == (6, 6)
     assert isinstance(b_eq, np.ndarray) and b_eq.shape == (6,)
-    assert _cell_slacks(np.zeros(6)).shape == (8,)
+    assert _cell_slacks(np.zeros(6)).shape == (2, 4)
     assert np.linalg.matrix_rank(T.a_eq.toarray()) == 3
 
 
@@ -563,6 +565,64 @@ def test_linprog_stops_on_the_certified_bracket(monkeypatch):
     tight = find_interior(T, k)
     assert tight.status is FeasibilityStatus.BOUNDARY_ONLY
     assert tight.iterations > fr.iterations
+
+
+def test_schur_raises_on_blocks_of_scale_zero():
+    # weights on the apex slack alone make every Schur block 0
+    T = validate(double_document())
+    d = np.zeros((T.n_tetrahedra, 4))
+    d[:, 3] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match=r"Schur blocks of scale 0\.0$"):
+            _schur(T, d)
+
+
+def _schur_failing_from(calls):
+    """``_schur`` that raises LinAlgError from its call ``calls + 1`` on."""
+    count = itertools.count()
+
+    def schur(T, d):
+        if next(count) >= calls:
+            raise np.linalg.LinAlgError("stub")
+        return _schur(T, d)
+
+    return schur
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [double_document, lambda: cover_document(4), lambda: random_gluing_document(16, 0)],
+    ids=["double", "cover4", "random16"],
+)
+def test_linprog_keeps_its_bracket_when_an_lu_fails(doc, monkeypatch):
+    # a singular LU ends the run, and the bracket it holds serves when it
+    # fixes the verdict: on these interior targets it does from the start
+    T = validate(doc())
+    angles = sample_interior_angles(np.random.default_rng(7), T.n_tetrahedra)
+    b_eq = assemble(T, cone_angles(T, AngleAssignment(angles)))
+    calls = []
+    monkeypatch.setattr(
+        hyptet.structures, "_schur", lambda T, d: calls.append(None) or _schur(T, d)
+    )
+    full = hyptet.structures.linprog(T, b_eq)
+    for j in range(len(calls)):
+        monkeypatch.setattr(hyptet.structures, "_schur", _schur_failing_from(j))
+        run = hyptet.structures.linprog(T, b_eq)
+        assert FEASIBILITY_TOL < run.lower <= full.upper + 1e-12
+        assert full.lower - 1e-12 <= run.upper and run.iterations <= full.iterations
+
+
+def test_linprog_without_a_certified_bracket_raises(monkeypatch):
+    # on a pinned-zero target every point has a least slack of at most 0, and
+    # before a step the dual bound is pi/4: that bracket fixes no verdict
+    T = validate(double_document())
+    row = SLOT_COEF @ np.array(LP_KINDS["pinned-zero"]) + SLOT_CONST
+    b_eq = assemble(T, cone_angles(T, AngleAssignment(np.tile(row, (2, 1)))))
+    monkeypatch.setattr(hyptet.structures, "_schur", _schur_failing_from(0))
+    message = r"no certified bracket in 0 steps .* bound 7\.854e-01\)"
+    with pytest.raises(LpFailure, match=message):
+        hyptet.structures.linprog(T, b_eq)
 
 
 def test_feasibility_report_carries_the_bracket():
